@@ -13,10 +13,20 @@ import sys
 from pathlib import Path
 
 from .dsl import DslError, evaluate_construction, parse
-from .errors import DegenerateConfig, EmptyScene
+from .errors import DegenerateConfig, EmptyScene, SamplerExhausted
 from .render import render_svg, scene_from_construction
 from .scalar import parse_rational
 from .theorems import CLOSED_FORM_CHECK_IDS, run_suite
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -30,9 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("files", nargs="+", metavar="FILE")
     verify.add_argument("--mode", choices=("numeric", "symbolic", "both"),
                         default="numeric")
-    verify.add_argument("--trials", type=int, default=1000)
+    verify.add_argument("--trials", type=_positive_int, default=1000)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--bound", type=int, default=20)
+    verify.add_argument("--bound", type=_positive_int, default=20)
     verify.set_defaults(handler=_cmd_verify)
 
     prove = sub.add_parser(
@@ -40,9 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="rerun every bundled theorem and lemma check")
     prove.add_argument("--mode", choices=("numeric", "symbolic", "both"),
                        default="both")
-    prove.add_argument("--trials", type=int, default=1000)
+    prove.add_argument("--trials", type=_positive_int, default=1000)
     prove.add_argument("--seed", type=int, default=0)
-    prove.add_argument("--bound", type=int, default=20)
+    prove.add_argument("--bound", type=_positive_int, default=20)
     prove.set_defaults(handler=_cmd_prove_paper)
 
     render = sub.add_parser(
@@ -101,8 +111,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_prove_paper(args) -> int:
-    reports = run_suite(mode=args.mode, trials=args.trials, seed=args.seed,
-                        bound=args.bound)
+    try:
+        reports = run_suite(mode=args.mode, trials=args.trials, seed=args.seed,
+                            bound=args.bound)
+    except SamplerExhausted as exc:
+        print(f"error: {exc}; --bound {args.bound} admits too few values",
+              file=sys.stderr)
+        return 2
     for report in reports:
         _emit(report)
     if args.mode in ("symbolic", "both"):

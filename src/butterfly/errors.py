@@ -81,5 +81,13 @@ class SymbolicMismatch(ButterflyError):
         self.step = step
 
 
+class SamplerExhausted(ButterflyError):
+    """A sampler found no admissible configuration within its redraw budget.
+
+    Not a skip: no trial can run, because the sampling bound admits too few
+    values for the result's side conditions.
+    """
+
+
 class EmptyScene(ButterflyError):
     """A scene with no drawable content was handed to the renderer."""

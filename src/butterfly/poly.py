@@ -1,20 +1,29 @@
 """Sparse multivariate polynomials over Q in the five indeterminates a, b, c, d, k.
 
-Representation: a polynomial is a tuple of (monomial, coefficient) terms,
-where a monomial is a 5-tuple of non-negative exponents in the fixed
-variable order (a, b, c, d, k) and coefficients are `fractions.Fraction`.
-The tuple is kept in *canonical form*: no zero coefficients, terms sorted
-in descending graded-lexicographic order (higher total degree first, ties
-broken by comparing exponent tuples left to right, i.e. in the variable
-order a, b, c, d, k).  Canonical form makes structural equality coincide
-with mathematical equality and gives every polynomial one stable debug
-rendering.
+Representation: a polynomial is one positive integer denominator and a tuple
+of (packed monomial, integer coefficient) pairs; it stands for the sum of
+coefficient * monomial, divided by the denominator.  A monomial
+a^i b^j c^l d^m k^n is packed into one int (Monagan and Pearce, CASC 2007):
+each exponent gets a 16-bit field, a highest and k lowest, below a top field
+that holds the total degree.  Integer order on packed monomials is therefore
+graded-lexicographic order (higher total degree first, ties broken by
+comparing exponents left to right, i.e. in the variable order a, b, c, d, k),
+and multiplying two monomials is one integer addition.  No field may carry
+into its neighbour, so every total degree stays below 2^16: the constructor
+rejects larger monomials and multiplication raises before it would form one.
+
+The pairs are kept in *canonical form*: no zero coefficients, terms in
+descending graded-lex order, and gcd(coefficients, denominator) = 1.
+Canonical form makes structural equality coincide with mathematical equality
+and gives every polynomial one stable debug rendering.  `terms` presents the
+same polynomial as (exponent 5-tuple, Fraction) pairs in the same order,
+built on each access.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .scalar import format_rational
@@ -24,12 +33,33 @@ NVARS = len(VARIABLES)
 
 Monomial = tuple[int, int, int, int, int]
 
-_ZERO_MONO: Monomial = (0, 0, 0, 0, 0)
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+_DEGREE_LIMIT = 1 << _BITS  # exclusive bound on every total degree
+_DEGREE_SHIFT = _BITS * NVARS
+# bit offset of each variable's field, in VARIABLES order
+_SHIFTS = tuple(_BITS * (NVARS - 1 - i) for i in range(NVARS))
 
 
 def grlex_key(mono: Monomial) -> tuple[int, Monomial]:
     """Sort key for the documented graded-lexicographic order."""
     return (sum(mono), mono)
+
+
+def _pack(mono: Monomial) -> int:
+    if len(mono) != NVARS or any(e < 0 for e in mono):
+        raise ValueError(f"bad monomial {mono!r}")
+    packed = sum(mono)
+    if packed >= _DEGREE_LIMIT:
+        raise ValueError(f"monomial {mono!r} has total degree {packed}; "
+                         f"the limit is {_DEGREE_LIMIT - 1}")
+    for e in mono:
+        packed = (packed << _BITS) | e
+    return packed
+
+
+def _unpack(packed: int) -> Monomial:
+    return tuple(packed >> shift & _MASK for shift in _SHIFTS)
 
 
 def _coerce_coeff(value) -> Fraction:
@@ -40,26 +70,45 @@ def _coerce_coeff(value) -> Fraction:
     raise TypeError(f"polynomial coefficients must be rational, got {type(value).__name__}")
 
 
+def _make(terms: tuple[tuple[int, int], ...], den: int) -> Polynomial:
+    """Wrap pairs that are already canonical together with `den`."""
+    poly = object.__new__(Polynomial)
+    poly._terms = terms
+    poly._den = den
+    return poly
+
+
+def _reduced(terms: list[tuple[int, int]], den: int) -> Polynomial:
+    """Canonical polynomial from sorted nonzero pairs over a positive `den`."""
+    if den != 1:
+        g = gcd(den, *[c for _, c in terms])
+        if g != 1:
+            den //= g
+            terms = [(m, c // g) for m, c in terms]
+    return _make(tuple(terms), den)
+
+
+def _collect(acc: dict[int, int], den: int) -> Polynomial:
+    """Canonical polynomial from an unordered accumulator that may hold zeros."""
+    return _reduced(sorted([t for t in acc.items() if t[1]], reverse=True), den)
+
+
 class Polynomial:
     """Immutable sparse polynomial in Q[a, b, c, d, k], always canonical."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | Iterable[tuple[Monomial, Fraction]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[int, Fraction] = {}
         for mono, coeff in items:
-            if len(mono) != NVARS or any(e < 0 for e in mono):
-                raise ValueError(f"bad monomial {mono!r}")
-            coeff = _coerce_coeff(coeff)
-            prev = acc.get(mono)
-            total = coeff if prev is None else prev + coeff
-            if total:
-                acc[mono] = total
-            elif prev is not None:
-                del acc[mono]
-        object.__setattr__(self, "_terms",
-                           tuple(sorted(acc.items(), key=lambda t: grlex_key(t[0]), reverse=True)))
+            key = _pack(mono)
+            acc[key] = acc.get(key, 0) + _coerce_coeff(coeff)
+        den = lcm(*[c.denominator for c in acc.values()])
+        canonical = _collect({m: c.numerator * (den // c.denominator)
+                              for m, c in acc.items()}, den)
+        self._terms = canonical._terms
+        self._den = canonical._den
 
     # -- constructors ------------------------------------------------------
 
@@ -74,19 +123,19 @@ class Polynomial:
     @classmethod
     def constant(cls, value) -> Polynomial:
         value = _coerce_coeff(value)
-        return cls({_ZERO_MONO: value}) if value else _ZERO
+        return _make(((0, value.numerator),), value.denominator) if value else _ZERO
 
     @classmethod
     def variable(cls, name: str) -> Polynomial:
-        idx = VARIABLES.index(name)
-        mono = tuple(1 if i == idx else 0 for i in range(NVARS))
-        return cls({mono: Fraction(1)})
+        shift = _SHIFTS[VARIABLES.index(name)]
+        return _make((((1 << _DEGREE_SHIFT) | (1 << shift), 1),), 1)
 
     # -- inspection --------------------------------------------------------
 
     @property
     def terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
-        return self._terms
+        den = self._den
+        return tuple((_unpack(m), Fraction(c, den)) for m, c in self._terms)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -98,35 +147,26 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return sum(self._terms[0][0])
+        return self._terms[0][0] >> _DEGREE_SHIFT
 
     def leading_coefficient(self) -> Fraction:
         """Coefficient of the graded-lex leading term."""
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        return self._terms[0][1]
+        return Fraction(self._terms[0][1], self._den)
 
     def content(self) -> Fraction:
         """Positive rational c such that self / c has coprime integer coefficients."""
         if not self._terms:
             return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for _, coeff in self._terms:
-            num_gcd = gcd(num_gcd, abs(coeff.numerator))
-            den_lcm = den_lcm * coeff.denominator // gcd(den_lcm, coeff.denominator)
-        return Fraction(num_gcd, den_lcm)
+        return Fraction(gcd(*[c for _, c in self._terms]), self._den)
 
     def min_exponents(self) -> Monomial | None:
         """Componentwise minimum exponent vector, i.e. the largest monomial factor."""
         if not self._terms:
             return None
-        mins = list(self._terms[0][0])
-        for mono, _ in self._terms[1:]:
-            for i, e in enumerate(mono):
-                if e < mins[i]:
-                    mins[i] = e
-        return tuple(mins)
+        monos = [m for m, _ in self._terms]
+        return tuple(min([m >> shift & _MASK for m in monos]) for shift in _SHIFTS)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -134,20 +174,23 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc = dict(self._terms)
-        for mono, coeff in other._terms:
-            prev = acc.get(mono)
-            total = coeff if prev is None else prev + coeff
-            if total:
-                acc[mono] = total
-            elif prev is not None:
-                del acc[mono]
-        return Polynomial(acc)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
+        # bring both onto the denominator lcm(d1, d2) = d1 * (d2 // g)
+        g = gcd(self._den, other._den)
+        mine, theirs = other._den // g, self._den // g
+        acc = {m: c * mine for m, c in self._terms}
+        get = acc.get
+        for m, c in other._terms:
+            acc[m] = get(m, 0) + c * theirs
+        return _collect(acc, self._den * mine)
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        return Polynomial({m: -c for m, c in self._terms})
+        return _make(tuple([(m, -c) for m, c in self._terms]), self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -167,25 +210,18 @@ class Polynomial:
             return NotImplemented
         if not self._terms or not other._terms:
             return _ZERO
-        # Quadratically many coefficient products, so accumulate plain ints
-        # over a common denominator instead of paying a Fraction gcd per pair.
-        sden = 1
-        for _, c in self._terms:
-            sden = sden * c.denominator // gcd(sden, c.denominator)
-        oden = 1
-        for _, c in other._terms:
-            oden = oden * c.denominator // gcd(oden, c.denominator)
-        left = [(m, c.numerator * (sden // c.denominator)) for m, c in self._terms]
-        right = [(m, c.numerator * (oden // c.denominator)) for m, c in other._terms]
-        acc: dict[Monomial, int] = {}
+        degree = (self._terms[0][0] >> _DEGREE_SHIFT) + (other._terms[0][0] >> _DEGREE_SHIFT)
+        if degree >= _DEGREE_LIMIT:
+            raise OverflowError(f"product of total degree {degree} exceeds the limit "
+                                f"{_DEGREE_LIMIT - 1} of the packed monomial")
+        acc: dict[int, int] = {}
         get = acc.get
-        for m1, c1 in left:
+        right = other._terms
+        for m1, c1 in self._terms:
             for m2, c2 in right:
-                mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2],
-                        m1[3] + m2[3], m1[4] + m2[4])
+                mono = m1 + m2
                 acc[mono] = get(mono, 0) + c1 * c2
-        den = sden * oden
-        return Polynomial({m: Fraction(v, den) for m, v in acc.items() if v})
+        return _collect(acc, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -207,17 +243,18 @@ class Polynomial:
         factor = _coerce_coeff(factor)
         if not factor:
             return _ZERO
-        return Polynomial({m: c * factor for m, c in self._terms})
+        num = factor.numerator
+        return _reduced([(m, c * num) for m, c in self._terms],
+                        self._den * factor.denominator)
 
     def shift_down(self, mono: Monomial) -> Polynomial:
         """Exact division by the monomial `mono` (which must divide every term)."""
-        shifted = {}
-        for m, c in self._terms:
-            new = tuple(e - f for e, f in zip(m, mono))
-            if any(e < 0 for e in new):
-                raise ValueError(f"monomial {mono!r} does not divide {m!r}")
-            shifted[new] = c
-        return Polynomial(shifted)
+        shift = _pack(mono)
+        mins = self.min_exponents()
+        if mins is not None and any(f > e for f, e in zip(mono, mins)):
+            raise ValueError(f"monomial {mono!r} does not divide {mins!r}, "
+                             f"the largest monomial factor")
+        return _make(tuple([(m - shift, c) for m, c in self._terms]), self._den)
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -235,24 +272,30 @@ class Polynomial:
         except KeyError as missing:
             raise ValueError(f"assignment must bind all of {', '.join(VARIABLES)}; "
                              f"missing {missing.args[0]!r}") from None
+        # val ** e for each (variable, exponent) met, kept for this call only
+        powers = tuple(({}, val, shift) for val, shift in zip(point, _SHIFTS))
         total = Fraction(0)
         for mono, coeff in self._terms:
             term = coeff
-            for val, exp in zip(point, mono):
+            for cache, val, shift in powers:
+                exp = mono >> shift & _MASK
                 if exp:
-                    term *= val ** exp
+                    power = cache.get(exp)
+                    if power is None:
+                        power = cache[exp] = val ** exp
+                    term *= power
             total += term
-        return total
+        return total / self._den
 
     def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == Polynomial.constant(other)._terms
-        return NotImplemented
+            other = Polynomial.constant(other)
+        elif not isinstance(other, Polynomial):
+            return NotImplemented
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
-        return hash(self._terms)
+        return hash((self._den, self._terms))
 
     # -- rendering -----------------------------------------------------------
 
@@ -262,7 +305,7 @@ class Polynomial:
         if not self._terms:
             return "0"
         pieces = []
-        for index, (mono, coeff) in enumerate(self._terms):
+        for index, (mono, coeff) in enumerate(self.terms):
             names = "*".join(name if e == 1 else f"{name}^{e}"
                              for name, e in zip(VARIABLES, mono) if e)
             mag = abs(coeff)
@@ -283,5 +326,5 @@ class Polynomial:
         return f"Polynomial({self.render()})"
 
 
-_ZERO = Polynomial()
-_ONE = Polynomial({_ZERO_MONO: Fraction(1)})
+_ZERO = _make((), 1)
+_ONE = _make(((0, 1),), 1)

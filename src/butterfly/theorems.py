@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from . import closedforms
-from .errors import DegenerateConfig, SymbolicMismatch
+from .errors import DegenerateConfig, SamplerExhausted, SymbolicMismatch
 from .geom import (
     Circle,
     Line,
@@ -439,7 +439,7 @@ def sample_gauge(rng, bound: int, require_interior: bool = True) -> GaugeConfig:
         if require_interior and not (a * c < 0 and b * d < 0):
             continue
         return GaugeConfig(a, b, c, d, k)
-    raise RuntimeError("gauge sampler exhausted its redraw budget")
+    raise SamplerExhausted("gauge sampler exhausted its redraw budget")
 
 
 def sample_cyclic(rng, bound: int) -> CyclicConfig:
@@ -452,7 +452,7 @@ def sample_cyclic(rng, bound: int) -> CyclicConfig:
         if (C.x - A.x) * (D.y - B.y) == (C.y - A.y) * (D.x - B.x):
             continue  # parallel diagonals never meet at a P
         return CyclicConfig(*ts)
-    raise RuntimeError("cyclic sampler exhausted its redraw budget")
+    raise SamplerExhausted("cyclic sampler exhausted its redraw budget")
 
 
 def sample_chord(rng, bound: int) -> ChordButterflyConfig:
@@ -473,7 +473,7 @@ def sample_chord(rng, bound: int) -> ChordButterflyConfig:
         side_f = ab.u * F.x + ab.v * F.y + ab.w
         if side_c * side_f < 0:
             return ChordButterflyConfig(*ts)
-    raise RuntimeError("chord sampler exhausted its redraw budget")
+    raise SamplerExhausted("chord sampler exhausted its redraw budget")
 
 
 def sample_quad(rng, bound: int) -> QuadConfig:
@@ -490,7 +490,7 @@ def sample_lemma2(rng, bound: int) -> Lemma2Config:
             return build_lemma2(gauge)
         except DegenerateConfig:
             continue  # quadrilateral lacked one of the four circumcenters
-    raise RuntimeError("lemma2 sampler exhausted its redraw budget")
+    raise SamplerExhausted("lemma2 sampler exhausted its redraw budget")
 
 
 # -- reports ---------------------------------------------------------------------

@@ -1,7 +1,13 @@
 """Exit codes, report output, and determinism of the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import butterfly
 from butterfly.cli import main
 from tests.test_dsl import CORPUS, FIXTURES
 
@@ -76,6 +82,42 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+def _exit_code(argv):
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", THM1, "--trials", "0"], "--trials: must be a positive integer, got 0"),
+    (["verify", THM1, "--trials", "-3"], "--trials: must be a positive integer, got -3"),
+    (["verify", THM1, "--bound", "0"], "--bound: must be a positive integer, got 0"),
+    (["prove-paper", "--trials", "0"], "--trials: must be a positive integer, got 0"),
+    (["prove-paper", "--bound", "1"],
+     "error: chord sampler exhausted its redraw budget; --bound 1 admits too few values"),
+])
+def test_usage_errors_exit_2_without_traceback(argv, message, capsys):
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(butterfly.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "butterfly", "verify", THM1, "--trials", "5"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert "theorem: thm1" in done.stdout
+    assert "result: pass" in done.stdout
 
 
 # -- prove-paper ------------------------------------------------------------------

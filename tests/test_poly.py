@@ -16,7 +16,8 @@ A, B, C, D, K = (var(n) for n in VARIABLES)
 
 monomials = st.tuples(*(st.integers(min_value=0, max_value=4) for _ in range(NVARS)))
 coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=20)
-polys = st.lists(st.tuples(monomials, coeffs), max_size=8).map(Polynomial)
+term_lists = st.lists(st.tuples(monomials, coeffs), max_size=8)
+polys = term_lists.map(Polynomial)
 
 
 def naive_mul(p, q):
@@ -27,6 +28,27 @@ def naive_mul(p, q):
             mono = tuple(x + y for x, y in zip(m1, m2))
             acc[mono] = acc.get(mono, Fraction(0)) + c1 * c2
     return Polynomial(acc)
+
+
+def dict_sum(pairs):
+    """{monomial: Fraction} for a list of terms, zero coefficients dropped."""
+    acc = {}
+    for mono, coeff in pairs:
+        acc[mono] = acc.get(mono, Fraction(0)) + coeff
+    return {m: c for m, c in acc.items() if c}
+
+
+def dict_mul(x, y):
+    return dict_sum([(tuple(e + f for e, f in zip(m1, m2)), c1 * c2)
+                     for m1, c1 in x.items() for m2, c2 in y.items()])
+
+
+def read_terms(p):
+    """p.terms as a dict, after checking it is in descending graded-lex order."""
+    monos = [m for m, _ in p.terms]
+    assert monos == sorted(monos, key=grlex_key, reverse=True)
+    assert all(type(c) is Fraction and c for _, c in p.terms)
+    return dict(p.terms)
 
 
 def test_add_cancels():
@@ -142,6 +164,50 @@ def test_bad_monomial_rejected():
         Polynomial({(1, 2): Fraction(1)})
     with pytest.raises(ValueError):
         Polynomial({(1, 0, 0, 0, -1): Fraction(1)})
+
+
+@given(term_lists, term_lists, coeffs, monomials)
+def test_kernel_matches_dict_arithmetic(left, right, factor, shift):
+    """Each operation against plain {monomial: Fraction} dict arithmetic
+    that never builds a Polynomial."""
+    p, q = Polynomial(left), Polynomial(right)
+    x, y = dict_sum(left), dict_sum(right)
+    assert read_terms(p) == x
+    assert read_terms(p * q) == dict_mul(x, y)
+    assert read_terms(p + q) == dict_sum(list(x.items()) + list(y.items()))
+    assert read_terms(p.scale(factor)) == dict_sum([(m, c * factor) for m, c in x.items()])
+    up = {tuple(e + f for e, f in zip(m, shift)): c for m, c in x.items()}
+    assert read_terms(Polynomial(up).shift_down(shift)) == x
+
+
+def test_canonical_form_across_denominators():
+    m = (1, 0, 2, 0, 0)
+    halves = Polynomial({m: Fraction(1, 2)}) + Polynomial({m: Fraction(1, 2)})
+    whole = Polynomial({m: 1})
+    assert halves == whole
+    assert hash(halves) == hash(whole)
+    assert halves.terms == whole.terms == ((m, Fraction(1)),)
+    thirds = Polynomial({m: Fraction(2, 3), (0, 0, 0, 0, 1): Fraction(4, 3)}).scale(Fraction(3, 2))
+    assert thirds == whole + K + K
+    assert hash(thirds) == hash(whole + 2 * K)
+
+
+def test_packing_guard():
+    limit = 1 << 16
+    with pytest.raises(ValueError):
+        Polynomial({(limit, 0, 0, 0, 0): 1})
+    with pytest.raises(ValueError):
+        Polynomial({(0, 0, 0, 0, limit): 1})
+    top = B ** (limit - 1)
+    assert top.terms == (((0, limit - 1, 0, 0, 0), Fraction(1)),)
+    assert top.degree() == limit - 1
+    half = A ** 40000
+    with pytest.raises(OverflowError):
+        half * half
+    with pytest.raises(OverflowError):
+        top * K
+    with pytest.raises(OverflowError):
+        A ** limit
 
 
 @given(polys, polys)
