@@ -13,16 +13,18 @@ and assertions:
     atom       := INT | ident | ident "(" args ")" | "(" expr ")"
                 | "(" expr "," expr ")"
 
-Comments run from "#" to end of line.  Identifiers are ASCII letters,
-digits, and underscores, starting with a letter.  Keywords are contextual:
-they only act as keywords at the head of a statement, and "line" doubles
-as the line-through-two-points function inside expressions.  Rational
-literals are spelled as integer divisions ("3/4"), point literals as
-coordinate pairs ("(a, 0)").
+Comments run from "#" to end of line.  Integer literals are ASCII digits;
+identifiers are ASCII letters, digits, and underscores, starting with a
+letter.  Keywords are contextual: they only act as keywords at the head of
+a statement, and "line" doubles as the line-through-two-points function
+inside expressions.  Rational literals are spelled as integer divisions
+("3/4"), point literals as coordinate pairs ("(a, 0)").
 
 Names obey single static assignment and every expression is typed as
-scalar, point, line, or circle before evaluation.  All diagnostics carry a
-source span.
+scalar, point, line, or circle before evaluation.  Expressions may nest at
+most MAX_NESTING deep (parentheses, unary minus, call arguments, and chains
+of binary operators all count), which keeps the parser and every tree walk
+far below Python's recursion limit.  All diagnostics carry a source span.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from .theorems import (
 )
 
 SYMBOLIC_PARAMS = ("a", "b", "c", "d", "k")
+MAX_NESTING = 64
 
 
 # -- diagnostics -----------------------------------------------------------------
@@ -132,12 +135,16 @@ _SYMBOLS = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", ";": "SEMI",
             "/": "SLASH"}
 
 
+def _is_digit(ch: str) -> bool:
+    return "0" <= ch <= "9"
+
+
 def _is_ident_start(ch: str) -> bool:
     return ("a" <= ch <= "z") or ("A" <= ch <= "Z")
 
 
 def _is_ident_part(ch: str) -> bool:
-    return _is_ident_start(ch) or ch.isdigit() or ch == "_"
+    return _is_ident_start(ch) or _is_digit(ch) or ch == "_"
 
 
 def _tokenize(source: str) -> list[Token]:
@@ -156,9 +163,9 @@ def _tokenize(source: str) -> list[Token]:
         elif ch == "#":
             while i < n and source[i] != "\n":
                 i += 1
-        elif ch.isdigit():
+        elif _is_digit(ch):
             start = i
-            while i < n and source[i].isdigit():
+            while i < n and _is_digit(source[i]):
                 i += 1
             tokens.append(Token("INT", source[start:i], line, col, start))
             col += i - start
@@ -350,6 +357,16 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
+
+    @staticmethod
+    def _nested(level: int, tok: Token) -> int:
+        """`level` itself, or a syntax error at `tok` past MAX_NESTING."""
+        if level > MAX_NESTING:
+            raise DslSyntaxError(
+                f"expression nested deeper than {MAX_NESTING} levels",
+                _token_span(tok))
+        return level
 
     def _peek(self) -> Token:
         return self.tokens[self.pos]
@@ -407,7 +424,7 @@ class _Parser:
         type_tok = self._next()
         name_tok = self._expect("IDENT", f"a name for the {type_tok.text}")
         self._expect("EQUALS", "'='")
-        expr = self._expr()
+        expr, _ = self._expr()
         semi = self._expect("SEMI", "';'")
         return Definition(type=type_tok.text, name=name_tok.text, expr=expr,
                           span=_join_spans(_token_span(type_tok),
@@ -418,45 +435,60 @@ class _Parser:
         kw = self._next()
         pred_tok = self._expect("IDENT", "a predicate name")
         self._expect("LPAREN", "'('")
-        args = [self._expr()]
+        args = [self._expr()[0]]
         while self._peek().kind == "COMMA":
             self._next()
-            args.append(self._expr())
+            args.append(self._expr()[0])
         self._expect("RPAREN", "')'")
         semi = self._expect("SEMI", "';'")
         return Assertion(predicate=pred_tok.text, args=tuple(args),
                          span=_join_spans(_token_span(kw), _token_span(semi)),
                          pred_span=_token_span(pred_tok))
 
+    # The expression methods return (node, height of the node's tree).  Every
+    # node is checked against MAX_NESTING as it is built, and `depth` bounds
+    # the recursion itself (parentheses build no node of their own).
+
     def _expr(self):
         return self._binary(1)
 
     def _binary(self, min_prec: int):
-        left = self._unary()
+        left, height = self._unary()
         while True:
             tok = self._peek()
             prec = _PRECEDENCE.get(tok.kind)
             if prec is None or prec < min_prec:
-                return left
+                return left, height
             self._next()
-            right = self._binary(prec + 1)
+            right, right_height = self._binary(prec + 1)
+            height = self._nested(max(height, right_height) + 1, tok)
             left = Binary(op=_OP_TEXT[tok.kind], left=left, right=right,
                           span=_join_spans(left.span, right.span))
 
     def _unary(self):
         tok = self._peek()
+        self.depth = self._nested(self.depth + 1, tok)
         if tok.kind == "MINUS":
             self._next()
-            operand = self._unary()
-            return Unary(op="-", operand=operand,
-                         span=_join_spans(_token_span(tok), operand.span))
-        return self._atom()
+            operand, height = self._unary()
+            result = (Unary(op="-", operand=operand,
+                            span=_join_spans(_token_span(tok), operand.span)),
+                      self._nested(height + 1, tok))
+        else:
+            result = self._atom()
+        self.depth -= 1
+        return result
 
     def _atom(self):
         tok = self._peek()
         if tok.kind == "INT":
             self._next()
-            return IntLit(value=int(tok.text), span=_token_span(tok))
+            try:
+                value = int(tok.text)
+            except ValueError:  # more digits than int() converts
+                raise DslSyntaxError("integer literal is too long",
+                                     _token_span(tok)) from None
+            return IntLit(value=value, span=_token_span(tok)), 1
         if tok.kind == "IDENT":
             self._next()
             if self._peek().kind == "LPAREN":
@@ -468,22 +500,25 @@ class _Parser:
                         self._next()
                         args.append(self._expr())
                 rparen = self._expect("RPAREN", "')'")
-                return Call(func=tok.text, args=tuple(args),
-                            span=_join_spans(_token_span(tok),
-                                             _token_span(rparen)))
-            return Name(ident=tok.text, span=_token_span(tok))
+                height = max((h for _, h in args), default=0)
+                return (Call(func=tok.text, args=tuple(a for a, _ in args),
+                             span=_join_spans(_token_span(tok),
+                                              _token_span(rparen))),
+                        self._nested(height + 1, tok))
+            return Name(ident=tok.text, span=_token_span(tok)), 1
         if tok.kind == "LPAREN":
             self._next()
-            first = self._expr()
+            first, height = self._expr()
             if self._peek().kind == "COMMA":
                 self._next()
-                second = self._expr()
+                second, second_height = self._expr()
                 rparen = self._expect("RPAREN", "')'")
-                return PointLit(x=first, y=second,
-                                span=_join_spans(_token_span(tok),
-                                                 _token_span(rparen)))
+                return (PointLit(x=first, y=second,
+                                 span=_join_spans(_token_span(tok),
+                                                  _token_span(rparen))),
+                        self._nested(max(height, second_height) + 1, tok))
             self._expect("RPAREN", "')'")
-            return first
+            return first, height
         found = repr(tok.text) if tok.kind != "EOF" else "end of input"
         raise DslSyntaxError(f"expected an expression, found {found}",
                              _token_span(tok))

@@ -1,8 +1,24 @@
 """Exact plane geometry over any field with Python arithmetic operators.
 
-All constructions work uniformly for `fractions.Fraction` coordinates and for
+Every construction has a generic body written with the field operators,
+which works uniformly for `fractions.Fraction` coordinates and for
 `RationalFunction` coordinates; nothing here ever calls float math.  Zero
 tests go through `is_zero`, which both scalar types support via `__bool__`.
+`Point`, `Line` and `Circle` turn plain `int` inputs into `Fraction`.
+
+The hot numeric constructions (`midpoint`, `line_through`, `perp_bisector`,
+`intersect_lines`, `circumcenter`, `circumcircle`, `second_intersection`,
+`on_unit_circle`) also have an integer path.  One type test at the top selects it when every input
+coordinate or coefficient is a `Fraction` (an int or Fraction parameter for
+`on_unit_circle`); anything else, in particular any `RationalFunction`,
+takes the generic body, which is the only symbolic path.  The integer path
+scales its inputs to one common denominator (`math.lcm`), evaluates the
+same formula on Python ints, and builds one `Fraction` per output
+coordinate or coefficient.  A `Fraction` is canonical, so each output
+equals the generic formula's value exactly, coefficient for coefficient
+(a line's stored triple included).  When the integer path finds a
+degenerate input it does not raise: it falls through to the generic body,
+which raises exactly what it always raised, in the same check order.
 
 Degenerate inputs raise subclasses of `DegenerateConfig` carrying enough
 context to report *which* construction failed; callers running randomized
@@ -12,6 +28,7 @@ trials catch that family and count a skip.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     CoincidentCircles,
@@ -34,8 +51,8 @@ class Point:
     __slots__ = ("x", "y")
 
     def __init__(self, x, y):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "x", Fraction(x) if isinstance(x, int) else x)
+        object.__setattr__(self, "y", Fraction(y) if isinstance(y, int) else y)
 
     def __setattr__(self, name, value):
         raise AttributeError("Point is immutable")
@@ -64,7 +81,10 @@ class Line:
     monomial and integer content removed, first nonzero coefficient made
     to have positive leading coefficient); this keeps repeated symbolic
     constructions from compounding denominators.  Plain rational triples
-    are stored exactly as given.
+    are stored exactly as given (ints become `Fraction`s).  Both paths of
+    the constructions store the same triple: the integer path of
+    `line_through` and `perp_bisector` builds each coefficient as the
+    generic formula's exact value, and `render` prints the triple as it is.
     """
 
     __slots__ = ("u", "v", "w")
@@ -73,6 +93,8 @@ class Line:
         if isinstance(u, RationalFunction) or isinstance(v, RationalFunction) \
                 or isinstance(w, RationalFunction):
             u, v, w = _clear_line(u, v, w)
+        else:
+            u, v, w = _exact(u), _exact(v), _exact(w)
         if is_zero(u) and is_zero(v):
             raise ValueError("line needs u or v nonzero")
         object.__setattr__(self, "u", u)
@@ -101,9 +123,9 @@ class Circle:
     __slots__ = ("d", "e", "f")
 
     def __init__(self, d, e, f):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "d", _exact(d))
+        object.__setattr__(self, "e", _exact(e))
+        object.__setattr__(self, "f", _exact(f))
 
     def __setattr__(self, name, value):
         raise AttributeError("Circle is immutable")
@@ -124,6 +146,49 @@ class Circle:
 
     def __repr__(self):
         return f"Circle({self.d!r}, {self.e!r}, {self.f!r})"
+
+
+def _exact(value):
+    """A plain int as a Fraction, so that `/` never yields a float."""
+    return Fraction(value) if isinstance(value, int) else value
+
+
+# Integer-path helpers: Fraction inputs times the lcm s of their denominators.
+
+
+def _pair(x, y):
+    """Integers (x * s, y * s, s)."""
+    dx, dy = x.denominator, y.denominator
+    s = lcm(dx, dy)
+    return x.numerator * (s // dx), y.numerator * (s // dy), s
+
+
+def _triple(u, v, w):
+    """Integers (u * s, v * s, w * s, s)."""
+    du, dv, dw = u.denominator, v.denominator, w.denominator
+    s = lcm(du, dv, dw)
+    return (u.numerator * (s // du), v.numerator * (s // dv),
+            w.numerator * (s // dw), s)
+
+
+def _two_points(p: Point, q: Point):
+    """Integers (x1, y1, x2, y2, s): the coordinates of p and q times s."""
+    a, b, c, d = p.x, p.y, q.x, q.y
+    da, db, dc, dd = a.denominator, b.denominator, c.denominator, d.denominator
+    s = lcm(da, db, dc, dd)
+    return (a.numerator * (s // da), b.numerator * (s // db),
+            c.numerator * (s // dc), d.numerator * (s // dd), s)
+
+
+def _three_points(p: Point, q: Point, r: Point):
+    """Integers (x1, y1, x2, y2, x3, y3, s): p, q, r's coordinates times s."""
+    a, b, c, d, e, f = p.x, p.y, q.x, q.y, r.x, r.y
+    da, db, dc = a.denominator, b.denominator, c.denominator
+    dd, de, df = d.denominator, e.denominator, f.denominator
+    s = lcm(da, db, dc, dd, de, df)
+    return (a.numerator * (s // da), b.numerator * (s // db),
+            c.numerator * (s // dc), d.numerator * (s // dd),
+            e.numerator * (s // de), f.numerator * (s // df), s)
 
 
 def _as_ratfun(value):
@@ -168,11 +233,20 @@ def _clear_line(u, v, w):
 
 
 def midpoint(p: Point, q: Point) -> Point:
+    if type(p.x) is type(p.y) is type(q.x) is type(q.y) is Fraction:
+        x1, y1, x2, y2, s = _two_points(p, q)
+        return Point(Fraction(x1 + x2, 2 * s), Fraction(y1 + y2, 2 * s))
     return Point((p.x + q.x) / 2, (p.y + q.y) / 2)
 
 
 def line_through(p: Point, q: Point) -> Line:
     """The unique line through two distinct points."""
+    if type(p.x) is type(p.y) is type(q.x) is type(q.y) is Fraction:
+        x1, y1, x2, y2, s = _two_points(p, q)
+        dx, dy = x2 - x1, y2 - y1
+        if dx or dy:
+            return Line(Fraction(dy, s), Fraction(-dx, s),
+                        Fraction(dx * y1 - dy * x1, s * s))
     dx = q.x - p.x
     dy = q.y - p.y
     if is_zero(dx) and is_zero(dy):
@@ -186,6 +260,14 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
     Raises ParallelLines for distinct parallel lines and CoincidentLines
     when the two triples describe the same line.
     """
+    if (type(l1.u) is type(l1.v) is type(l1.w) is type(l2.u) is type(l2.v)
+            is type(l2.w) is Fraction):
+        u1, v1, w1, _ = _triple(l1.u, l1.v, l1.w)
+        u2, v2, w2, _ = _triple(l2.u, l2.v, l2.w)
+        det = u1 * v2 - u2 * v1
+        if det:
+            return Point(Fraction(v1 * w2 - v2 * w1, det),
+                         Fraction(u2 * w1 - u1 * w2, det))
     det = l1.u * l2.v - l2.u * l1.v
     if is_zero(det):
         if l1 == l2:
@@ -198,6 +280,11 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
 
 def perp_bisector(p: Point, q: Point) -> Line:
     """Locus of points equidistant from two distinct points."""
+    if type(p.x) is type(p.y) is type(q.x) is type(q.y) is Fraction:
+        x1, y1, x2, y2, s = _two_points(p, q)
+        if x1 != x2 or y1 != y2:
+            return Line(Fraction(2 * (x2 - x1), s), Fraction(2 * (y2 - y1), s),
+                        Fraction(x1 * x1 + y1 * y1 - x2 * x2 - y2 * y2, s * s))
     if p == q:
         raise CoincidentPoints("perpendicular bisector needs distinct points")
     return Line(2 * (q.x - p.x), 2 * (q.y - p.y),
@@ -254,6 +341,19 @@ def is_perpendicular(l1: Line, l2: Line) -> bool:
 
 def circumcenter(p: Point, q: Point, r: Point) -> Point:
     """Center of the circle through three non-collinear points."""
+    if (type(p.x) is type(p.y) is type(q.x) is type(q.y) is type(r.x)
+            is type(r.y) is Fraction):
+        # the two perpendicular bisectors below, met by Cramer's rule
+        x1, y1, x2, y2, x3, y3, s = _three_points(p, q, r)
+        dx1, dy1, dx2, dy2 = x2 - x1, y2 - y1, x3 - x2, y3 - y2
+        det = dx1 * dy2 - dx2 * dy1
+        if det:
+            n2 = x2 * x2 + y2 * y2
+            w1 = x1 * x1 + y1 * y1 - n2
+            w2 = n2 - x3 * x3 - y3 * y3
+            den = 2 * s * det
+            return Point(Fraction(dy1 * w2 - dy2 * w1, den),
+                         Fraction(dx2 * w1 - dx1 * w2, den))
     try:
         return intersect_lines(perp_bisector(p, q), perp_bisector(q, r))
     except (ParallelLines, CoincidentLines):
@@ -269,6 +369,20 @@ def _det3(r1, r2, r3):
 
 def circumcircle(p: Point, q: Point, r: Point) -> Circle:
     """Monic equation of the circle through three non-collinear points."""
+    if (type(p.x) is type(p.y) is type(q.x) is type(q.y) is type(r.x)
+            is type(r.y) is Fraction):
+        x1, y1, x2, y2, x3, y3, s = _three_points(p, q, r)
+        det = _det3((x1, y1, 1), (x2, y2, 1), (x3, y3, 1))
+        if det:
+            s1 = -(x1 * x1 + y1 * y1)
+            s2 = -(x2 * x2 + y2 * y2)
+            s3 = -(x3 * x3 + y3 * y3)
+            den = s * det
+            return Circle(
+                Fraction(_det3((s1, y1, 1), (s2, y2, 1), (s3, y3, 1)), den),
+                Fraction(_det3((x1, s1, 1), (x2, s2, 1), (x3, s3, 1)), den),
+                Fraction(_det3((x1, y1, s1), (x2, y2, s2), (x3, y3, s3)),
+                         s * den))
     if p == q or q == r or p == r:
         raise CoincidentPoints("circumcircle needs three distinct points")
     det = _det3((p.x, p.y, 1), (q.x, q.y, 1), (r.x, r.y, 1))
@@ -315,6 +429,21 @@ def second_intersection(circle: Circle, line: Line, known: Point) -> Point:
     tangent at `known`, the second intersection coincides with it and
     `known` is returned.
     """
+    if (type(known.x) is type(known.y) is type(line.u) is type(line.v)
+            is type(line.w) is type(circle.d) is type(circle.e)
+            is type(circle.f) is Fraction):
+        # known = (x, y) / s, circle = (d, e, f) / sc, line = (u, v, w) / _
+        x, y, s = _pair(known.x, known.y)
+        d, e, f, sc = _triple(circle.d, circle.e, circle.f)
+        u, v, w, _ = _triple(line.u, line.v, line.w)
+        if (not u * x + v * y + w * s
+                and not sc * (x * x + y * y) + s * (d * x + e * y + f * s)):
+            b = 2 * sc * (x * v - y * u) + s * (d * v - e * u)
+            if not b:
+                return known
+            a = sc * (u * u + v * v)
+            return Point(Fraction(x * a - b * v, s * a),
+                         Fraction(y * a + b * u, s * a))
     if not is_on_line(known, line):
         raise PointNotOnLine("second_intersection: point is not on the line")
     if not is_on_circle(known, circle):
@@ -335,6 +464,10 @@ def on_unit_circle(t):
     `t` is the half-angle parameter; every rational point except (-1, 0)
     arises this way.
     """
+    if isinstance(t, (int, Fraction)):
+        n, m = t.numerator, t.denominator
+        n2, m2 = n * n, m * m
+        return Point(Fraction(m2 - n2, m2 + n2), Fraction(2 * n * m, m2 + n2))
     t2 = t * t
     den = 1 + t2
     return Point((1 - t2) / den, 2 * t / den)

@@ -16,9 +16,6 @@ from random import Random
 
 from .errors import DivisionByZero, ZeroDenominator
 
-Rational = Fraction
-
-
 def rational_from_parts(num: int, den: int) -> Fraction:
     """The reduced, denominator-positive rational num/den."""
     if den == 0:

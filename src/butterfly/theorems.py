@@ -92,11 +92,6 @@ class GaugeConfig:
         return {name: value for name, value in self.params()}
 
 
-# the two generalizations share the gauge, so their config types coincide
-Thm1Config = GaugeConfig
-Thm2Config = GaugeConfig
-
-
 @dataclass(frozen=True)
 class CyclicConfig:
     """Four tangent-half-angle parameters placing A, B, C, D on the unit circle."""

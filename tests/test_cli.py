@@ -99,8 +99,13 @@ def _exit_code(argv):
     (["prove-paper", "--trials", "0"], "--trials: must be a positive integer, got 0"),
     (["prove-paper", "--bound", "1"],
      "error: chord sampler exhausted its redraw budget; --bound 1 admits too few values"),
+    (["verify", "{superscript.geo}"],
+     "superscript.geo:1:12: unexpected character '\u00b2'"),
 ])
-def test_usage_errors_exit_2_without_traceback(argv, message, capsys):
+def test_usage_errors_exit_2_without_traceback(argv, message, capsys, tmp_path):
+    geo = tmp_path / "superscript.geo"
+    geo.write_text("scalar x = \u00b2;\n", encoding="utf-8")
+    argv = [str(geo) if arg == "{superscript.geo}" else arg for arg in argv]
     assert _exit_code(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -4,9 +4,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import butterfly
 from butterfly.dsl import (
+    MAX_NESTING,
     Assertion,
     Binary,
     Call,
@@ -127,6 +129,63 @@ def test_syntax_errors():
     expect_error("param a\npoint P = (a, 0);", DslSyntaxError, "expected ';'")
     expect_error("scalar s = ;", DslSyntaxError, "expected an expression")
     expect_error("scalar s = 1 +", DslSyntaxError, "end of input")
+
+
+def test_only_ascii_digits_are_digits():
+    expect_error("scalar x = \u00b2;", DslSyntaxError,
+                 "unexpected character '\u00b2'", 1, 12)
+    expect_error("scalar x = 1\u0663;", DslSyntaxError,
+                 "unexpected character '\u0663'", 1, 13)
+    expect_error("param a\u00b2;", DslSyntaxError,
+                 "unexpected character '\u00b2'", 1, 8)
+    assert parse("param a2;\nscalar x = 1234567890 * a2;").params == ("a2",)
+
+
+def nested(depth):
+    """Sources nesting `depth` deep in each way the parser recurses or chains."""
+    return {
+        "parens": "scalar x = " + "(" * depth + "1" + ")" * depth + ";",
+        "minus": "scalar x = " + "-" * depth + "1;",
+        "sum": "scalar x = " + "+".join(["1"] * (depth + 1)) + ";",
+        "product": "scalar x = " + "*".join(["1"] * (depth + 1)) + ";",
+        "calls": ("point P = " + "midpoint(" * depth + "(0, 0)"
+                  + ", (1, 1))" * depth + ";"),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(nested(1)))
+def test_nesting_limit_is_a_syntax_error(kind):
+    parse(nested(MAX_NESTING - 2)[kind])
+    for depth in (MAX_NESTING + 1, 300, 1000):
+        source = nested(depth)[kind]
+        with pytest.raises(DslSyntaxError) as err:
+            parse(source)
+        assert f"nested deeper than {MAX_NESTING} levels" in err.value.message
+        span = err.value.span
+        assert source[span.offset] in "(-+*m"
+
+
+def test_overlong_integer_literal_is_a_syntax_error():
+    expect_error("scalar x = " + "9" * 5000 + ";", DslSyntaxError,
+                 "integer literal is too long", 1, 12)
+
+
+GEO_FRAGMENTS = ["param", "point", "line", "circle", "scalar", "assert", "a",
+                 "b", "P", "Q", "midpoint", "on", "(", ")", ",", ";", "=",
+                 "+", "-", "*", "/", "0", "12", "\n", "#", " ", "\t", "\u00b2",
+                 "\u0663", "\r"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text() | st.lists(st.sampled_from(GEO_FRAGMENTS)).map("".join))
+def test_any_text_parses_or_raises_a_spanned_dsl_error(source):
+    try:
+        parse(source)
+    except DslError as err:
+        span = err.span
+        assert span.line >= 1 and span.col >= 1 and span.length >= 1
+        assert 0 <= span.offset <= len(source)
+        err.diagnostic(source, "fuzz.geo")
 
 
 def test_diagnostic_carries_file_line_col_and_caret():

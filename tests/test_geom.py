@@ -11,12 +11,15 @@ from butterfly import (
     CoincidentLines,
     CoincidentPoints,
     CollinearPoints,
+    DegenerateConfig,
     DegenerateNewtonLine,
     DivisionByZero,
     Line,
     NotCollinear,
     ParallelLines,
     Point,
+    PointNotOnCircle,
+    PointNotOnLine,
     RationalFunction,
     are_coaxial,
     are_concyclic,
@@ -41,6 +44,8 @@ from butterfly import (
     perp_bisector,
     perp_through,
     point_on,
+    power_of_point,
+    second_intersection,
 )
 
 
@@ -417,3 +422,262 @@ def test_pencil_cross_ratio_matches_transversal():
     # a different transversal through the same pencil gives the same value
     other = [intersect_lines(line_through(vertex, p), Line(0, 1, -1)) for p in pts]
     assert cross_ratio(*other) == -1
+
+
+# -- integer paths against the generic Fraction formulas ----------------------
+#
+# For Fraction inputs the hot constructions run on Python ints.  The
+# functions below are the generic formulas, kept here as the reference: the
+# integer path must return the same values coordinate by coordinate (a
+# line's stored triple and a circle's coefficients included) and raise the
+# same exception class with the same message.
+
+def ref_midpoint(p, q):
+    return Point((p.x + q.x) / 2, (p.y + q.y) / 2)
+
+
+def ref_line_through(p, q):
+    dx = q.x - p.x
+    dy = q.y - p.y
+    if dx == 0 and dy == 0:
+        raise CoincidentPoints("no unique line through coincident points")
+    return Line(dy, -dx, dx * p.y - dy * p.x)
+
+
+def ref_intersect_lines(l1, l2):
+    det = l1.u * l2.v - l2.u * l1.v
+    if det == 0:
+        if l1 == l2:
+            raise CoincidentLines("cannot intersect a line with itself")
+        raise ParallelLines(l1=l1, l2=l2)
+    x = (l1.v * l2.w - l2.v * l1.w) / det
+    y = (l2.u * l1.w - l1.u * l2.w) / det
+    return Point(x, y)
+
+
+def ref_perp_bisector(p, q):
+    if p == q:
+        raise CoincidentPoints("perpendicular bisector needs distinct points")
+    return Line(2 * (q.x - p.x), 2 * (q.y - p.y),
+                p.x * p.x + p.y * p.y - q.x * q.x - q.y * q.y)
+
+
+def ref_circumcenter(p, q, r):
+    try:
+        return ref_intersect_lines(ref_perp_bisector(p, q), ref_perp_bisector(q, r))
+    except (ParallelLines, CoincidentLines):
+        raise CollinearPoints("no circumcenter for collinear points") from None
+
+
+def _ref_det3(r1, r2, r3):
+    a, b, c = r1
+    d, e, f = r2
+    g, h, i = r3
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def ref_circumcircle(p, q, r):
+    if p == q or q == r or p == r:
+        raise CoincidentPoints("circumcircle needs three distinct points")
+    det = _ref_det3((p.x, p.y, 1), (q.x, q.y, 1), (r.x, r.y, 1))
+    if det == 0:
+        raise CollinearPoints("no circumcircle for collinear points")
+    sp = -(p.x * p.x + p.y * p.y)
+    sq = -(q.x * q.x + q.y * q.y)
+    sr = -(r.x * r.x + r.y * r.y)
+    d = _ref_det3((sp, p.y, 1), (sq, q.y, 1), (sr, r.y, 1)) / det
+    e = _ref_det3((p.x, sp, 1), (q.x, sq, 1), (r.x, sr, 1)) / det
+    f = _ref_det3((p.x, p.y, sp), (q.x, q.y, sq), (r.x, r.y, sr)) / det
+    return Circle(d, e, f)
+
+
+def ref_on_unit_circle(t):
+    t2 = t * t
+    den = 1 + t2
+    return Point((1 - t2) / den, 2 * t / den)
+
+
+def ref_second_intersection(circle, line, known):
+    if line.u * known.x + line.v * known.y + line.w != 0:
+        raise PointNotOnLine("second_intersection: point is not on the line")
+    if power_of_point(known, circle) != 0:
+        raise PointNotOnCircle("second_intersection: point is not on the circle")
+    u, v = line.u, line.v
+    a_coeff = u * u + v * v
+    b_coeff = 2 * known.x * v - 2 * known.y * u + circle.d * v - circle.e * u
+    if b_coeff == 0:
+        return known
+    t = -b_coeff / a_coeff
+    return Point(known.x + t * v, known.y - t * u)
+
+
+def _fields(value):
+    if isinstance(value, Point):
+        return ("Point", value.x, value.y)
+    if isinstance(value, Line):
+        return ("Line", value.u, value.v, value.w)
+    if isinstance(value, Circle):
+        return ("Circle", value.d, value.e, value.f)
+    raise TypeError(type(value))
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except DegenerateConfig as exc:
+        return ("raise", type(exc), str(exc))
+    fields = _fields(value)
+    assert all(type(x) is Fraction for x in fields[1:]), fields
+    return fields
+
+
+def assert_same(fn, ref, *args):
+    assert _outcome(fn, *args) == _outcome(ref, *args)
+
+
+@st.composite
+def point_pairs(draw):
+    p = draw(points)
+    kind = draw(st.sampled_from(("free", "coincident", "shared_x", "shared_y")))
+    if kind == "coincident":
+        return p, Point(p.x, p.y)
+    q = draw(points)
+    if kind == "shared_x":
+        return p, Point(p.x, q.y)
+    if kind == "shared_y":
+        return p, Point(q.x, p.y)
+    return p, q
+
+
+@st.composite
+def point_triples(draw):
+    p, q = draw(point_pairs())
+    kind = draw(st.sampled_from(
+        ("free", "p=q", "q=r", "p=r", "collinear", "all_equal")))
+    if kind == "free":
+        return p, q, draw(points)
+    if kind == "p=q":
+        return p, Point(p.x, p.y), draw(points)
+    if kind == "q=r":
+        return p, q, Point(q.x, q.y)
+    if kind == "p=r":
+        return p, q, Point(p.x, p.y)
+    if kind == "all_equal":
+        return p, Point(p.x, p.y), Point(p.x, p.y)
+    t = draw(coords)
+    return p, q, Point(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
+
+
+@st.composite
+def lines(draw):
+    u, v, w = draw(coords), draw(coords), draw(coords)
+    if u == 0 and v == 0:
+        v = Fraction(1)
+    return Line(u, v, w)
+
+
+@st.composite
+def line_pairs(draw):
+    l1 = draw(lines())
+    kind = draw(st.sampled_from(("free", "parallel", "coincident", "same")))
+    if kind == "free":
+        return l1, draw(lines())
+    if kind == "same":
+        return l1, l1
+    k = draw(coords.filter(bool))
+    w = draw(coords) if kind == "parallel" else k * l1.w
+    return l1, Line(k * l1.u, k * l1.v, w)
+
+
+@given(point_pairs())
+def test_two_point_constructions_match_reference(pair):
+    assert_same(midpoint, ref_midpoint, *pair)
+    assert_same(line_through, ref_line_through, *pair)
+    assert_same(perp_bisector, ref_perp_bisector, *pair)
+
+
+@given(line_pairs())
+def test_intersect_lines_matches_reference(pair):
+    assert_same(intersect_lines, ref_intersect_lines, *pair)
+
+
+@given(point_triples())
+def test_three_point_constructions_match_reference(triple):
+    assert_same(circumcenter, ref_circumcenter, *triple)
+    assert_same(circumcircle, ref_circumcircle, *triple)
+
+
+@given(st.fractions(min_value=-50, max_value=50, max_denominator=20)
+       | st.integers(min_value=-50, max_value=50))
+def test_on_unit_circle_matches_reference(t):
+    assert _outcome(on_unit_circle, t) == _outcome(ref_on_unit_circle, Fraction(t))
+
+
+@given(points, points, points, st.sampled_from(
+    ("chord", "tangent", "off_line", "off_circle", "off_both")))
+def test_second_intersection_matches_reference(known, centre, toward, kind):
+    if known == centre:
+        centre = Point(centre.x + 1, centre.y)
+    # the circle through `known` centred at `centre`
+    circle = Circle(-2 * centre.x, -2 * centre.y,
+                    -(known.x * known.x + known.y * known.y)
+                    + 2 * centre.x * known.x + 2 * centre.y * known.y)
+    if kind == "tangent":
+        line = perp_through(known, ref_line_through(known, centre))
+    elif toward == known:
+        line = Line(1, 1, -known.x - known.y)
+    else:
+        line = ref_line_through(known, toward)
+    if kind in ("off_line", "off_both"):
+        line = Line(line.u, line.v, line.w + 1)
+    if kind in ("off_circle", "off_both"):
+        circle = Circle(circle.d, circle.e, circle.f + 1)
+    assert_same(second_intersection, ref_second_intersection, circle, line, known)
+
+
+def test_degenerate_inputs_raise_like_reference():
+    p, q, r = P(1, 2), P(3, 5), P(5, 8)  # r on line pq
+    cases = [
+        (line_through, ref_line_through, (p, p), CoincidentPoints),
+        (perp_bisector, ref_perp_bisector, (p, p), CoincidentPoints),
+        (intersect_lines, ref_intersect_lines, (Line(1, 2, 3), Line(2, 4, 0)),
+         ParallelLines),
+        (intersect_lines, ref_intersect_lines, (Line(1, 2, 3), Line(2, 4, 6)),
+         CoincidentLines),
+        (circumcenter, ref_circumcenter, (p, p, r), CoincidentPoints),
+        (circumcenter, ref_circumcenter, (p, q, q), CoincidentPoints),
+        (circumcenter, ref_circumcenter, (p, q, p), CollinearPoints),
+        (circumcenter, ref_circumcenter, (p, q, r), CollinearPoints),
+        (circumcircle, ref_circumcircle, (p, q, p), CoincidentPoints),
+        (circumcircle, ref_circumcircle, (p, q, r), CollinearPoints),
+    ]
+    for fn, ref, args, exc in cases:
+        with pytest.raises(exc):
+            fn(*args)
+        assert _outcome(fn, *args) == _outcome(ref, *args)
+
+
+# -- int inputs never produce floats --------------------------------------------
+
+def test_int_inputs_give_fractions_everywhere():
+    o, a, b, c = Point(0, 0), Point(1, 1), Point(3, 0), Point(0, 5)
+    line1, line2 = Line(1, 1, -3), Line(1, -1, 0)
+    unit = Circle(0, 0, -1)
+    outputs = [
+        o, line1, unit, unit.center(), unit.radius_squared(),
+        midpoint(o, a), line_through(o, a), intersect_lines(line1, line2),
+        perp_bisector(o, a), perp_through(a, line1),
+        parallelogram_fourth(o, a, b), newton_line(o, b, a, c),
+        circumcenter(o, b, c), circumcircle(o, b, c), circle_on_diameter(o, a),
+        power_of_point(a, unit),
+        second_intersection(unit, Line(1, -1, -1), Point(1, 0)),
+        on_unit_circle(2), on_unit_circle(0),
+        cross_ratio(Point(0, 0), Point(1, 0), Point(2, 0), Point(3, 0)),
+        pencil_cross_ratio(Point(0, 1), Point(0, 0), Point(1, 0), Point(2, 0),
+                           Point(3, 0)),
+    ]
+    assert intersect_lines(line1, line2) == P(Fraction(3, 2), Fraction(3, 2))
+    for value in outputs:
+        fields = (_fields(value)[1:] if isinstance(value, (Point, Line, Circle))
+                  else (value,))
+        assert all(type(x) is Fraction for x in fields), value
