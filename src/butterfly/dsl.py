@@ -25,12 +25,19 @@ scalar, point, line, or circle before evaluation.  Expressions may nest at
 most MAX_NESTING deep (parentheses, unary minus, call arguments, and chains
 of binary operators all count), which keeps the parser and every tree walk
 far below Python's recursion limit.  All diagnostics carry a source span.
+
+Evaluation compiles a checked program once per run into a flat tuple of
+steps, one per definition or assertion, each a closure over its expression
+tree with constants built and names resolved up front; every numeric trial
+and the symbolic run execute that tuple, and `eval_expr` compiles and runs
+a single expression the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, itemgetter, mul, sub
 import time
 
 from .errors import ButterflyError, DegenerateConfig
@@ -97,7 +104,7 @@ class DslError(ButterflyError):
         head = f"{filename}:{self.span.line}:{self.span.col}: {self.message}"
         if source is None:
             return head
-        lines = source.splitlines()
+        lines = source.split("\n")  # the tokenizer counts lines by "\n" only
         if not 1 <= self.span.line <= len(lines):
             return head
         text = lines[self.span.line - 1]
@@ -664,43 +671,83 @@ def to_source(node) -> str:
 # -- evaluation ----------------------------------------------------------------------
 
 
-def eval_expr(node, env):
-    """Evaluate one checked expression in an environment of named values."""
+# Function and predicate names are resolved when a program is compiled, from
+# the tables passed in, so a run uses the implementations installed when it
+# starts.
+
+_ARITHMETIC = {"+": add, "-": sub, "*": mul}
+
+
+def _compile_expr(node, functions):
+    """A closure evaluating the checked expression `node` in an environment."""
     if isinstance(node, IntLit):
-        return Fraction(node.value)
+        value = Fraction(node.value)
+        return lambda env: value
     if isinstance(node, Name):
-        return env[node.ident]
+        return itemgetter(node.ident)
     if isinstance(node, PointLit):
-        return Point(eval_expr(node.x, env), eval_expr(node.y, env))
+        if isinstance(node.x, IntLit) and isinstance(node.y, IntLit):
+            point = Point(Fraction(node.x.value), Fraction(node.y.value))
+            return lambda env: point
+        x = _compile_expr(node.x, functions)
+        y = _compile_expr(node.y, functions)
+        return lambda env: Point(x(env), y(env))
     if isinstance(node, Unary):
-        return -eval_expr(node.operand, env)
+        operand = _compile_expr(node.operand, functions)
+        return lambda env: -operand(env)
     if isinstance(node, Binary):
-        left = eval_expr(node.left, env)
-        right = eval_expr(node.right, env)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        return field_div(left, right, "division by zero in a scalar expression")
+        left = _compile_expr(node.left, functions)
+        right = _compile_expr(node.right, functions)
+        if node.op == "/":
+            return lambda env: field_div(
+                left(env), right(env), "division by zero in a scalar expression")
+        op = _ARITHMETIC[node.op]
+        return lambda env: op(left(env), right(env))
     if isinstance(node, Call):
-        values = [eval_expr(a, env) for a in node.args]
-        return _FUNCTION_IMPLS[node.func](*values)
+        return _compile_call(functions[node.func], node.args, functions)
     raise TypeError(f"not an expression node: {type(node).__name__}")
 
 
-def _run_trial(construction: Construction, env: dict) -> Assertion | None:
-    """Execute definitions and assertions in order; return the first false assertion."""
+def _compile_call(fn, args, functions):
+    """A closure applying `fn` to the values of the argument expressions."""
+    if all(isinstance(arg, Name) for arg in args):
+        if len(args) == 1:
+            get = itemgetter(args[0].ident)
+            return lambda env: fn(get(env))
+        get = itemgetter(*(arg.ident for arg in args))
+        return lambda env: fn(*get(env))
+    compiled = [_compile_expr(arg, functions) for arg in args]
+    return lambda env: fn(*[arg(env) for arg in compiled])
+
+
+def _compile_program(construction: Construction, functions, predicates):
+    """The definitions and assertions as steps (name, evaluate, assertion).
+
+    A definition step has `assertion` None and binds `name` to the value;
+    an assertion step evaluates the predicate and carries its statement.
+    """
+    steps = []
     for stmt in construction.statements:
-        if isinstance(stmt, ParamDecl):
-            continue
         if isinstance(stmt, Definition):
-            env[stmt.name] = eval_expr(stmt.expr, env)
-        else:
-            values = [eval_expr(a, env) for a in stmt.args]
-            if not _PREDICATE_IMPLS[stmt.predicate](*values):
-                return stmt
+            steps.append((stmt.name, _compile_expr(stmt.expr, functions), None))
+        elif isinstance(stmt, Assertion):
+            steps.append((None, _compile_call(predicates[stmt.predicate],
+                                              stmt.args, functions), stmt))
+    return tuple(steps)
+
+
+def eval_expr(node, env):
+    """Evaluate one checked expression in an environment of named values."""
+    return _compile_expr(node, _FUNCTION_IMPLS)(env)
+
+
+def _run_trial(program, env: dict) -> Assertion | None:
+    """Run compiled steps in order; return the first false assertion."""
+    for name, evaluate, assertion in program:
+        if assertion is None:
+            env[name] = evaluate(env)
+        elif not evaluate(env):
+            return assertion
     return None
 
 
@@ -710,24 +757,25 @@ def _evaluate_numeric(construction, seed, trials, bound, label, skip_limit):
     if bound < 1:
         raise ValueError("bound must be >= 1")
     params = construction.params
+    program = _compile_program(construction, _FUNCTION_IMPLS, _PREDICATE_IMPLS)
     attempted = passed = skipped = 0
     counterexample = None
     start = time.perf_counter()
     for trial in range(trials):
         rng = derive_rng(seed, "trial", trial)
         env = {name: sample_rational(rng, bound) for name in params}
-        witness = tuple((name, env[name]) for name in params)
         attempted += 1
         try:
-            failed = _run_trial(construction, env)
+            failed = _run_trial(program, env)
         except DegenerateConfig:
             skipped += 1
             continue
         if failed is None:
             passed += 1
         else:
+            # parameters are never rebound, so env still holds the draw
             counterexample = Counterexample(
-                trial=trial, params=witness,
+                trial=trial, params=tuple((name, env[name]) for name in params),
                 detail=f"assertion {_assertion_text(failed)} failed")
             break
     elapsed = time.perf_counter() - start
@@ -753,16 +801,15 @@ def _evaluate_symbolic(construction, label):
                         f"a, b, c, d, k; got '{name}'", span)
     env = {name: RationalFunction.variable(name)
            for name in construction.params}
+    program = _compile_program(construction, _FUNCTION_IMPLS, _PREDICATE_IMPLS)
     checks: list[tuple[str, bool]] = []
     seen: set[str] = set()
     failure = None
     start = time.perf_counter()
     try:
-        for stmt in construction.statements:
-            if isinstance(stmt, ParamDecl):
-                continue
-            if isinstance(stmt, Definition):
-                env[stmt.name] = eval_expr(stmt.expr, env)
+        for name, evaluate, stmt in program:
+            if stmt is None:
+                env[name] = evaluate(env)
                 continue
             text = f"assert {_assertion_text(stmt)}"
             check_id = text
@@ -771,8 +818,7 @@ def _evaluate_symbolic(construction, label):
                 check_id = f"{text} #{serial}"
                 serial += 1
             seen.add(check_id)
-            values = [eval_expr(a, env) for a in stmt.args]
-            ok = bool(_PREDICATE_IMPLS[stmt.predicate](*values))
+            ok = bool(evaluate(env))
             checks.append((check_id, ok))
             if not ok and failure is None:
                 failure = f"SymbolicMismatch: {_assertion_text(stmt)}"

@@ -7,16 +7,23 @@ tests go through `is_zero`, which both scalar types support via `__bool__`.
 `Point`, `Line` and `Circle` turn plain `int` inputs into `Fraction`.
 
 The hot numeric constructions (`midpoint`, `line_through`, `perp_bisector`,
-`intersect_lines`, `circumcenter`, `circumcircle`, `second_intersection`,
-`on_unit_circle`) also have an integer path.  One type test at the top selects it when every input
+`perp_through`, `intersect_lines`, `parallelogram_fourth`, `circumcenter`,
+`circumcircle`, `circle_on_diameter`, `second_intersection`,
+`on_unit_circle`) and predicates (`Point.__eq__`, `is_collinear`,
+`is_midpoint`, `is_on_line`, `is_perpendicular`, `are_coaxial`) also have
+an integer path.  One type test at the top selects it when every input
 coordinate or coefficient is a `Fraction` (an int or Fraction parameter for
 `on_unit_circle`); anything else, in particular any `RationalFunction`,
 takes the generic body, which is the only symbolic path.  The integer path
-scales its inputs to one common denominator (`math.lcm`), evaluates the
-same formula on Python ints, and builds one `Fraction` per output
-coordinate or coefficient.  A `Fraction` is canonical, so each output
-equals the generic formula's value exactly, coefficient for coefficient
-(a line's stored triple included).  When the integer path finds a
+scales its inputs to a common denominator (`math.lcm`), evaluates the same
+formula on Python ints, and builds one `Fraction` per output coordinate or
+coefficient, or decides its zero tests on integers (by cross-multiplication;
+`Point.__eq__` compares the canonical Fractions' integer parts).  A
+`Fraction` is canonical, so each output equals the generic formula's value
+exactly, coefficient for coefficient (a line's stored triple included).
+Outputs are assembled by the trusted constructors `_point`, `_line` and
+`_circle`, which skip the conversions and checks of `__init__` that the
+integer path has already settled.  When the integer path finds a
 degenerate input it does not raise: it falls through to the generic body,
 which raises exactly what it always raised, in the same check order.
 
@@ -64,6 +71,10 @@ class Point:
     def __eq__(self, other):
         if not isinstance(other, Point):
             return NotImplemented
+        if type(self.x) is type(self.y) is type(other.x) is type(other.y) \
+                is Fraction:
+            # Fractions are canonical: == compares numerators and denominators
+            return self.x == other.x and self.y == other.y
         return is_zero(self.x - other.x) and is_zero(self.y - other.y)
 
     __hash__ = None
@@ -153,6 +164,39 @@ def _exact(value):
     return Fraction(value) if isinstance(value, int) else value
 
 
+# Trusted constructors for the integer paths: their arguments are Fractions
+# and, for a line, (u, v) is already known to be nonzero, so the checks and
+# conversions of __init__ are skipped.
+
+_new = object.__new__
+_set_px, _set_py = Point.x.__set__, Point.y.__set__
+_set_lu, _set_lv, _set_lw = Line.u.__set__, Line.v.__set__, Line.w.__set__
+_set_cd, _set_ce, _set_cf = Circle.d.__set__, Circle.e.__set__, Circle.f.__set__
+
+
+def _point(x: Fraction, y: Fraction) -> Point:
+    p = _new(Point)
+    _set_px(p, x)
+    _set_py(p, y)
+    return p
+
+
+def _line(u: Fraction, v: Fraction, w: Fraction) -> Line:
+    line = _new(Line)
+    _set_lu(line, u)
+    _set_lv(line, v)
+    _set_lw(line, w)
+    return line
+
+
+def _circle(d: Fraction, e: Fraction, f: Fraction) -> Circle:
+    circle = _new(Circle)
+    _set_cd(circle, d)
+    _set_ce(circle, e)
+    _set_cf(circle, f)
+    return circle
+
+
 # Integer-path helpers: Fraction inputs times the lcm s of their denominators.
 
 
@@ -235,7 +279,7 @@ def _clear_line(u, v, w):
 def midpoint(p: Point, q: Point) -> Point:
     if type(p.x) is type(p.y) is type(q.x) is type(q.y) is Fraction:
         x1, y1, x2, y2, s = _two_points(p, q)
-        return Point(Fraction(x1 + x2, 2 * s), Fraction(y1 + y2, 2 * s))
+        return _point(Fraction(x1 + x2, 2 * s), Fraction(y1 + y2, 2 * s))
     return Point((p.x + q.x) / 2, (p.y + q.y) / 2)
 
 
@@ -245,8 +289,8 @@ def line_through(p: Point, q: Point) -> Line:
         x1, y1, x2, y2, s = _two_points(p, q)
         dx, dy = x2 - x1, y2 - y1
         if dx or dy:
-            return Line(Fraction(dy, s), Fraction(-dx, s),
-                        Fraction(dx * y1 - dy * x1, s * s))
+            return _line(Fraction(dy, s), Fraction(-dx, s),
+                         Fraction(dx * y1 - dy * x1, s * s))
     dx = q.x - p.x
     dy = q.y - p.y
     if is_zero(dx) and is_zero(dy):
@@ -266,8 +310,8 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
         u2, v2, w2, _ = _triple(l2.u, l2.v, l2.w)
         det = u1 * v2 - u2 * v1
         if det:
-            return Point(Fraction(v1 * w2 - v2 * w1, det),
-                         Fraction(u2 * w1 - u1 * w2, det))
+            return _point(Fraction(v1 * w2 - v2 * w1, det),
+                          Fraction(u2 * w1 - u1 * w2, det))
     det = l1.u * l2.v - l2.u * l1.v
     if is_zero(det):
         if l1 == l2:
@@ -283,8 +327,8 @@ def perp_bisector(p: Point, q: Point) -> Line:
     if type(p.x) is type(p.y) is type(q.x) is type(q.y) is Fraction:
         x1, y1, x2, y2, s = _two_points(p, q)
         if x1 != x2 or y1 != y2:
-            return Line(Fraction(2 * (x2 - x1), s), Fraction(2 * (y2 - y1), s),
-                        Fraction(x1 * x1 + y1 * y1 - x2 * x2 - y2 * y2, s * s))
+            return _line(Fraction(2 * (x2 - x1), s), Fraction(2 * (y2 - y1), s),
+                         Fraction(x1 * x1 + y1 * y1 - x2 * x2 - y2 * y2, s * s))
     if p == q:
         raise CoincidentPoints("perpendicular bisector needs distinct points")
     return Line(2 * (q.x - p.x), 2 * (q.y - p.y),
@@ -293,6 +337,10 @@ def perp_bisector(p: Point, q: Point) -> Line:
 
 def perp_through(p: Point, line: Line) -> Line:
     """The perpendicular to `line` passing through `p` (p need not lie on it)."""
+    if type(p.x) is type(p.y) is type(line.u) is type(line.v) is Fraction:
+        x, y, s = _pair(p.x, p.y)
+        u, v, t = _pair(line.u, line.v)
+        return _line(-line.v, line.u, Fraction(v * x - u * y, s * t))
     return Line(-line.v, line.u, line.v * p.x - line.u * p.y)
 
 
@@ -302,6 +350,10 @@ def parallelogram_fourth(x: Point, y: Point, z: Point) -> Point:
     Pure coordinate arithmetic y + z - x; degenerate (collinear) inputs
     are deliberately allowed and simply give a flat parallelogram.
     """
+    if (type(x.x) is type(x.y) is type(y.x) is type(y.y) is type(z.x)
+            is type(z.y) is Fraction):
+        x1, y1, x2, y2, x3, y3, s = _three_points(x, y, z)
+        return _point(Fraction(x2 + x3 - x1, s), Fraction(y2 + y3 - y1, s))
     return Point(y.x + z.x - x.x, y.y + z.y - x.y)
 
 
@@ -315,15 +367,28 @@ def newton_line(a: Point, b: Point, c: Point, d: Point) -> Line:
 
 
 def is_collinear(p: Point, q: Point, r: Point) -> bool:
+    if (type(p.x) is type(p.y) is type(q.x) is type(q.y) is type(r.x)
+            is type(r.y) is Fraction):
+        x1, y1, x2, y2, x3, y3, _ = _three_points(p, q, r)
+        return (x2 - x1) * (y3 - y1) == (y2 - y1) * (x3 - x1)
     return is_zero((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x))
 
 
 def is_midpoint(m: Point, p: Point, q: Point) -> bool:
     """Exact componentwise test 2m = p + q."""
+    if (type(m.x) is type(m.y) is type(p.x) is type(p.y) is type(q.x)
+            is type(q.y) is Fraction):
+        x1, y1, x2, y2, x3, y3, _ = _three_points(m, p, q)
+        return 2 * x1 == x2 + x3 and 2 * y1 == y2 + y3
     return is_zero(2 * m.x - p.x - q.x) and is_zero(2 * m.y - p.y - q.y)
 
 
 def is_on_line(p: Point, line: Line) -> bool:
+    if (type(p.x) is type(p.y) is type(line.u) is type(line.v)
+            is type(line.w) is Fraction):
+        x, y, s = _pair(p.x, p.y)
+        u, v, w, _ = _triple(line.u, line.v, line.w)
+        return u * x + v * y + w * s == 0
     return is_zero(line.u * p.x + line.v * p.y + line.w)
 
 
@@ -333,6 +398,10 @@ def is_parallel(l1: Line, l2: Line) -> bool:
 
 
 def is_perpendicular(l1: Line, l2: Line) -> bool:
+    if type(l1.u) is type(l1.v) is type(l2.u) is type(l2.v) is Fraction:
+        u1, v1, _ = _pair(l1.u, l1.v)
+        u2, v2, _ = _pair(l2.u, l2.v)
+        return u1 * u2 + v1 * v2 == 0
     return is_zero(l1.u * l2.u + l1.v * l2.v)
 
 
@@ -352,8 +421,8 @@ def circumcenter(p: Point, q: Point, r: Point) -> Point:
             w1 = x1 * x1 + y1 * y1 - n2
             w2 = n2 - x3 * x3 - y3 * y3
             den = 2 * s * det
-            return Point(Fraction(dy1 * w2 - dy2 * w1, den),
-                         Fraction(dx2 * w1 - dx1 * w2, den))
+            return _point(Fraction(dy1 * w2 - dy2 * w1, den),
+                          Fraction(dx2 * w1 - dx1 * w2, den))
     try:
         return intersect_lines(perp_bisector(p, q), perp_bisector(q, r))
     except (ParallelLines, CoincidentLines):
@@ -378,7 +447,7 @@ def circumcircle(p: Point, q: Point, r: Point) -> Circle:
             s2 = -(x2 * x2 + y2 * y2)
             s3 = -(x3 * x3 + y3 * y3)
             den = s * det
-            return Circle(
+            return _circle(
                 Fraction(_det3((s1, y1, 1), (s2, y2, 1), (s3, y3, 1)), den),
                 Fraction(_det3((x1, s1, 1), (x2, s2, 1), (x3, s3, 1)), den),
                 Fraction(_det3((x1, y1, s1), (x2, y2, s2), (x3, y3, s3)),
@@ -399,6 +468,11 @@ def circumcircle(p: Point, q: Point, r: Point) -> Circle:
 
 def circle_on_diameter(p: Point, q: Point) -> Circle:
     """Circle having segment pq as a diameter (Thales circle)."""
+    if type(p.x) is type(p.y) is type(q.x) is type(q.y) is Fraction:
+        x1, y1, x2, y2, s = _two_points(p, q)
+        if x1 != x2 or y1 != y2:
+            return _circle(Fraction(-(x1 + x2), s), Fraction(-(y1 + y2), s),
+                           Fraction(x1 * x2 + y1 * y2, s * s))
     if p == q:
         raise CoincidentPoints("diameter endpoints must be distinct")
     return Circle(-(p.x + q.x), -(p.y + q.y), p.x * q.x + p.y * q.y)
@@ -442,8 +516,8 @@ def second_intersection(circle: Circle, line: Line, known: Point) -> Point:
             if not b:
                 return known
             a = sc * (u * u + v * v)
-            return Point(Fraction(x * a - b * v, s * a),
-                         Fraction(y * a + b * u, s * a))
+            return _point(Fraction(x * a - b * v, s * a),
+                          Fraction(y * a + b * u, s * a))
     if not is_on_line(known, line):
         raise PointNotOnLine("second_intersection: point is not on the line")
     if not is_on_circle(known, circle):
@@ -467,7 +541,7 @@ def on_unit_circle(t):
     if isinstance(t, (int, Fraction)):
         n, m = t.numerator, t.denominator
         n2, m2 = n * n, m * m
-        return Point(Fraction(m2 - n2, m2 + n2), Fraction(2 * n * m, m2 + n2))
+        return _point(Fraction(m2 - n2, m2 + n2), Fraction(2 * n * m, m2 + n2))
     t2 = t * t
     den = 1 + t2
     return Point((1 - t2) / den, 2 * t / den)
@@ -485,6 +559,19 @@ def are_coaxial(c1: Circle, c2: Circle, c3: Circle) -> bool:
     all three 2x2 minors vanish.  Distinct concentric circles do share a
     (degenerate) pencil and test true.
     """
+    if (type(c1.d) is type(c1.e) is type(c1.f) is type(c2.d) is type(c2.e)
+            is type(c2.f) is type(c3.d) is type(c3.e) is type(c3.f) is Fraction):
+        d1, e1, f1, s1 = _triple(c1.d, c1.e, c1.f)
+        d2, e2, f2, s2 = _triple(c2.d, c2.e, c2.f)
+        d3, e3, f3, s3 = _triple(c3.d, c3.e, c3.f)
+        # c_i = (d_i, e_i, f_i) / s_i; rows scaled by s1*s2 and s1*s3
+        r1 = (d1 * s2 - d2 * s1, e1 * s2 - e2 * s1, f1 * s2 - f2 * s1)
+        r2 = (d1 * s3 - d3 * s1, e1 * s3 - e3 * s1, f1 * s3 - f3 * s1)
+        if any(r1) and any(r2) and (d2 * s3, e2 * s3, f2 * s3) != (
+                d3 * s2, e3 * s2, f3 * s2):
+            return (r1[0] * r2[1] == r1[1] * r2[0]
+                    and r1[0] * r2[2] == r1[2] * r2[0]
+                    and r1[1] * r2[2] == r1[2] * r2[1])
     if c1 == c2 or c1 == c3 or c2 == c3:
         raise CoincidentCircles("coaxial test needs pairwise distinct circles")
     r1 = (c1.d - c2.d, c1.e - c2.e, c1.f - c2.f)

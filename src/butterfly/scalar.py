@@ -57,16 +57,29 @@ def parse_rational(text: str) -> Fraction:
 def sample_rational(rng: Random, bound: int) -> Fraction:
     """Uniform draw from the reduced fractions p/q, |p| <= bound, 1 <= q <= bound.
 
-    Rejection sampling over the (p, q) grid: a reduced pair is kept, any
-    other redrawn, so every reduced fraction in range is equally likely.
-    Deterministic for a given generator state.
+    Rejection sampling over the (p, q) grid: p is drawn, then q, and a
+    reduced pair is kept, any other redrawn, so every reduced fraction in
+    range is equally likely.  Each of p and q takes the draws
+    `rng.randint(-bound, bound)` and `rng.randint(1, bound)` would take:
+    `getrandbits` of the range width's bit length, repeated until the value
+    falls inside the width.  The stream is therefore the randint stream,
+    draw for draw, and deterministic for a given generator state.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    getrandbits = rng.getrandbits
+    width = 2 * bound + 1
+    p_bits, q_bits = width.bit_length(), bound.bit_length()
     while True:
-        p = rng.randint(-bound, bound)
-        q = rng.randint(1, bound)
-        if gcd(abs(p), q) == 1:
+        p = getrandbits(p_bits)
+        while p >= width:
+            p = getrandbits(p_bits)
+        q = getrandbits(q_bits)
+        while q >= bound:
+            q = getrandbits(q_bits)
+        p -= bound
+        q += 1
+        if gcd(p, q) == 1:
             return Fraction(p, q)
 
 

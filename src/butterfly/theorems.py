@@ -431,7 +431,9 @@ def sample_gauge(rng, bound: int, require_interior: bool = True) -> GaugeConfig:
             continue
         if a == c or b == d:
             continue
-        if require_interior and not (a * c < 0 and b * d < 0):
+        # a*c < 0 and b*d < 0, read off the signs of the nonzero numerators
+        if require_interior and not ((a.numerator < 0) != (c.numerator < 0)
+                                     and (b.numerator < 0) != (d.numerator < 0)):
             continue
         return GaugeConfig(a, b, c, d, k)
     raise SamplerExhausted("gauge sampler exhausted its redraw budget")

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import butterfly
+from butterfly import Circle, DegenerateConfig, Line, Point, RationalFunction
 from butterfly.dsl import (
+    _FUNCTION_IMPLS,
+    _PREDICATE_IMPLS,
     MAX_NESTING,
     Assertion,
     Binary,
@@ -23,10 +26,14 @@ from butterfly.dsl import (
     ParamDecl,
     PointLit,
     Unary,
+    _compile_program,
+    _run_trial,
+    eval_expr,
     evaluate_construction,
     parse,
     to_source,
 )
+from butterfly.scalar import derive_rng, field_div, sample_rational
 
 CORPUS = Path(butterfly.__file__).parent / "corpus"
 FIXTURES = CORPUS / "fixtures"
@@ -196,6 +203,28 @@ def test_diagnostic_carries_file_line_col_and_caret():
                     "    point P = (a, );\n"
                     "                  ^")
     assert err.diagnostic() == "<geo>:2:15: expected an expression, found ')'"
+
+
+# Every character str.splitlines() breaks a line at, other than "\n".  The
+# tokenizer counts lines by "\n" alone, so the diagnostic must too.
+LINE_BREAKS_BESIDES_NEWLINE = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                               "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", LINE_BREAKS_BESIDES_NEWLINE)
+def test_diagnostic_caret_sits_under_the_offending_token(sep):
+    sources = [f"param a;{sep}scalar s = ;\n",       # error on the same line
+               f"# note{sep}more\nscalar s = ;\n"]   # separator in a comment
+    for source in sources:
+        with pytest.raises(DslError) as err:
+            parse(source)
+        span = err.value.span
+        head, text, caret = err.value.diagnostic(source, "x.geo").split("\n")
+        assert head.startswith(f"x.geo:{span.line}:{span.col}: ")
+        text, caret = text[4:], caret[4:]
+        assert caret == " " * (span.col - 1) + "^"
+        assert text[span.col - 1] == source[span.offset]
+    assert text == "scalar s = ;"
 
 
 def test_name_errors():
@@ -381,3 +410,160 @@ def test_dsl_error_is_a_package_error():
     from butterfly.errors import ButterflyError
     assert issubclass(DslError, ButterflyError)
     assert issubclass(DslSyntaxError, DslError)
+
+
+# -- the compiled evaluator against the tree-walking reference --------------------
+#
+# The evaluator compiles each program once into closures.  `ref_eval` and
+# `ref_run_trial` are the tree-walking interpreter it replaced, kept here as
+# the reference: on every corpus file and fixture, numerically and
+# symbolically, the two must bind the same values, reach the same verdict,
+# or raise the same exception class with the same message.
+
+def ref_eval(node, env):
+    if isinstance(node, IntLit):
+        return Fraction(node.value)
+    if isinstance(node, Name):
+        return env[node.ident]
+    if isinstance(node, PointLit):
+        return Point(ref_eval(node.x, env), ref_eval(node.y, env))
+    if isinstance(node, Unary):
+        return -ref_eval(node.operand, env)
+    if isinstance(node, Binary):
+        left = ref_eval(node.left, env)
+        right = ref_eval(node.right, env)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        return field_div(left, right, "division by zero in a scalar expression")
+    if isinstance(node, Call):
+        values = [ref_eval(a, env) for a in node.args]
+        return _FUNCTION_IMPLS[node.func](*values)
+    raise TypeError(f"not an expression node: {type(node).__name__}")
+
+
+def ref_run_trial(construction, env):
+    for stmt in construction.statements:
+        if isinstance(stmt, ParamDecl):
+            continue
+        if isinstance(stmt, Definition):
+            env[stmt.name] = ref_eval(stmt.expr, env)
+        else:
+            values = [ref_eval(a, env) for a in stmt.args]
+            if not _PREDICATE_IMPLS[stmt.predicate](*values):
+                return stmt
+    return None
+
+
+def _exact_fields(value):
+    """A value as comparable parts, down to each coordinate's representation."""
+    if isinstance(value, RationalFunction):
+        return ("RationalFunction", value.num, value.den)
+    if isinstance(value, Fraction):
+        return ("Fraction", value)
+    slots = {Point: ("x", "y"), Line: ("u", "v", "w"), Circle: ("d", "e", "f")}
+    return (type(value).__name__,
+            *(_exact_fields(getattr(value, slot)) for slot in slots[type(value)]))
+
+
+def _trial_outcome(run, construction, env):
+    env = dict(env)
+    try:
+        failed = run(construction, env)
+    except DegenerateConfig as exc:
+        return ("raise", type(exc), str(exc))
+    return (failed, {name: _exact_fields(value) for name, value in env.items()})
+
+
+def compiled_run_trial(construction, env):
+    program = _compile_program(construction, _FUNCTION_IMPLS, _PREDICATE_IMPLS)
+    return _run_trial(program, env)
+
+
+def assert_evaluators_agree(construction, env):
+    expected = _trial_outcome(ref_run_trial, construction, env)
+    assert _trial_outcome(compiled_run_trial, construction, env) == expected
+    # eval_expr, one definition at a time, in the reference's environment
+    scope = dict(env)
+    for stmt in construction.statements:
+        if not isinstance(stmt, Definition):
+            continue
+        try:
+            value = ref_eval(stmt.expr, scope)
+        except DegenerateConfig as exc:
+            with pytest.raises(type(exc)) as err:
+                eval_expr(stmt.expr, scope)
+            assert str(err.value) == str(exc)
+            break
+        assert _exact_fields(eval_expr(stmt.expr, scope)) == _exact_fields(value)
+        scope[stmt.name] = value
+    return expected
+
+
+@pytest.mark.parametrize("path", corpus_sources(), ids=lambda p: p.stem)
+def test_compiled_evaluator_matches_reference_numerically(path):
+    ast = parse(path.read_text())
+    verdicts = set()
+    for trial in range(25):
+        rng = derive_rng(17, "trial", trial)
+        env = {name: sample_rational(rng, 20) for name in ast.params}
+        outcome = assert_evaluators_agree(ast, env)
+        verdicts.add(outcome[0] if outcome[0] == "raise" else outcome[0] is None)
+    assert verdicts & {True, False}  # every file reaches a verdict
+
+
+@pytest.mark.parametrize("path", corpus_sources(), ids=lambda p: p.stem)
+def test_compiled_evaluator_matches_reference_with_one_symbol(path):
+    # one parameter bound to the field generator `a`, the rest to seeded
+    # draws: points then mix RationalFunction and Fraction coordinates
+    ast = parse(path.read_text())
+    for index, name in enumerate(ast.params):
+        rng = derive_rng(17, "symbol", index)
+        env = {param: sample_rational(rng, 20) for param in ast.params}
+        env[name] = RationalFunction.variable("a")
+        assert_evaluators_agree(ast, env)
+
+
+OPERATORS = """
+param a, b;
+scalar s = a - b;
+scalar t = (a - 2 * b) / (b - a / 3);
+scalar u = -a * b + 3 - (a - b) / -(b - 1) - 1 / a;
+point P = (a - b, b / a);
+point Q = (t - u, 7);
+assert collinear(P, Q, (s - t, u / b));
+"""
+
+
+def test_compiled_operators_match_reference():
+    # non-commutative operators and division by zero (a = 0 or b = 1, 3a)
+    ast = parse(OPERATORS)
+    outcomes = set()
+    for trial in range(60):
+        rng = derive_rng(5, "trial", trial)
+        env = {name: sample_rational(rng, 3) for name in ast.params}
+        outcome = assert_evaluators_agree(ast, env)
+        outcomes.add(outcome[0] if outcome[0] == "raise" else "ran")
+    assert outcomes == {"raise", "ran"}
+
+
+SYMBOLIC_FILES = [CORPUS / f"{stem}.geo" for stem in ("thm1", "thm2", "lemma3")] \
+    + [FIXTURES / f"{stem}_perturbed.geo" for stem in ("thm1", "thm2", "lemma3")]
+
+
+@pytest.mark.parametrize("path", SYMBOLIC_FILES, ids=lambda p: p.stem)
+def test_compiled_evaluator_matches_reference_symbolically(path):
+    # the files whose symbolic runs finish quickly (lemma2's does not)
+    ast = parse(path.read_text())
+    env = {name: RationalFunction.variable(name) for name in ast.params}
+    assert_evaluators_agree(ast, env)
+
+
+def test_eval_expr_rejects_non_expressions_like_reference():
+    node = ParamDecl(names=("a",), span=None, name_spans=())
+    for evaluate in (eval_expr, ref_eval):
+        with pytest.raises(TypeError, match="not an expression node: ParamDecl"):
+            evaluate(node, {})

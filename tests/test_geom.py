@@ -657,6 +657,233 @@ def test_degenerate_inputs_raise_like_reference():
         assert _outcome(fn, *args) == _outcome(ref, *args)
 
 
+# -- integer predicates and the remaining integer constructions ----------------
+#
+# The predicates, `Point.__eq__`, `perp_through`, `parallelogram_fourth` and
+# `circle_on_diameter` decide on Python ints for Fraction inputs and build
+# their outputs without re-validation.  The generic formulas below are the
+# reference: verdicts must agree, constructions must store the same values
+# (or raise the same error), and inputs holding a RationalFunction anywhere
+# must take the generic body.
+
+def ref_point_eq(p, q):
+    return not (p.x - q.x) and not (p.y - q.y)
+
+
+def ref_is_collinear(p, q, r):
+    return not ((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x))
+
+
+def ref_is_midpoint(m, p, q):
+    return not (2 * m.x - p.x - q.x) and not (2 * m.y - p.y - q.y)
+
+
+def ref_is_on_line(p, line):
+    return not (line.u * p.x + line.v * p.y + line.w)
+
+
+def ref_is_perpendicular(l1, l2):
+    return not (l1.u * l2.u + l1.v * l2.v)
+
+
+def _ref_same_circle(c1, c2):
+    return not (c1.d - c2.d) and not (c1.e - c2.e) and not (c1.f - c2.f)
+
+
+def ref_are_coaxial(c1, c2, c3):
+    if (_ref_same_circle(c1, c2) or _ref_same_circle(c1, c3)
+            or _ref_same_circle(c2, c3)):
+        raise CoincidentCircles("coaxial test needs pairwise distinct circles")
+    r1 = (c1.d - c2.d, c1.e - c2.e, c1.f - c2.f)
+    r2 = (c1.d - c3.d, c1.e - c3.e, c1.f - c3.f)
+    return (not (r1[0] * r2[1] - r1[1] * r2[0])
+            and not (r1[0] * r2[2] - r1[2] * r2[0])
+            and not (r1[1] * r2[2] - r1[2] * r2[1]))
+
+
+def ref_perp_through(p, line):
+    return Line(-line.v, line.u, line.v * p.x - line.u * p.y)
+
+
+def ref_parallelogram_fourth(x, y, z):
+    return Point(y.x + z.x - x.x, y.y + z.y - x.y)
+
+
+def ref_circle_on_diameter(p, q):
+    if ref_point_eq(p, q):
+        raise CoincidentPoints("diameter endpoints must be distinct")
+    return Circle(-(p.x + q.x), -(p.y + q.y), p.x * q.x + p.y * q.y)
+
+
+def point_eq(p, q):
+    return p == q
+
+
+def _exact(value):
+    """A value as comparable parts, down to each coordinate's representation."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, RationalFunction):
+        return ("RationalFunction", value.num, value.den)
+    if isinstance(value, Fraction):
+        return ("Fraction", value)
+    kind, *parts = _fields(value)
+    return (kind, *(_exact(part) for part in parts))
+
+
+def _exact_outcome(fn, *args):
+    try:
+        return _exact(fn(*args))
+    except DegenerateConfig as exc:
+        return ("raise", type(exc), str(exc))
+
+
+def lift(obj, index):
+    """`obj` with its field `index` turned into an equal RationalFunction."""
+    kind, *parts = _fields(obj)
+    parts[index] = RationalFunction.constant(parts[index])
+    return {"Point": Point, "Line": Line, "Circle": Circle}[kind](*parts)
+
+
+def assert_same_on_both_backends(fn, ref, args, data):
+    fraction_outcome = _exact_outcome(fn, *args)
+    assert fraction_outcome == _exact_outcome(ref, *args)
+    if isinstance(fraction_outcome, tuple) and fraction_outcome[0] != "raise":
+        assert all(part[0] == "Fraction" for part in fraction_outcome[1:])
+    # the same input with one field lifted to an equal RationalFunction
+    which = data.draw(st.integers(0, len(args) - 1))
+    field = data.draw(st.integers(0, len(_fields(args[which])) - 2))
+    mixed = list(args)
+    mixed[which] = lift(args[which], field)
+    mixed_outcome = _exact_outcome(fn, *mixed)
+    assert mixed_outcome == _exact_outcome(ref, *mixed)
+    if isinstance(fraction_outcome, bool) or fraction_outcome[0] == "raise":
+        assert mixed_outcome == fraction_outcome
+
+
+@st.composite
+def lines_with_points(draw):
+    """A line (axis-parallel ones on purpose) and a point on it or off it."""
+    kind = draw(st.sampled_from(("free", "horizontal", "vertical")))
+    u, v, w = draw(coords), draw(coords), draw(coords)
+    if kind == "horizontal" or (u == 0 and v == 0):
+        u, v = Fraction(0), v or Fraction(1)
+    elif kind == "vertical":
+        u, v = u or Fraction(1), Fraction(0)
+    line = Line(u, v, w)
+    t = draw(coords)
+    on = Point(t, -(u * t + w) / v) if v else Point(-w / u, t)
+    if draw(st.booleans()):
+        return line, on
+    return line, Point(on.x + draw(coords), on.y + draw(coords))
+
+
+@st.composite
+def perpendicular_pairs(draw):
+    l1, l2 = draw(line_pairs())
+    if draw(st.booleans()):
+        k = draw(coords.filter(bool))
+        l2 = Line(-k * l1.v, k * l1.u, draw(coords))
+    return l1, l2
+
+
+@st.composite
+def midpoint_triples(draw):
+    p, q = draw(point_pairs())
+    m = Point((p.x + q.x) / 2, (p.y + q.y) / 2)
+    kind = draw(st.sampled_from(("exact", "off_x", "off_y", "free")))
+    if kind == "off_x":
+        m = Point(m.x + draw(coords.filter(bool)), m.y)
+    elif kind == "off_y":
+        m = Point(m.x, m.y + draw(coords.filter(bool)))
+    elif kind == "free":
+        m = draw(points)
+    return m, p, q
+
+
+circles = st.builds(Circle, coords, coords, coords)
+
+
+@st.composite
+def circle_triples(draw):
+    c1, c2 = draw(circles), draw(circles)
+    kind = draw(st.sampled_from(
+        ("free", "pencil", "concentric", "same_f", "c1=c2", "c1=c3", "c2=c3")))
+    if kind == "pencil":
+        t = draw(coords)
+        return c1, c2, Circle(c1.d + t * (c2.d - c1.d), c1.e + t * (c2.e - c1.e),
+                              c1.f + t * (c2.f - c1.f))
+    if kind == "concentric":
+        return (c1, Circle(c1.d, c1.e, draw(coords)),
+                Circle(c1.d, c1.e, draw(coords)))
+    if kind == "same_f":  # two of the three minors vanish, the first decides
+        return c1, Circle(c2.d, c2.e, c1.f), Circle(draw(coords), draw(coords), c1.f)
+    c3 = draw(circles)
+    if kind == "c1=c2":
+        return c1, Circle(c1.d, c1.e, c1.f), c3
+    if kind == "c1=c3":
+        return c1, c2, Circle(c1.d, c1.e, c1.f)
+    if kind == "c2=c3":
+        return c1, c2, Circle(c2.d, c2.e, c2.f)
+    return c1, c2, c3
+
+
+@given(point_pairs(), st.data())
+def test_two_point_integer_paths_match_reference(pair, data):
+    assert_same_on_both_backends(point_eq, ref_point_eq, pair, data)
+    assert_same_on_both_backends(circle_on_diameter, ref_circle_on_diameter,
+                                 pair, data)
+
+
+@given(point_triples(), st.data())
+def test_three_point_integer_paths_match_reference(triple, data):
+    assert_same_on_both_backends(is_collinear, ref_is_collinear, triple, data)
+    assert_same_on_both_backends(parallelogram_fourth, ref_parallelogram_fourth,
+                                 triple, data)
+
+
+@given(midpoint_triples(), st.data())
+def test_is_midpoint_matches_reference(triple, data):
+    assert_same_on_both_backends(is_midpoint, ref_is_midpoint, triple, data)
+
+
+@given(lines_with_points(), st.data())
+def test_line_and_point_integer_paths_match_reference(line_point, data):
+    line, p = line_point
+    assert_same_on_both_backends(is_on_line, ref_is_on_line, (p, line), data)
+    assert_same_on_both_backends(perp_through, ref_perp_through, (p, line), data)
+
+
+@given(perpendicular_pairs(), st.data())
+def test_is_perpendicular_matches_reference(pair, data):
+    assert_same_on_both_backends(is_perpendicular, ref_is_perpendicular, pair,
+                                 data)
+
+
+@given(circle_triples(), st.data())
+def test_are_coaxial_matches_reference(triple, data):
+    assert_same_on_both_backends(are_coaxial, ref_are_coaxial, triple, data)
+
+
+def test_symbolic_inputs_take_the_generic_body():
+    a = RationalFunction.variable("a")
+    one = Fraction(1)
+    p, q = Point(a, one), Point(-a, one)           # mixed coordinates
+    assert not (p == q) and p == Point(a, one)
+    assert is_collinear(p, q, Point(Fraction(0), one))
+    assert is_midpoint(Point(Fraction(0), one), p, q)
+    horizontal = line_through(p, q)
+    assert is_on_line(Point(2 * a, one), horizontal)
+    assert is_perpendicular(horizontal, perp_through(p, horizontal))
+    assert _exact(parallelogram_fourth(p, q, p)) == _exact(q)
+    assert _exact(circle_on_diameter(p, q)) == _exact(ref_circle_on_diameter(p, q))
+    c1 = Circle(a, Fraction(0), Fraction(-1))
+    with pytest.raises(CoincidentCircles):
+        are_coaxial(c1, Circle(a, Fraction(0), Fraction(-1)), Circle(one, one, one))
+    assert are_coaxial(c1, Circle(a, Fraction(0), Fraction(-4)),
+                       Circle(a, Fraction(0), Fraction(-9)))
+
+
 # -- int inputs never produce floats --------------------------------------------
 
 def test_int_inputs_give_fractions_everywhere():

@@ -26,6 +26,13 @@ RUNS = {
                                "--trials", "200"]
        for path in sorted(CORPUS.glob("*.geo"))
        + sorted((CORPUS / "fixtures").glob("*.geo"))},
+    # Bound 16 puts both rejection draws on a bit-width edge (2*16+1 = 33, 16).
+    "prove-paper-numeric-bound16": ["prove-paper", "--mode", "numeric",
+                                    "--seed", "7", "--trials", "100",
+                                    "--bound", "16"],
+    **{f"verify-bound16-{path.stem}": ["verify", str(path), "--seed", "5",
+                                       "--trials", "100", "--bound", "16"]
+       for path in sorted(CORPUS.glob("*.geo"))},
 }
 
 GAUGE = "a=2,b=1,c=-3,d=-2,k=1"

@@ -145,6 +145,28 @@ def test_sample_mean_matches_enumeration():
     assert abs(empirical - exact_mean) < Fraction(1, 2)
 
 
+def ref_sample_rational(rng, bound):
+    """The sampler's contract written with `randint`: p, then q, until coprime."""
+    from math import gcd
+    while True:
+        p = rng.randint(-bound, bound)
+        q = rng.randint(1, bound)
+        if gcd(abs(p), q) == 1:
+            return Fraction(p, q)
+
+
+@pytest.mark.parametrize("bound", range(1, 65))
+def test_sample_stream_matches_randint_reference(bound):
+    # bounds 1..64 cross every bit-width edge of 2*bound+1 and of bound
+    # (1, 2, 4, 8, 16, 32, 64 and their neighbours)
+    for label in ("a", "b", "c"):
+        rng, ref = derive_rng(7, label, bound), derive_rng(7, label, bound)
+        drawn = [sample_rational(rng, bound) for _ in range(20)]
+        assert drawn == [ref_sample_rational(ref, bound) for _ in range(20)]
+        assert all(type(x) is Fraction for x in drawn)
+        assert rng.getstate() == ref.getstate()
+
+
 def test_derive_rng_label_independence():
     # different label paths give different streams, same path the same one
     assert derive_rng(1, "x").random() == derive_rng(1, "x").random()
