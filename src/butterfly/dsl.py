@@ -671,14 +671,14 @@ def to_source(node) -> str:
 # -- evaluation ----------------------------------------------------------------------
 
 
-# Function and predicate names are resolved when a program is compiled, from
-# the tables passed in, so a run uses the implementations installed when it
-# starts.
+# Function and predicate names are looked up in _FUNCTION_IMPLS and
+# _PREDICATE_IMPLS when a program is compiled, so a run uses the
+# implementations installed when it starts.
 
 _ARITHMETIC = {"+": add, "-": sub, "*": mul}
 
 
-def _compile_expr(node, functions):
+def _compile_expr(node):
     """A closure evaluating the checked expression `node` in an environment."""
     if isinstance(node, IntLit):
         value = Fraction(node.value)
@@ -689,26 +689,26 @@ def _compile_expr(node, functions):
         if isinstance(node.x, IntLit) and isinstance(node.y, IntLit):
             point = Point(Fraction(node.x.value), Fraction(node.y.value))
             return lambda env: point
-        x = _compile_expr(node.x, functions)
-        y = _compile_expr(node.y, functions)
+        x = _compile_expr(node.x)
+        y = _compile_expr(node.y)
         return lambda env: Point(x(env), y(env))
     if isinstance(node, Unary):
-        operand = _compile_expr(node.operand, functions)
+        operand = _compile_expr(node.operand)
         return lambda env: -operand(env)
     if isinstance(node, Binary):
-        left = _compile_expr(node.left, functions)
-        right = _compile_expr(node.right, functions)
+        left = _compile_expr(node.left)
+        right = _compile_expr(node.right)
         if node.op == "/":
             return lambda env: field_div(
                 left(env), right(env), "division by zero in a scalar expression")
         op = _ARITHMETIC[node.op]
         return lambda env: op(left(env), right(env))
     if isinstance(node, Call):
-        return _compile_call(functions[node.func], node.args, functions)
+        return _compile_call(_FUNCTION_IMPLS[node.func], node.args)
     raise TypeError(f"not an expression node: {type(node).__name__}")
 
 
-def _compile_call(fn, args, functions):
+def _compile_call(fn, args):
     """A closure applying `fn` to the values of the argument expressions."""
     if all(isinstance(arg, Name) for arg in args):
         if len(args) == 1:
@@ -716,11 +716,11 @@ def _compile_call(fn, args, functions):
             return lambda env: fn(get(env))
         get = itemgetter(*(arg.ident for arg in args))
         return lambda env: fn(*get(env))
-    compiled = [_compile_expr(arg, functions) for arg in args]
+    compiled = [_compile_expr(arg) for arg in args]
     return lambda env: fn(*[arg(env) for arg in compiled])
 
 
-def _compile_program(construction: Construction, functions, predicates):
+def _compile_program(construction: Construction):
     """The definitions and assertions as steps (name, evaluate, assertion).
 
     A definition step has `assertion` None and binds `name` to the value;
@@ -729,16 +729,16 @@ def _compile_program(construction: Construction, functions, predicates):
     steps = []
     for stmt in construction.statements:
         if isinstance(stmt, Definition):
-            steps.append((stmt.name, _compile_expr(stmt.expr, functions), None))
+            steps.append((stmt.name, _compile_expr(stmt.expr), None))
         elif isinstance(stmt, Assertion):
-            steps.append((None, _compile_call(predicates[stmt.predicate],
-                                              stmt.args, functions), stmt))
+            steps.append((None, _compile_call(_PREDICATE_IMPLS[stmt.predicate],
+                                              stmt.args), stmt))
     return tuple(steps)
 
 
 def eval_expr(node, env):
     """Evaluate one checked expression in an environment of named values."""
-    return _compile_expr(node, _FUNCTION_IMPLS)(env)
+    return _compile_expr(node)(env)
 
 
 def _run_trial(program, env: dict) -> Assertion | None:
@@ -757,7 +757,7 @@ def _evaluate_numeric(construction, seed, trials, bound, label, skip_limit):
     if bound < 1:
         raise ValueError("bound must be >= 1")
     params = construction.params
-    program = _compile_program(construction, _FUNCTION_IMPLS, _PREDICATE_IMPLS)
+    program = _compile_program(construction)
     attempted = passed = skipped = 0
     counterexample = None
     start = time.perf_counter()
@@ -801,7 +801,7 @@ def _evaluate_symbolic(construction, label):
                         f"a, b, c, d, k; got '{name}'", span)
     env = {name: RationalFunction.variable(name)
            for name in construction.params}
-    program = _compile_program(construction, _FUNCTION_IMPLS, _PREDICATE_IMPLS)
+    program = _compile_program(construction)
     checks: list[tuple[str, bool]] = []
     seen: set[str] = set()
     failure = None

@@ -9,8 +9,8 @@ tests go through `is_zero`, which both scalar types support via `__bool__`.
 The hot numeric constructions (`midpoint`, `line_through`, `perp_bisector`,
 `perp_through`, `intersect_lines`, `parallelogram_fourth`, `circumcenter`,
 `circumcircle`, `circle_on_diameter`, `second_intersection`,
-`on_unit_circle`) and predicates (`Point.__eq__`, `is_collinear`,
-`is_midpoint`, `is_on_line`, `is_perpendicular`, `are_coaxial`) also have
+`on_unit_circle`) and predicates (`Point.__eq__`, `is_midpoint`,
+`is_on_line`, `is_perpendicular`, `are_coaxial`) also have
 an integer path.  One type test at the top selects it when every input
 coordinate or coefficient is a `Fraction` (an int or Fraction parameter for
 `on_unit_circle`); anything else, in particular any `RationalFunction`,
@@ -367,10 +367,6 @@ def newton_line(a: Point, b: Point, c: Point, d: Point) -> Line:
 
 
 def is_collinear(p: Point, q: Point, r: Point) -> bool:
-    if (type(p.x) is type(p.y) is type(q.x) is type(q.y) is type(r.x)
-            is type(r.y) is Fraction):
-        x1, y1, x2, y2, x3, y3, _ = _three_points(p, q, r)
-        return (x2 - x1) * (y3 - y1) == (y2 - y1) * (x3 - x1)
     return is_zero((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x))
 
 

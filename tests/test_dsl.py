@@ -479,7 +479,7 @@ def _trial_outcome(run, construction, env):
 
 
 def compiled_run_trial(construction, env):
-    program = _compile_program(construction, _FUNCTION_IMPLS, _PREDICATE_IMPLS)
+    program = _compile_program(construction)
     return _run_trial(program, env)
 
 

@@ -659,9 +659,11 @@ def test_degenerate_inputs_raise_like_reference():
 
 # -- integer predicates and the remaining integer constructions ----------------
 #
-# The predicates, `Point.__eq__`, `perp_through`, `parallelogram_fourth` and
+# `is_midpoint`, `is_on_line`, `is_perpendicular`, `are_coaxial`,
+# `Point.__eq__`, `perp_through`, `parallelogram_fourth` and
 # `circle_on_diameter` decide on Python ints for Fraction inputs and build
-# their outputs without re-validation.  The generic formulas below are the
+# their outputs without re-validation; `is_collinear` has only the generic
+# body and is checked here the same way.  The generic formulas below are the
 # reference: verdicts must agree, constructions must store the same values
 # (or raise the same error), and inputs holding a RationalFunction anywhere
 # must take the generic body.
