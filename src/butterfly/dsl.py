@@ -38,9 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, itemgetter, mul, sub
-import time
 
-from .errors import ButterflyError, DegenerateConfig
+from .errors import ButterflyError
 from .geom import (
     Point,
     are_coaxial,
@@ -67,12 +66,8 @@ from .geom import (
     second_intersection,
 )
 from .ratfun import RationalFunction
-from .scalar import derive_rng, field_div, sample_rational
-from .theorems import (
-    DEFAULT_SKIP_LIMIT,
-    Counterexample,
-    VerificationReport,
-)
+from .scalar import field_div, sample_rational
+from .theorems import VerificationReport, run_checks, run_trials
 
 SYMBOLIC_PARAMS = ("a", "b", "c", "d", "k")
 MAX_NESTING = 64
@@ -751,44 +746,22 @@ def _run_trial(program, env: dict) -> Assertion | None:
     return None
 
 
-def _evaluate_numeric(construction, seed, trials, bound, label, skip_limit):
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+def _evaluate_numeric(construction, seed, trials, bound, label):
     params = construction.params
     program = _compile_program(construction)
-    attempted = passed = skipped = 0
-    counterexample = None
-    start = time.perf_counter()
-    for trial in range(trials):
-        rng = derive_rng(seed, "trial", trial)
-        env = {name: sample_rational(rng, bound) for name in params}
-        attempted += 1
-        try:
-            failed = _run_trial(program, env)
-        except DegenerateConfig:
-            skipped += 1
-            continue
+
+    def sample(rng, bound):
+        return {name: sample_rational(rng, bound) for name in params}
+
+    def check(env):
+        failed = _run_trial(program, env)
         if failed is None:
-            passed += 1
-        else:
-            # parameters are never rebound, so env still holds the draw
-            counterexample = Counterexample(
-                trial=trial, params=tuple((name, env[name]) for name in params),
-                detail=f"assertion {_assertion_text(failed)} failed")
-            break
-    elapsed = time.perf_counter() - start
-    failure = None
-    if counterexample is not None:
-        failure = f"counterexample at trial {counterexample.trial}"
-    elif Fraction(skipped, attempted) > skip_limit:
-        failure = f"skip rate {skipped}/{attempted} exceeds limit {skip_limit}"
-    return VerificationReport(theorem=label, mode="numeric",
-                              attempted=attempted, passed=passed,
-                              skipped=skipped, trials=trials, seed=seed,
-                              bound=bound, counterexample=counterexample,
-                              failure=failure, elapsed=elapsed)
+            return None
+        # parameters are never rebound, so env still holds the draw
+        return (tuple((name, env[name]) for name in params),
+                f"assertion {_assertion_text(failed)} failed")
+
+    return run_trials(label, "trial", sample, check, trials, seed, bound)
 
 
 def _evaluate_symbolic(construction, label):
@@ -802,41 +775,28 @@ def _evaluate_symbolic(construction, label):
     env = {name: RationalFunction.variable(name)
            for name in construction.params}
     program = _compile_program(construction)
-    checks: list[tuple[str, bool]] = []
-    seen: set[str] = set()
-    failure = None
-    start = time.perf_counter()
-    try:
+
+    def checks():
+        seen: set[str] = set()
         for name, evaluate, stmt in program:
             if stmt is None:
                 env[name] = evaluate(env)
                 continue
-            text = f"assert {_assertion_text(stmt)}"
-            check_id = text
+            text = _assertion_text(stmt)
+            check_id = f"assert {text}"
             serial = 2
             while check_id in seen:
-                check_id = f"{text} #{serial}"
+                check_id = f"assert {text} #{serial}"
                 serial += 1
             seen.add(check_id)
-            ok = bool(evaluate(env))
-            checks.append((check_id, ok))
-            if not ok and failure is None:
-                failure = f"SymbolicMismatch: {_assertion_text(stmt)}"
-    except DegenerateConfig as exc:
-        failure = f"degenerate for generic parameters: {exc}"
-    elapsed = time.perf_counter() - start
-    passed = sum(1 for _, ok in checks if ok)
-    return VerificationReport(theorem=label, mode="symbolic",
-                              attempted=len(checks), passed=passed, skipped=0,
-                              checks=tuple(checks), failure=failure,
-                              elapsed=elapsed)
+            yield check_id, bool(evaluate(env)), text
+
+    return run_checks(label, checks())
 
 
 def evaluate_construction(construction: Construction, mode: str = "numeric",
                           seed: int = 0, trials: int = 1000, bound: int = 20,
-                          label: str = "construction",
-                          skip_limit: Fraction = DEFAULT_SKIP_LIMIT
-                          ) -> VerificationReport:
+                          label: str = "construction") -> VerificationReport:
     """Check every assertion of a parsed program.
 
     Numeric mode samples the declared parameters afresh each trial
@@ -850,5 +810,4 @@ def evaluate_construction(construction: Construction, mode: str = "numeric",
         return _evaluate_symbolic(construction, label)
     if mode != "numeric":
         raise ValueError(f"unknown mode {mode!r}")
-    return _evaluate_numeric(construction, seed, trials, bound, label,
-                             skip_limit)
+    return _evaluate_numeric(construction, seed, trials, bound, label)

@@ -3,8 +3,8 @@
 Every geometric degeneracy that a randomized trial may legitimately hit
 derives from DegenerateConfig, so trial drivers can catch exactly one
 type and record a skip.  Contract violations (zero literal denominators,
-failed symbolic identities) are deliberately *not* members: they indicate
-bugs or refuted claims, never skippable noise.
+exhausted samplers) are deliberately *not* members: they indicate bugs or
+unusable sampling bounds, never skippable noise.
 """
 
 from __future__ import annotations
@@ -68,17 +68,6 @@ class PointNotOnLine(DegenerateConfig):
 
 class DenominatorVanishes(DegenerateConfig):
     """A rational function was evaluated where its denominator is zero."""
-
-
-class SymbolicMismatch(ButterflyError):
-    """A constructed symbolic object failed to match its frozen closed form.
-
-    Fatal by design: a mismatch refutes an identity, it is never a skip.
-    """
-
-    def __init__(self, step: str, message: str | None = None):
-        super().__init__(message or f"symbolic identity failed at step {step!r}")
-        self.step = step
 
 
 class SamplerExhausted(ButterflyError):

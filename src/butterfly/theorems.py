@@ -10,8 +10,9 @@ forms in `closedforms` and the final midpoint / power-ratio identities are
 decided exactly.
 
 A checker is a total function from a configuration to a bool; degenerate
-configurations raise a `DegenerateConfig` subclass, which the suite runner
-counts as a skip.  All builders work unchanged over both scalar backends.
+configurations raise a `DegenerateConfig` subclass, which the trial driver
+`run_trials` counts as a skip.  All builders work unchanged over both
+scalar backends.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from . import closedforms
-from .errors import DegenerateConfig, SamplerExhausted, SymbolicMismatch
+from .errors import DegenerateConfig, SamplerExhausted
 from .geom import (
     Circle,
     Line,
@@ -62,8 +63,8 @@ class GaugeConfig:
 
     The diagonal intersection sits at the origin by construction.  Proper
     configurations have all five scalars nonzero with a != c and b != d;
-    the default sampler additionally places P strictly inside both
-    diagonals (a*c < 0 and b*d < 0).
+    the sampler additionally places P strictly inside both diagonals
+    (a*c < 0 and b*d < 0).
     """
 
     a: object
@@ -419,11 +420,11 @@ def _eval_scalar(value, assignment):
 # -- samplers -------------------------------------------------------------------
 
 
-def sample_gauge(rng, bound: int, require_interior: bool = True) -> GaugeConfig:
+def sample_gauge(rng, bound: int) -> GaugeConfig:
     """Draw a proper gauge configuration by rejection.
 
-    Enforced: a, b, c, d, k nonzero; a != c; b != d; and by default P
-    strictly inside both diagonals (a*c < 0, b*d < 0).
+    Enforced: a, b, c, d, k nonzero; a != c; b != d; and P strictly inside
+    both diagonals (a*c < 0, b*d < 0).
     """
     for _ in range(_MAX_REDRAWS):
         a, b, c, d, k = (sample_rational(rng, bound) for _ in range(5))
@@ -432,8 +433,8 @@ def sample_gauge(rng, bound: int, require_interior: bool = True) -> GaugeConfig:
         if a == c or b == d:
             continue
         # a*c < 0 and b*d < 0, read off the signs of the nonzero numerators
-        if require_interior and not ((a.numerator < 0) != (c.numerator < 0)
-                                     and (b.numerator < 0) != (d.numerator < 0)):
+        if not ((a.numerator < 0) != (c.numerator < 0)
+                and (b.numerator < 0) != (d.numerator < 0)):
             continue
         return GaugeConfig(a, b, c, d, k)
     raise SamplerExhausted("gauge sampler exhausted its redraw budget")
@@ -553,20 +554,72 @@ class VerificationReport:
         return "\n".join(f"{key}: {value}" for key, value in self.to_flat().items())
 
 
-# -- symbolic proofs --------------------------------------------------------------
+# -- drivers ---------------------------------------------------------------------
+
+# A numeric run fails when more than this share of its trials is skipped.
+SKIP_LIMIT = Fraction(1, 5)
 
 
-def _run_check_plan(theorem: str, plan, *, strict: bool) -> VerificationReport:
+def run_trials(theorem: str, stream: str, sample: Callable, check: Callable,
+               trials: int, seed: int, bound: int) -> VerificationReport:
+    """Seeded trials of one claim, stopping at the first counterexample.
+
+    Trial i draws its configuration as `sample(rng, bound)` from
+    `derive_rng(seed, stream, i)`, so any single trial can be replayed.
+    `check(cfg)` returns None when the claim holds and otherwise the
+    counterexample's `(params, detail)`; a DegenerateConfig it raises
+    skips the trial.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    attempted = passed = skipped = 0
+    counterexample = None
+    start = time.perf_counter()
+    for trial in range(trials):
+        cfg = sample(derive_rng(seed, stream, trial), bound)
+        attempted += 1
+        try:
+            refuted = check(cfg)
+        except DegenerateConfig:
+            skipped += 1
+            continue
+        if refuted is None:
+            passed += 1
+        else:
+            counterexample = Counterexample(trial, *refuted)
+            break
+    elapsed = time.perf_counter() - start
+    failure = None
+    if counterexample is not None:
+        failure = f"counterexample at trial {counterexample.trial}"
+    elif Fraction(skipped, attempted) > SKIP_LIMIT:
+        failure = (f"skip rate {skipped}/{attempted} exceeds limit "
+                   f"{format_rational(SKIP_LIMIT)}")
+    return VerificationReport(theorem=theorem, mode="numeric",
+                              attempted=attempted, passed=passed, skipped=skipped,
+                              trials=trials, seed=seed, bound=bound,
+                              counterexample=counterexample, failure=failure,
+                              elapsed=elapsed)
+
+
+def run_checks(theorem: str, checks) -> VerificationReport:
+    """Symbolic report from `(check id, verdict, failure name)` items, in order.
+
+    The first false verdict names the failure; a DegenerateConfig raised
+    while the items are produced ends the run with the checks made so far.
+    """
     results = []
     failure = None
     start = time.perf_counter()
-    for check_id, thunk in plan:
-        ok = thunk()
-        results.append((check_id, ok))
-        if not ok and failure is None:
-            failure = f"SymbolicMismatch: {check_id}"
-            if strict:
-                raise SymbolicMismatch(check_id)
+    try:
+        for check_id, ok, name in checks:
+            results.append((check_id, ok))
+            if not ok and failure is None:
+                failure = f"SymbolicMismatch: {name}"
+    except DegenerateConfig as exc:
+        failure = f"degenerate for generic parameters: {exc}"
     elapsed = time.perf_counter() - start
     passed = sum(1 for _, ok in results if ok)
     return VerificationReport(theorem=theorem, mode="symbolic",
@@ -575,7 +628,15 @@ def _run_check_plan(theorem: str, plan, *, strict: bool) -> VerificationReport:
                               elapsed=elapsed)
 
 
-def prove_thm1(strict: bool = False) -> VerificationReport:
+# -- symbolic proofs --------------------------------------------------------------
+
+
+def _run_plan(theorem: str, plan) -> VerificationReport:
+    return run_checks(theorem, ((check_id, check(), check_id)
+                                for check_id, check in plan))
+
+
+def prove_thm1() -> VerificationReport:
     """Symbolic proof of the first generalization, step by step against closed forms."""
     objs = build_thm1(GaugeConfig.symbolic())
     cf = closedforms
@@ -594,10 +655,10 @@ def prove_thm1(strict: bool = False) -> VerificationReport:
         ("thm1.midpoint_PQR",
          lambda: is_midpoint(objs["P"], objs["Q"], objs["R"])),
     ]
-    return _run_check_plan("thm1", plan, strict=strict)
+    return _run_plan("thm1", plan)
 
 
-def prove_thm2(strict: bool = False) -> VerificationReport:
+def prove_thm2() -> VerificationReport:
     """Symbolic proof of the second generalization, including the shared axis."""
     objs = build_thm2(GaugeConfig.symbolic())
     cf = closedforms
@@ -616,7 +677,7 @@ def prove_thm2(strict: bool = False) -> VerificationReport:
         ("thm2.axis_matches_thm1",
          lambda: objs["axis"] == build_thm1(GaugeConfig.symbolic())["axis"]),
     ]
-    return _run_check_plan("thm2", plan, strict=strict)
+    return _run_plan("thm2", plan)
 
 
 def _dot_from(origin: Point, p: Point, q: Point):
@@ -624,7 +685,7 @@ def _dot_from(origin: Point, p: Point, q: Point):
             + (p.y - origin.y) * (q.y - origin.y))
 
 
-def prove_lemma3(strict: bool = False) -> VerificationReport:
+def prove_lemma3() -> VerificationReport:
     """Symbolic proof of coaxiality via the three equal power ratios."""
     objs = build_lemma3(GaugeConfig.symbolic())
     cf = closedforms
@@ -655,7 +716,7 @@ def prove_lemma3(strict: bool = False) -> VerificationReport:
          lambda: are_coaxial(objs["circle_ac"], objs["circle_bd"],
                              objs["circle_pmn"])),
     ]
-    return _run_check_plan("lemma3", plan, strict=strict)
+    return _run_plan("lemma3", plan)
 
 
 # ids of the checks that reproduce stored construction-step formulas, as
@@ -702,53 +763,21 @@ SYMBOLIC_ORDER = ("thm1", "thm2", "lemma3")
 
 _PROVERS = {"thm1": prove_thm1, "thm2": prove_thm2, "lemma3": prove_lemma3}
 
-DEFAULT_SKIP_LIMIT = Fraction(1, 5)
-
-
-def run_numeric(theorem: str, trials: int = 1000, seed: int = 0, bound: int = 20,
-                skip_limit: Fraction = DEFAULT_SKIP_LIMIT) -> VerificationReport:
-    """Randomized trials for one theorem; per-trial rng streams keep runs replayable."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+def run_numeric(theorem: str, trials: int = 1000, seed: int = 0,
+                bound: int = 20) -> VerificationReport:
+    """Randomized trials for one theorem on the rng stream named after it."""
     sampler, checker = _SUITE[theorem]
-    attempted = passed = skipped = 0
-    counterexample = None
-    start = time.perf_counter()
-    for trial in range(trials):
-        rng = derive_rng(seed, theorem, trial)
-        cfg = sampler(rng, bound)
-        attempted += 1
-        try:
-            verdict = checker(cfg)
-        except DegenerateConfig:
-            skipped += 1
-            continue
-        if verdict:
-            passed += 1
-        else:
-            counterexample = Counterexample(
-                trial=trial, params=cfg.params(),
-                detail=f"assertion {_CLAIMS[theorem]} failed")
-            break
-    elapsed = time.perf_counter() - start
-    failure = None
-    if counterexample is not None:
-        failure = f"counterexample at trial {counterexample.trial}"
-    elif Fraction(skipped, attempted) > skip_limit:
-        failure = (f"skip rate {skipped}/{attempted} exceeds limit "
-                   f"{format_rational(skip_limit)}")
-    return VerificationReport(theorem=theorem, mode="numeric",
-                              attempted=attempted, passed=passed, skipped=skipped,
-                              trials=trials, seed=seed, bound=bound,
-                              counterexample=counterexample, failure=failure,
-                              elapsed=elapsed)
+
+    def check(cfg):
+        if checker(cfg):
+            return None
+        return cfg.params(), f"assertion {_CLAIMS[theorem]} failed"
+
+    return run_trials(theorem, theorem, sampler, check, trials, seed, bound)
 
 
 def run_suite(mode: str = "both", trials: int = 1000, seed: int = 0,
-              bound: int = 20,
-              skip_limit: Fraction = DEFAULT_SKIP_LIMIT) -> list[VerificationReport]:
+              bound: int = 20) -> list[VerificationReport]:
     """Every checker in canonical order: symbolic proofs first, then numeric trials."""
     if mode not in ("numeric", "symbolic", "both"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -759,5 +788,5 @@ def run_suite(mode: str = "both", trials: int = 1000, seed: int = 0,
     if mode in ("numeric", "both"):
         for theorem in NUMERIC_ORDER:
             reports.append(run_numeric(theorem, trials=trials, seed=seed,
-                                       bound=bound, skip_limit=skip_limit))
+                                       bound=bound))
     return reports

@@ -217,7 +217,7 @@ def _builtin_verdict(stem: str, env: dict) -> str:
 
 def _dsl_verdict(ast, seed: int) -> str:
     report = evaluate_construction(ast, mode="numeric", seed=seed, trials=1,
-                                   bound=20, skip_limit=Fraction(1))
+                                   bound=20)
     if report.counterexample is not None:
         return "fail"
     return "skip" if report.skipped else "pass"

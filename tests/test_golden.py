@@ -33,6 +33,13 @@ RUNS = {
     **{f"verify-bound16-{path.stem}": ["verify", str(path), "--seed", "5",
                                        "--trials", "100", "--bound", "16"]
        for path in sorted(CORPUS.glob("*.geo"))},
+    "prove-paper-symbolic": ["prove-paper", "--mode", "symbolic", "--seed", "42"],
+    **{f"verify-symbolic-{path.stem}": ["verify", str(path), "--mode", "symbolic"]
+       for stem in ("thm1", "thm2", "lemma3")
+       for path in (CORPUS / f"{stem}.geo",
+                    CORPUS / "fixtures" / f"{stem}_perturbed.geo")},
+    "verify-both-thm1": ["verify", str(CORPUS / "thm1.geo"), "--mode", "both",
+                         "--seed", "9", "--trials", "200"],
 }
 
 GAUGE = "a=2,b=1,c=-3,d=-2,k=1"

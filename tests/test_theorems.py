@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from butterfly import theorems
-from butterfly.errors import CollinearPoints, DegenerateConfig, SymbolicMismatch
+from butterfly.dsl import evaluate_construction, parse
+from butterfly.errors import CollinearPoints, DegenerateConfig
 from butterfly.geom import Circle, Line, Point, is_midpoint, power_of_point
 from butterfly.scalar import derive_rng
 from butterfly.theorems import (
@@ -255,8 +256,6 @@ def test_sample_gauge_invariants_and_determinism():
         assert cfg.a != cfg.c and cfg.b != cfg.d
         assert cfg.a * cfg.c < 0 and cfg.b * cfg.d < 0
     assert sample_gauge(derive_rng(7, "g"), 6) == sample_gauge(derive_rng(7, "g"), 6)
-    loose = sample_gauge(derive_rng(3, "loose"), 6, require_interior=False)
-    assert loose.a != loose.c and loose.b != loose.d
 
 
 def test_sample_cyclic_invariants():
@@ -337,68 +336,86 @@ def test_run_numeric_argument_validation():
         run_numeric("thm1", trials=5, bound=0)
 
 
-def _with_synthetic_theorem(sampler, checker):
-    theorems._SUITE["_synthetic"] = (sampler, checker)
+def _synthetic_report(checker, trials, seed):
+    """run_numeric on a registered result that always samples ANCHOR."""
+    theorems._SUITE["_synthetic"] = (lambda rng, bound: ANCHOR, checker)
     theorems._CLAIMS["_synthetic"] = "synthetic claim"
-
-
-def _drop_synthetic_theorem():
-    del theorems._SUITE["_synthetic"]
-    del theorems._CLAIMS["_synthetic"]
-
-
-def test_run_numeric_skip_ceiling():
-    def sampler(rng, bound):
-        return ANCHOR
-
-    def always_skips(cfg):
-        raise CollinearPoints("synthetic skip")
-
-    _with_synthetic_theorem(sampler, always_skips)
     try:
-        report = run_numeric("_synthetic", trials=4, seed=0, skip_limit=F(0))
-        assert not report.ok
-        assert report.failure == "skip rate 4/4 exceeds limit 0"
-        assert report.skipped == 4 and report.passed == 0
+        return run_numeric("_synthetic", trials=trials, seed=seed)
     finally:
-        _drop_synthetic_theorem()
+        del theorems._SUITE["_synthetic"]
+        del theorems._CLAIMS["_synthetic"]
 
 
-def test_run_numeric_skip_rate_boundary_is_inclusive():
+def _geo_report(source, trials, seed, bound=20):
+    return evaluate_construction(parse(source), trials=trials, seed=seed,
+                                 bound=bound, label="_synthetic")
+
+
+def _always_skips(cfg):
+    raise CollinearPoints("synthetic skip")
+
+
+def _skips_first_call():
     calls = {"n": 0}
 
-    def sampler(rng, bound):
-        return ANCHOR
-
-    def skips_once(cfg):
+    def checker(cfg):
         calls["n"] += 1
         if calls["n"] == 1:
             raise CollinearPoints("one synthetic skip")
         return True
 
-    _with_synthetic_theorem(sampler, skips_once)
-    try:
-        report = run_numeric("_synthetic", trials=5, seed=0, skip_limit=F(1, 5))
-        assert report.ok                 # 1/5 does not exceed the limit 1/5
-        assert report.skipped == 1 and report.passed == 4
-    finally:
-        _drop_synthetic_theorem()
+    return checker
 
 
-def test_run_numeric_counterexample_stops_early():
-    def sampler(rng, bound):
-        return ANCHOR
+# Each contract of the shared trial driver, through both of its callers.
+RUNS_SKIP_CEILING = {
+    "run_numeric": lambda: _synthetic_report(_always_skips, 4, 0),
+    "geo": lambda: _geo_report("param a;\npoint P = (a, 0);\n"
+                               "assert on(P, line(P, P));\n", 4, 0),
+}
+# Bound 1 draws a from {-1, 0, 1}; seed 4 draws 0 in exactly one of 5 trials.
+RUNS_ONE_SKIP_IN_FIVE = {
+    "run_numeric": lambda: _synthetic_report(_skips_first_call(), 5, 0),
+    "geo": lambda: _geo_report("param a;\nscalar s = 1 / a;\n"
+                               "assert on((s, 0), line((0, 0), (1, 0)));\n",
+                               5, 4, bound=1),
+}
+RUNS_REFUTED = {
+    "run_numeric": (lambda: _synthetic_report(lambda cfg: False, 50, 3),
+                    ANCHOR.params(), "assertion synthetic claim failed"),
+    "geo": (lambda: _geo_report("param a;\n"
+                                "assert midpoint((0, 0), (a, 0), (1, 0));\n",
+                                50, 3),
+            (("a", F(3, 13)),),
+            "assertion midpoint((0, 0), (a, 0), (1, 0)) failed"),
+}
 
-    _with_synthetic_theorem(sampler, lambda cfg: False)
-    try:
-        report = run_numeric("_synthetic", trials=50, seed=3)
-        assert not report.ok
-        assert report.failure == "counterexample at trial 0"
-        assert report.attempted == 1     # stops at the first refutation
-        assert report.counterexample.params == ANCHOR.params()
-        assert report.counterexample.detail == "assertion synthetic claim failed"
-    finally:
-        _drop_synthetic_theorem()
+
+@pytest.mark.parametrize("caller", sorted(RUNS_SKIP_CEILING))
+def test_run_numeric_skip_ceiling(caller):
+    report = RUNS_SKIP_CEILING[caller]()
+    assert not report.ok
+    assert report.failure == "skip rate 4/4 exceeds limit 1/5"
+    assert report.skipped == 4 and report.passed == 0
+
+
+@pytest.mark.parametrize("caller", sorted(RUNS_ONE_SKIP_IN_FIVE))
+def test_run_numeric_skip_rate_boundary_is_inclusive(caller):
+    report = RUNS_ONE_SKIP_IN_FIVE[caller]()
+    assert report.ok                     # 1/5 does not exceed the limit 1/5
+    assert report.skipped == 1 and report.passed == 4
+
+
+@pytest.mark.parametrize("caller", sorted(RUNS_REFUTED))
+def test_run_numeric_counterexample_stops_early(caller):
+    run, params, detail = RUNS_REFUTED[caller]
+    report = run()
+    assert not report.ok
+    assert report.failure == "counterexample at trial 0"
+    assert report.attempted == 1         # stops at the first refutation
+    assert report.counterexample.params == params
+    assert report.counterexample.detail == detail
 
 
 # -- symbolic provers ------------------------------------------------------------------
@@ -431,22 +448,22 @@ def test_prove_lemma3_report():
 def test_closed_form_check_ids_complete():
     assert len(CLOSED_FORM_CHECK_IDS) == 28
     seen = {}
-    for report in (prove_thm1(strict=True), prove_thm2(strict=True),
-                   prove_lemma3(strict=True)):
+    for report in (prove_thm1(), prove_thm2(), prove_lemma3()):
+        assert report.ok
         seen.update(dict(report.checks))
     for check_id in CLOSED_FORM_CHECK_IDS:
         assert seen[check_id] is True
 
 
-def test_check_plan_strict_raises_and_lax_records():
-    with pytest.raises(SymbolicMismatch) as err:
-        theorems._run_check_plan("x", [("x.bad", lambda: False)], strict=True)
-    assert err.value.step == "x.bad"
-    report = theorems._run_check_plan("x", [("x.bad", lambda: False),
-                                            ("x.good", lambda: True)], strict=False)
+def test_run_checks_reports_the_first_mismatch():
+    report = theorems.run_checks("x", [("x.bad", False, "bad"),
+                                       ("x.good", True, "good"),
+                                       ("x.worse", False, "worse")])
     assert not report.ok
-    assert report.failure == "SymbolicMismatch: x.bad"
-    assert report.checks == (("x.bad", False), ("x.good", True))
+    assert report.failure == "SymbolicMismatch: bad"
+    assert report.checks == (("x.bad", False), ("x.good", True),
+                             ("x.worse", False))
+    assert report.attempted == 3 and report.passed == 1
 
 
 # -- suite runner -----------------------------------------------------------------------
