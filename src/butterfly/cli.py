@@ -139,12 +139,21 @@ def _cmd_render(args) -> int:
     if args.bindings:
         for item in args.bindings.split(","):
             name, eq, text = item.partition("=")
+            name = name.strip()
             if not eq:
                 print(f"error: malformed binding {item!r} (want NAME=VALUE)",
                       file=sys.stderr)
                 return 2
+            if name not in construction.params:
+                print(f"error: binding {item!r} names no parameter of "
+                      f"{path.name}", file=sys.stderr)
+                return 2
+            if name in assignment:
+                print(f"error: binding {item!r} repeats parameter {name!r}",
+                      file=sys.stderr)
+                return 2
             try:
-                assignment[name.strip()] = parse_rational(text.strip())
+                assignment[name] = parse_rational(text.strip())
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
@@ -164,7 +173,11 @@ def _cmd_render(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    Path(args.output).write_text(svg, encoding="utf-8")
+    try:
+        Path(args.output).write_text(svg, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {args.output}")
     return 0
 

@@ -4,28 +4,33 @@ Every construction has a generic body written with the field operators,
 which works uniformly for `fractions.Fraction` coordinates and for
 `RationalFunction` coordinates; nothing here ever calls float math.  Zero
 tests go through `is_zero`, which both scalar types support via `__bool__`.
-`Point`, `Line` and `Circle` turn plain `int` inputs into `Fraction`.
 
-The hot numeric constructions (`midpoint`, `line_through`, `perp_bisector`,
-`perp_through`, `intersect_lines`, `parallelogram_fourth`, `circumcenter`,
-`circumcircle`, `circle_on_diameter`, `second_intersection`,
-`on_unit_circle`) and predicates (`Point.__eq__`, `is_midpoint`,
-`is_on_line`, `is_perpendicular`, `are_coaxial`) also have
-an integer path.  One type test at the top selects it when every input
-coordinate or coefficient is a `Fraction` (an int or Fraction parameter for
-`on_unit_circle`); anything else, in particular any `RationalFunction`,
-takes the generic body, which is the only symbolic path.  The integer path
-scales its inputs to a common denominator (`math.lcm`), evaluates the same
-formula on Python ints, and builds one `Fraction` per output coordinate or
-coefficient, or decides its zero tests on integers (by cross-multiplication;
-`Point.__eq__` compares the canonical Fractions' integer parts).  A
-`Fraction` is canonical, so each output equals the generic formula's value
-exactly, coefficient for coefficient (a line's stored triple included).
-Outputs are assembled by the trusted constructors `_point`, `_line` and
-`_circle`, which skip the conversions and checks of `__init__` that the
-integer path has already settled.  When the integer path finds a
-degenerate input it does not raise: it falls through to the generic body,
-which raises exactly what it always raised, in the same check order.
+A `Point`, `Line` or `Circle` whose fields are all int or `Fraction` is
+rational and is stored as a canonical tuple of Python ints: the entries
+have gcd 1 and the last entry is positive.
+
+- A point (X, Y, Z) is the projective point: x = X/Z and y = Y/Z.
+- A circle (D, E, F, S) is the equation S(x^2 + y^2) + Dx + Ey + F = 0.
+- A line (U, V, W, S) has (u, v, w) = (U, V, W)/S.  It keeps S because a
+  line's coefficients are not canonical (`render` prints the triple as it
+  was built); incidence, meets and perpendicularity do not depend on S.
+
+So two rational points, or two rational circles, are equal exactly when
+their tuples are equal.  Reading a public field (`x`, `y`, `u`, `v`, `w`,
+`d`, `e`, `f`) builds the `Fraction` it stands for.  An object with any
+other field, in particular any `RationalFunction`, keeps its fields as
+given (ints become `Fraction`s) and has no int tuple.
+
+Each construction and predicate that does arithmetic of its own has two
+bodies, except `is_collinear` and `Line.__eq__`, which the numeric trials
+call too rarely to pay for a second one.  When every input is rational it runs the homogeneous form of the
+generic formula on the int tuples, reduces each output with one gcd and
+builds it with the trusted constructors `_point`, `_line` and `_circle`,
+so every public field equals the generic formula's value exactly (a
+line's triple included).  Otherwise it takes the generic body, which is
+the only symbolic path.  When the integer body finds a degenerate input it
+does not raise: it falls through to the generic body, which raises exactly
+what it always raised, in the same check order.
 
 Degenerate inputs raise subclasses of `DegenerateConfig` carrying enough
 context to report *which* construction failed; callers running randomized
@@ -35,7 +40,7 @@ trials catch that family and count a skip.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     CoincidentCircles,
@@ -51,15 +56,40 @@ from .errors import (
 from .ratfun import RationalFunction
 from .scalar import field_div, is_zero
 
+_RATIONAL = (int, Fraction)
+
+
+def _field(index: int, scale: int) -> property:
+    """A public field: the Fraction entry `index` / entry `scale` of a
+    rational object's int tuple, built on each read, or the field as given."""
+
+    def read(self):
+        ints = self._ints
+        if ints is None:
+            return self._fields[index]
+        return Fraction(ints[index], ints[scale])
+
+    return property(read)
+
 
 class Point:
-    """A point of the affine plane with exact coordinates."""
+    """A point of the affine plane with exact coordinates.
 
-    __slots__ = ("x", "y")
+    A rational point is stored as its projective coordinates (X, Y, Z),
+    reduced, with Z > 0.
+    """
+
+    __slots__ = ("_ints", "_fields")
 
     def __init__(self, x, y):
-        object.__setattr__(self, "x", Fraction(x) if isinstance(x, int) else x)
-        object.__setattr__(self, "y", Fraction(y) if isinstance(y, int) else y)
+        if isinstance(x, _RATIONAL) and isinstance(y, _RATIONAL):
+            _set_point(self, _scaled(x, y))
+        else:
+            _set_point(self, None)
+            _set_point_fields(self, (_exact(x), _exact(y)))
+
+    x = _field(0, 2)
+    y = _field(1, 2)
 
     def __setattr__(self, name, value):
         raise AttributeError("Point is immutable")
@@ -71,10 +101,9 @@ class Point:
     def __eq__(self, other):
         if not isinstance(other, Point):
             return NotImplemented
-        if type(self.x) is type(self.y) is type(other.x) is type(other.y) \
-                is Fraction:
-            # Fractions are canonical: == compares numerators and denominators
-            return self.x == other.x and self.y == other.y
+        a, b = self._ints, other._ints
+        if a and b:
+            return a == b
         return is_zero(self.x - other.x) and is_zero(self.y - other.y)
 
     __hash__ = None
@@ -87,20 +116,27 @@ class Line:
     """The line u*x + v*y + w = 0; (u, v) must not both vanish.
 
     Coefficients are only meaningful up to a common nonzero factor, and
-    equality compares projectively.  When any coefficient is a rational
-    function the triple is cleared to polynomials and normalized (common
-    monomial and integer content removed, first nonzero coefficient made
-    to have positive leading coefficient); this keeps repeated symbolic
-    constructions from compounding denominators.  Plain rational triples
-    are stored exactly as given (ints become `Fraction`s).  Both paths of
-    the constructions store the same triple: the integer path of
-    `line_through` and `perp_bisector` builds each coefficient as the
-    generic formula's exact value, and `render` prints the triple as it is.
+    equality compares projectively.  A rational line is stored as (U, V,
+    W, S), reduced, with S > 0 and (u, v, w) = (U, V, W)/S, so `u`, `v`
+    and `w` read back exactly the values it was built with; the integer
+    bodies of the constructions build each coefficient as the generic
+    formula's exact value, and `render` prints the triple as it is.  When
+    any coefficient is a rational function the triple is cleared to
+    polynomials and normalized (common monomial and integer content
+    removed, first nonzero coefficient made to have positive leading
+    coefficient); this keeps repeated symbolic constructions from
+    compounding denominators.
     """
 
-    __slots__ = ("u", "v", "w")
+    __slots__ = ("_ints", "_fields")
 
     def __init__(self, u, v, w):
+        if (isinstance(u, _RATIONAL) and isinstance(v, _RATIONAL)
+                and isinstance(w, _RATIONAL)):
+            if not (u or v):
+                raise ValueError("line needs u or v nonzero")
+            _set_line(self, _scaled(u, v, w))
+            return
         if isinstance(u, RationalFunction) or isinstance(v, RationalFunction) \
                 or isinstance(w, RationalFunction):
             u, v, w = _clear_line(u, v, w)
@@ -108,9 +144,12 @@ class Line:
             u, v, w = _exact(u), _exact(v), _exact(w)
         if is_zero(u) and is_zero(v):
             raise ValueError("line needs u or v nonzero")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "w", w)
+        _set_line(self, None)
+        _set_line_fields(self, (u, v, w))
+
+    u = _field(0, 3)
+    v = _field(1, 3)
+    w = _field(2, 3)
 
     def __setattr__(self, name, value):
         raise AttributeError("Line is immutable")
@@ -129,14 +168,25 @@ class Line:
 
 
 class Circle:
-    """The circle x^2 + y^2 + d*x + e*y + f = 0 (monic, so coefficients are unique)."""
+    """The circle x^2 + y^2 + d*x + e*y + f = 0 (monic, so coefficients are unique).
 
-    __slots__ = ("d", "e", "f")
+    A rational circle is stored as (D, E, F, S), reduced, with S > 0: the
+    equation S(x^2 + y^2) + Dx + Ey + F = 0.
+    """
+
+    __slots__ = ("_ints", "_fields")
 
     def __init__(self, d, e, f):
-        object.__setattr__(self, "d", _exact(d))
-        object.__setattr__(self, "e", _exact(e))
-        object.__setattr__(self, "f", _exact(f))
+        if (isinstance(d, _RATIONAL) and isinstance(e, _RATIONAL)
+                and isinstance(f, _RATIONAL)):
+            _set_circle(self, _scaled(d, e, f))
+        else:
+            _set_circle(self, None)
+            _set_circle_fields(self, (_exact(d), _exact(e), _exact(f)))
+
+    d = _field(0, 3)
+    e = _field(1, 3)
+    f = _field(2, 3)
 
     def __setattr__(self, name, value):
         raise AttributeError("Circle is immutable")
@@ -150,6 +200,9 @@ class Circle:
     def __eq__(self, other):
         if not isinstance(other, Circle):
             return NotImplemented
+        a, b = self._ints, other._ints
+        if a and b:
+            return a == b
         return (is_zero(self.d - other.d) and is_zero(self.e - other.e)
                 and is_zero(self.f - other.f))
 
@@ -159,80 +212,72 @@ class Circle:
         return f"Circle({self.d!r}, {self.e!r}, {self.f!r})"
 
 
+def _scaled(*values) -> tuple:
+    """The int or Fraction `values` times the lcm s of their denominators,
+    followed by s: reduced already, since s is the least such scale.
+
+    Plain loops, not comprehensions: every rational `Point(x, y)` comes
+    through here, and a comprehension costs a frame of its own.
+    """
+    ratios = []
+    s = 1
+    for value in values:
+        ratio = value.as_integer_ratio()
+        ratios.append(ratio)
+        s = lcm(s, ratio[1])
+    scaled = []
+    for num, den in ratios:
+        scaled.append(num * (s // den))
+    scaled.append(s)
+    return tuple(scaled)
+
+
 def _exact(value):
     """A plain int as a Fraction, so that `/` never yields a float."""
     return Fraction(value) if isinstance(value, int) else value
 
 
-# Trusted constructors for the integer paths: their arguments are Fractions
-# and, for a line, (u, v) is already known to be nonzero, so the checks and
-# conversions of __init__ are skipped.
-
+_set_point, _set_point_fields = Point._ints.__set__, Point._fields.__set__
+_set_line, _set_line_fields = Line._ints.__set__, Line._fields.__set__
+_set_circle, _set_circle_fields = Circle._ints.__set__, Circle._fields.__set__
 _new = object.__new__
-_set_px, _set_py = Point.x.__set__, Point.y.__set__
-_set_lu, _set_lv, _set_lw = Line.u.__set__, Line.v.__set__, Line.w.__set__
-_set_cd, _set_ce, _set_cf = Circle.d.__set__, Circle.e.__set__, Circle.f.__set__
 
 
-def _point(x: Fraction, y: Fraction) -> Point:
+# Trusted constructors for the integer bodies.  The last argument is nonzero
+# (positive for a line) and a line's (u, v) is nonzero, so of __init__'s
+# checks and conversions only the reduction remains: one gcd and, for a
+# point or a circle, the sign that makes the last entry positive.
+
+
+def _point(x: int, y: int, z: int) -> Point:
+    g = gcd(x, y, z)
+    if z < 0:
+        g = -g
+    if g != 1:
+        x, y, z = x // g, y // g, z // g
     p = _new(Point)
-    _set_px(p, x)
-    _set_py(p, y)
+    _set_point(p, (x, y, z))
     return p
 
 
-def _line(u: Fraction, v: Fraction, w: Fraction) -> Line:
+def _line(u: int, v: int, w: int, s: int) -> Line:
+    g = gcd(u, v, w, s)
+    if g != 1:
+        u, v, w, s = u // g, v // g, w // g, s // g
     line = _new(Line)
-    _set_lu(line, u)
-    _set_lv(line, v)
-    _set_lw(line, w)
+    _set_line(line, (u, v, w, s))
     return line
 
 
-def _circle(d: Fraction, e: Fraction, f: Fraction) -> Circle:
+def _circle(d: int, e: int, f: int, s: int) -> Circle:
+    g = gcd(d, e, f, s)
+    if s < 0:
+        g = -g
+    if g != 1:
+        d, e, f, s = d // g, e // g, f // g, s // g
     circle = _new(Circle)
-    _set_cd(circle, d)
-    _set_ce(circle, e)
-    _set_cf(circle, f)
+    _set_circle(circle, (d, e, f, s))
     return circle
-
-
-# Integer-path helpers: Fraction inputs times the lcm s of their denominators.
-
-
-def _pair(x, y):
-    """Integers (x * s, y * s, s)."""
-    dx, dy = x.denominator, y.denominator
-    s = lcm(dx, dy)
-    return x.numerator * (s // dx), y.numerator * (s // dy), s
-
-
-def _triple(u, v, w):
-    """Integers (u * s, v * s, w * s, s)."""
-    du, dv, dw = u.denominator, v.denominator, w.denominator
-    s = lcm(du, dv, dw)
-    return (u.numerator * (s // du), v.numerator * (s // dv),
-            w.numerator * (s // dw), s)
-
-
-def _two_points(p: Point, q: Point):
-    """Integers (x1, y1, x2, y2, s): the coordinates of p and q times s."""
-    a, b, c, d = p.x, p.y, q.x, q.y
-    da, db, dc, dd = a.denominator, b.denominator, c.denominator, d.denominator
-    s = lcm(da, db, dc, dd)
-    return (a.numerator * (s // da), b.numerator * (s // db),
-            c.numerator * (s // dc), d.numerator * (s // dd), s)
-
-
-def _three_points(p: Point, q: Point, r: Point):
-    """Integers (x1, y1, x2, y2, x3, y3, s): p, q, r's coordinates times s."""
-    a, b, c, d, e, f = p.x, p.y, q.x, q.y, r.x, r.y
-    da, db, dc = a.denominator, b.denominator, c.denominator
-    dd, de, df = d.denominator, e.denominator, f.denominator
-    s = lcm(da, db, dc, dd, de, df)
-    return (a.numerator * (s // da), b.numerator * (s // db),
-            c.numerator * (s // dc), d.numerator * (s // dd),
-            e.numerator * (s // de), f.numerator * (s // df), s)
 
 
 def _as_ratfun(value):
@@ -243,8 +288,6 @@ def _as_ratfun(value):
 
 def _clear_line(u, v, w):
     """Rescale symbolic line coefficients to a normalized polynomial triple."""
-    from math import gcd
-
     u, v, w = _as_ratfun(u), _as_ratfun(v), _as_ratfun(w)
     pu = u.num * v.den * w.den
     pv = v.num * u.den * w.den
@@ -274,23 +317,30 @@ def _clear_line(u, v, w):
 
 
 # -- point and line constructions ------------------------------------------
+#
+# In the integer bodies (x_i, y_i, z_i) are the tuples of the input points
+# and (u_i, v_i, w_i, s_i) those of the input lines; `a and b` holds exactly
+# when both inputs are rational, since only those have a (non-empty) tuple.
 
 
 def midpoint(p: Point, q: Point) -> Point:
-    if type(p.x) is type(p.y) is type(q.x) is type(q.y) is Fraction:
-        x1, y1, x2, y2, s = _two_points(p, q)
-        return _point(Fraction(x1 + x2, 2 * s), Fraction(y1 + y2, 2 * s))
+    a, b = p._ints, q._ints
+    if a and b:
+        x1, y1, z1 = a
+        x2, y2, z2 = b
+        return _point(x1 * z2 + x2 * z1, y1 * z2 + y2 * z1, 2 * z1 * z2)
     return Point((p.x + q.x) / 2, (p.y + q.y) / 2)
 
 
 def line_through(p: Point, q: Point) -> Line:
     """The unique line through two distinct points."""
-    if type(p.x) is type(p.y) is type(q.x) is type(q.y) is Fraction:
-        x1, y1, x2, y2, s = _two_points(p, q)
-        dx, dy = x2 - x1, y2 - y1
-        if dx or dy:
-            return _line(Fraction(dy, s), Fraction(-dx, s),
-                         Fraction(dx * y1 - dy * x1, s * s))
+    a, b = p._ints, q._ints
+    if a and b:
+        x1, y1, z1 = a
+        x2, y2, z2 = b
+        u, v = y2 * z1 - y1 * z2, x1 * z2 - x2 * z1
+        if u or v:
+            return _line(u, v, x2 * y1 - x1 * y2, z1 * z2)
     dx = q.x - p.x
     dy = q.y - p.y
     if is_zero(dx) and is_zero(dy):
@@ -304,14 +354,13 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
     Raises ParallelLines for distinct parallel lines and CoincidentLines
     when the two triples describe the same line.
     """
-    if (type(l1.u) is type(l1.v) is type(l1.w) is type(l2.u) is type(l2.v)
-            is type(l2.w) is Fraction):
-        u1, v1, w1, _ = _triple(l1.u, l1.v, l1.w)
-        u2, v2, w2, _ = _triple(l2.u, l2.v, l2.w)
+    a, b = l1._ints, l2._ints
+    if a and b:
+        u1, v1, w1, _ = a
+        u2, v2, w2, _ = b
         det = u1 * v2 - u2 * v1
         if det:
-            return _point(Fraction(v1 * w2 - v2 * w1, det),
-                          Fraction(u2 * w1 - u1 * w2, det))
+            return _point(v1 * w2 - v2 * w1, u2 * w1 - u1 * w2, det)
     det = l1.u * l2.v - l2.u * l1.v
     if is_zero(det):
         if l1 == l2:
@@ -324,11 +373,14 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
 
 def perp_bisector(p: Point, q: Point) -> Line:
     """Locus of points equidistant from two distinct points."""
-    if type(p.x) is type(p.y) is type(q.x) is type(q.y) is Fraction:
-        x1, y1, x2, y2, s = _two_points(p, q)
-        if x1 != x2 or y1 != y2:
-            return _line(Fraction(2 * (x2 - x1), s), Fraction(2 * (y2 - y1), s),
-                         Fraction(x1 * x1 + y1 * y1 - x2 * x2 - y2 * y2, s * s))
+    a, b = p._ints, q._ints
+    if a and b and a != b:
+        x1, y1, z1 = a
+        x2, y2, z2 = b
+        z = z1 * z2
+        return _line(2 * (x2 * z1 - x1 * z2) * z, 2 * (y2 * z1 - y1 * z2) * z,
+                     (x1 * x1 + y1 * y1) * z2 * z2 - (x2 * x2 + y2 * y2) * z1 * z1,
+                     z * z)
     if p == q:
         raise CoincidentPoints("perpendicular bisector needs distinct points")
     return Line(2 * (q.x - p.x), 2 * (q.y - p.y),
@@ -337,10 +389,11 @@ def perp_bisector(p: Point, q: Point) -> Line:
 
 def perp_through(p: Point, line: Line) -> Line:
     """The perpendicular to `line` passing through `p` (p need not lie on it)."""
-    if type(p.x) is type(p.y) is type(line.u) is type(line.v) is Fraction:
-        x, y, s = _pair(p.x, p.y)
-        u, v, t = _pair(line.u, line.v)
-        return _line(-line.v, line.u, Fraction(v * x - u * y, s * t))
+    a, b = p._ints, line._ints
+    if a and b:
+        x, y, z = a
+        u, v, _, s = b
+        return _line(-v * z, u * z, v * x - u * y, s * z)
     return Line(-line.v, line.u, line.v * p.x - line.u * p.y)
 
 
@@ -350,10 +403,14 @@ def parallelogram_fourth(x: Point, y: Point, z: Point) -> Point:
     Pure coordinate arithmetic y + z - x; degenerate (collinear) inputs
     are deliberately allowed and simply give a flat parallelogram.
     """
-    if (type(x.x) is type(x.y) is type(y.x) is type(y.y) is type(z.x)
-            is type(z.y) is Fraction):
-        x1, y1, x2, y2, x3, y3, s = _three_points(x, y, z)
-        return _point(Fraction(x2 + x3 - x1, s), Fraction(y2 + y3 - y1, s))
+    a, b, c = x._ints, y._ints, z._ints
+    if a and b and c:
+        x1, y1, z1 = a
+        x2, y2, z2 = b
+        x3, y3, z3 = c
+        z23 = z2 * z3
+        return _point((x2 * z3 + x3 * z2) * z1 - x1 * z23,
+                      (y2 * z3 + y3 * z2) * z1 - y1 * z23, z1 * z23)
     return Point(y.x + z.x - x.x, y.y + z.y - x.y)
 
 
@@ -372,32 +429,36 @@ def is_collinear(p: Point, q: Point, r: Point) -> bool:
 
 def is_midpoint(m: Point, p: Point, q: Point) -> bool:
     """Exact componentwise test 2m = p + q."""
-    if (type(m.x) is type(m.y) is type(p.x) is type(p.y) is type(q.x)
-            is type(q.y) is Fraction):
-        x1, y1, x2, y2, x3, y3, _ = _three_points(m, p, q)
-        return 2 * x1 == x2 + x3 and 2 * y1 == y2 + y3
+    a, b, c = m._ints, p._ints, q._ints
+    if a and b and c:
+        x1, y1, z1 = a
+        x2, y2, z2 = b
+        x3, y3, z3 = c
+        z23 = 2 * z2 * z3
+        return (x1 * z23 == (x2 * z3 + x3 * z2) * z1
+                and y1 * z23 == (y2 * z3 + y3 * z2) * z1)
     return is_zero(2 * m.x - p.x - q.x) and is_zero(2 * m.y - p.y - q.y)
 
 
 def is_on_line(p: Point, line: Line) -> bool:
-    if (type(p.x) is type(p.y) is type(line.u) is type(line.v)
-            is type(line.w) is Fraction):
-        x, y, s = _pair(p.x, p.y)
-        u, v, w, _ = _triple(line.u, line.v, line.w)
-        return u * x + v * y + w * s == 0
+    a, b = p._ints, line._ints
+    if a and b:
+        return not (b[0] * a[0] + b[1] * a[1] + b[2] * a[2])
     return is_zero(line.u * p.x + line.v * p.y + line.w)
 
 
 def is_parallel(l1: Line, l2: Line) -> bool:
     """Same direction; coincident lines count as parallel."""
+    a, b = l1._ints, l2._ints
+    if a and b:
+        return a[0] * b[1] == b[0] * a[1]
     return is_zero(l1.u * l2.v - l2.u * l1.v)
 
 
 def is_perpendicular(l1: Line, l2: Line) -> bool:
-    if type(l1.u) is type(l1.v) is type(l2.u) is type(l2.v) is Fraction:
-        u1, v1, _ = _pair(l1.u, l1.v)
-        u2, v2, _ = _pair(l2.u, l2.v)
-        return u1 * u2 + v1 * v2 == 0
+    a, b = l1._ints, l2._ints
+    if a and b:
+        return not (a[0] * b[0] + a[1] * b[1])
     return is_zero(l1.u * l2.u + l1.v * l2.v)
 
 
@@ -406,19 +467,24 @@ def is_perpendicular(l1: Line, l2: Line) -> bool:
 
 def circumcenter(p: Point, q: Point, r: Point) -> Point:
     """Center of the circle through three non-collinear points."""
-    if (type(p.x) is type(p.y) is type(q.x) is type(q.y) is type(r.x)
-            is type(r.y) is Fraction):
-        # the two perpendicular bisectors below, met by Cramer's rule
-        x1, y1, x2, y2, x3, y3, s = _three_points(p, q, r)
+    a, b, c = p._ints, q._ints, r._ints
+    if a and b and c:
+        # the two perpendicular bisectors below, met by Cramer's rule, on the
+        # coordinates times s = z1 * z2 * z3
+        x1, y1, z1 = a
+        x2, y2, z2 = b
+        x3, y3, z3 = c
+        z12, z13, z23 = z1 * z2, z1 * z3, z2 * z3
+        x1, y1, x2, y2 = x1 * z23, y1 * z23, x2 * z13, y2 * z13
+        x3, y3 = x3 * z12, y3 * z12
         dx1, dy1, dx2, dy2 = x2 - x1, y2 - y1, x3 - x2, y3 - y2
         det = dx1 * dy2 - dx2 * dy1
         if det:
             n2 = x2 * x2 + y2 * y2
             w1 = x1 * x1 + y1 * y1 - n2
             w2 = n2 - x3 * x3 - y3 * y3
-            den = 2 * s * det
-            return _point(Fraction(dy1 * w2 - dy2 * w1, den),
-                          Fraction(dx2 * w1 - dx1 * w2, den))
+            return _point(dy1 * w2 - dy2 * w1, dx2 * w1 - dx1 * w2,
+                          2 * z12 * z3 * det)
     try:
         return intersect_lines(perp_bisector(p, q), perp_bisector(q, r))
     except (ParallelLines, CoincidentLines):
@@ -434,20 +500,24 @@ def _det3(r1, r2, r3):
 
 def circumcircle(p: Point, q: Point, r: Point) -> Circle:
     """Monic equation of the circle through three non-collinear points."""
-    if (type(p.x) is type(p.y) is type(q.x) is type(q.y) is type(r.x)
-            is type(r.y) is Fraction):
-        x1, y1, x2, y2, x3, y3, s = _three_points(p, q, r)
-        det = _det3((x1, y1, 1), (x2, y2, 1), (x3, y3, 1))
+    a, b, c = p._ints, q._ints, r._ints
+    if a and b and c:
+        det = _det3(a, b, c)
         if det:
-            s1 = -(x1 * x1 + y1 * y1)
-            s2 = -(x2 * x2 + y2 * y2)
-            s3 = -(x3 * x3 + y3 * y3)
-            den = s * det
+            # rows (X^2 + Y^2, XZ, YZ, Z^2) of the three points: their 3x3
+            # minors are S, -D, E and -F
+            x1, y1, z1 = a
+            x2, y2, z2 = b
+            x3, y3, z3 = c
+            n1, n2, n3 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x3 * x3 + y3 * y3
+            xz1, xz2, xz3 = x1 * z1, x2 * z2, x3 * z3
+            yz1, yz2, yz3 = y1 * z1, y2 * z2, y3 * z3
+            zz1, zz2, zz3 = z1 * z1, z2 * z2, z3 * z3
             return _circle(
-                Fraction(_det3((s1, y1, 1), (s2, y2, 1), (s3, y3, 1)), den),
-                Fraction(_det3((x1, s1, 1), (x2, s2, 1), (x3, s3, 1)), den),
-                Fraction(_det3((x1, y1, s1), (x2, y2, s2), (x3, y3, s3)),
-                         s * den))
+                -_det3((n1, yz1, zz1), (n2, yz2, zz2), (n3, yz3, zz3)),
+                _det3((n1, xz1, zz1), (n2, xz2, zz2), (n3, xz3, zz3)),
+                -_det3((n1, xz1, yz1), (n2, xz2, yz2), (n3, xz3, yz3)),
+                z1 * z2 * z3 * det)
     if p == q or q == r or p == r:
         raise CoincidentPoints("circumcircle needs three distinct points")
     det = _det3((p.x, p.y, 1), (q.x, q.y, 1), (r.x, r.y, 1))
@@ -464,11 +534,12 @@ def circumcircle(p: Point, q: Point, r: Point) -> Circle:
 
 def circle_on_diameter(p: Point, q: Point) -> Circle:
     """Circle having segment pq as a diameter (Thales circle)."""
-    if type(p.x) is type(p.y) is type(q.x) is type(q.y) is Fraction:
-        x1, y1, x2, y2, s = _two_points(p, q)
-        if x1 != x2 or y1 != y2:
-            return _circle(Fraction(-(x1 + x2), s), Fraction(-(y1 + y2), s),
-                           Fraction(x1 * x2 + y1 * y2, s * s))
+    a, b = p._ints, q._ints
+    if a and b and a != b:
+        x1, y1, z1 = a
+        x2, y2, z2 = b
+        return _circle(-(x1 * z2 + x2 * z1), -(y1 * z2 + y2 * z1),
+                       x1 * x2 + y1 * y2, z1 * z2)
     if p == q:
         raise CoincidentPoints("diameter endpoints must be distinct")
     return Circle(-(p.x + q.x), -(p.y + q.y), p.x * q.x + p.y * q.y)
@@ -476,6 +547,12 @@ def circle_on_diameter(p: Point, q: Point) -> Circle:
 
 def power_of_point(p: Point, circle: Circle):
     """Power of the point with respect to the circle, exact in the field."""
+    a, b = p._ints, circle._ints
+    if a and b:
+        x, y, z = a
+        d, e, f, s = b
+        return Fraction(s * (x * x + y * y) + (d * x + e * y + f * z) * z,
+                        s * z * z)
     return (p.x * p.x + p.y * p.y + circle.d * p.x + circle.e * p.y + circle.f)
 
 
@@ -499,21 +576,18 @@ def second_intersection(circle: Circle, line: Line, known: Point) -> Point:
     tangent at `known`, the second intersection coincides with it and
     `known` is returned.
     """
-    if (type(known.x) is type(known.y) is type(line.u) is type(line.v)
-            is type(line.w) is type(circle.d) is type(circle.e)
-            is type(circle.f) is Fraction):
-        # known = (x, y) / s, circle = (d, e, f) / sc, line = (u, v, w) / _
-        x, y, s = _pair(known.x, known.y)
-        d, e, f, sc = _triple(circle.d, circle.e, circle.f)
-        u, v, w, _ = _triple(line.u, line.v, line.w)
-        if (not u * x + v * y + w * s
-                and not sc * (x * x + y * y) + s * (d * x + e * y + f * s)):
-            b = 2 * sc * (x * v - y * u) + s * (d * v - e * u)
-            if not b:
+    a, b, c = known._ints, line._ints, circle._ints
+    if a and b and c:
+        x, y, z = a
+        u, v, w, _ = b
+        d, e, f, s = c
+        if (not u * x + v * y + w * z
+                and not s * (x * x + y * y) + (d * x + e * y + f * z) * z):
+            k = 2 * s * (x * v - y * u) + z * (d * v - e * u)
+            if not k:
                 return known
-            a = sc * (u * u + v * v)
-            return _point(Fraction(x * a - b * v, s * a),
-                          Fraction(y * a + b * u, s * a))
+            n = s * (u * u + v * v)
+            return _point(x * n - k * v, y * n + k * u, z * n)
     if not is_on_line(known, line):
         raise PointNotOnLine("second_intersection: point is not on the line")
     if not is_on_circle(known, circle):
@@ -534,10 +608,10 @@ def on_unit_circle(t):
     `t` is the half-angle parameter; every rational point except (-1, 0)
     arises this way.
     """
-    if isinstance(t, (int, Fraction)):
-        n, m = t.numerator, t.denominator
+    if isinstance(t, _RATIONAL):
+        n, m = t.as_integer_ratio()
         n2, m2 = n * n, m * m
-        return _point(Fraction(m2 - n2, m2 + n2), Fraction(2 * n * m, m2 + n2))
+        return _point(m2 - n2, 2 * n * m, m2 + n2)
     t2 = t * t
     den = 1 + t2
     return Point((1 - t2) / den, 2 * t / den)
@@ -555,19 +629,17 @@ def are_coaxial(c1: Circle, c2: Circle, c3: Circle) -> bool:
     all three 2x2 minors vanish.  Distinct concentric circles do share a
     (degenerate) pencil and test true.
     """
-    if (type(c1.d) is type(c1.e) is type(c1.f) is type(c2.d) is type(c2.e)
-            is type(c2.f) is type(c3.d) is type(c3.e) is type(c3.f) is Fraction):
-        d1, e1, f1, s1 = _triple(c1.d, c1.e, c1.f)
-        d2, e2, f2, s2 = _triple(c2.d, c2.e, c2.f)
-        d3, e3, f3, s3 = _triple(c3.d, c3.e, c3.f)
-        # c_i = (d_i, e_i, f_i) / s_i; rows scaled by s1*s2 and s1*s3
+    a, b, c = c1._ints, c2._ints, c3._ints
+    if a and b and c and a != b and a != c and b != c:
+        d1, e1, f1, s1 = a
+        d2, e2, f2, s2 = b
+        d3, e3, f3, s3 = c
+        # the two rows times s1 * s2 and s1 * s3
         r1 = (d1 * s2 - d2 * s1, e1 * s2 - e2 * s1, f1 * s2 - f2 * s1)
         r2 = (d1 * s3 - d3 * s1, e1 * s3 - e3 * s1, f1 * s3 - f3 * s1)
-        if any(r1) and any(r2) and (d2 * s3, e2 * s3, f2 * s3) != (
-                d3 * s2, e3 * s2, f3 * s2):
-            return (r1[0] * r2[1] == r1[1] * r2[0]
-                    and r1[0] * r2[2] == r1[2] * r2[0]
-                    and r1[1] * r2[2] == r1[2] * r2[1])
+        return (r1[0] * r2[1] == r1[1] * r2[0]
+                and r1[0] * r2[2] == r1[2] * r2[0]
+                and r1[1] * r2[2] == r1[2] * r2[1])
     if c1 == c2 or c1 == c3 or c2 == c3:
         raise CoincidentCircles("coaxial test needs pairwise distinct circles")
     r1 = (c1.d - c2.d, c1.e - c2.e, c1.f - c2.f)
@@ -607,6 +679,14 @@ def cross_ratio(p1: Point, p2: Point, p3: Point, p4: Point):
     for p in points:
         if not is_on_line(p, base):
             raise NotCollinear("cross ratio needs collinear points")
+    a, b, c, d = (p._ints for p in points)
+    if a and b and c and d:
+        # t_i = P_i / Z_i for the varying coordinate P; the Z_i cancel
+        k = 0 if base._ints[1] else 1
+        return field_div(
+            Fraction((a[k] * c[2] - c[k] * a[2]) * (b[k] * d[2] - d[k] * b[2])),
+            (a[k] * d[2] - d[k] * a[2]) * (b[k] * c[2] - c[k] * b[2]),
+            "cross ratio is infinite")
     t1, t2, t3, t4 = (_line_parameter(base, p) for p in points)
     return field_div((t1 - t3) * (t2 - t4), (t1 - t4) * (t2 - t3),
                      "cross ratio is infinite")
@@ -619,6 +699,13 @@ def pencil_cross_ratio(vertex: Point, p1: Point, p2: Point, p3: Point, p4: Point
     s(1,3)*s(2,4) / (s(1,4)*s(2,3)).  Equals the affine cross ratio of the
     four intersection points with any transversal line.
     """
+    o, a, b, c, d = (p._ints for p in (vertex, p1, p2, p3, p4))
+    if o and a and b and c and d:
+        # s(p, q) is det(vertex, p, q) / (z_vertex * z_p * z_q); the z cancel
+        return field_div(Fraction(_det3(o, a, c) * _det3(o, b, d)),
+                         _det3(o, a, d) * _det3(o, b, c),
+                         "pencil cross ratio is infinite or undefined")
+
     def s(p, q):
         return ((p.x - vertex.x) * (q.y - vertex.y)
                 - (p.y - vertex.y) * (q.x - vertex.x))

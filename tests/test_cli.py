@@ -101,11 +101,18 @@ def _exit_code(argv):
      "error: chord sampler exhausted its redraw budget; --bound 1 admits too few values"),
     (["verify", "{superscript.geo}"],
      "superscript.geo:1:12: unexpected character '\u00b2'"),
+    (["render", THM1, "--set", ANCHOR_SET + ",zz=3", "-o", "{tmp}/x.svg"],
+     "error: binding 'zz=3' names no parameter of thm1.geo"),
+    (["render", THM1, "--set", "a=2,a=3,b=1,c=-3,d=-2,k=1", "-o", "{tmp}/x.svg"],
+     "error: binding 'a=3' repeats parameter 'a'"),
+    (["render", THM1, "--set", ANCHOR_SET, "-o", "{tmp}/no/such/dir/x.svg"],
+     "error: [Errno 2] No such file or directory"),
 ])
 def test_usage_errors_exit_2_without_traceback(argv, message, capsys, tmp_path):
     geo = tmp_path / "superscript.geo"
     geo.write_text("scalar x = \u00b2;\n", encoding="utf-8")
-    argv = [str(geo) if arg == "{superscript.geo}" else arg for arg in argv]
+    argv = [str(geo) if arg == "{superscript.geo}"
+            else arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert _exit_code(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

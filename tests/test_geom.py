@@ -1,6 +1,7 @@
 """Geometry kernel: constructions, incidence predicates, circles, cross ratios."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -867,6 +868,56 @@ def test_are_coaxial_matches_reference(triple, data):
     assert_same_on_both_backends(are_coaxial, ref_are_coaxial, triple, data)
 
 
+def ref_is_parallel(l1, l2):
+    return not (l1.u * l2.v - l2.u * l1.v)
+
+
+@given(line_pairs(), st.data())
+def test_line_relations_match_reference(pair, data):
+    assert_same_on_both_backends(is_parallel, ref_is_parallel, pair, data)
+
+
+def _value_outcome(fn, *args):
+    """A scalar result as a RationalFunction, or the error it raised."""
+    try:
+        value = fn(*args)
+    except DegenerateConfig as exc:
+        return ("raise", type(exc), str(exc))
+    if not isinstance(value, RationalFunction):
+        assert type(value) is Fraction, value
+        value = RationalFunction.constant(value)
+    return ("value", value)
+
+
+@given(points, circles)
+def test_power_of_point_matches_reference(p, circle):
+    want = ("value", RationalFunction.constant(
+        p.x * p.x + p.y * p.y + circle.d * p.x + circle.e * p.y + circle.f))
+    assert _value_outcome(power_of_point, p, circle) == want
+    assert _value_outcome(power_of_point, lift(p, 0), circle) == want
+    assert _value_outcome(power_of_point, p, lift(circle, 2)) == want
+
+
+@given(point_pairs(), st.lists(coords, min_size=4, max_size=4), points)
+def test_cross_ratios_match_reference(pair, ts, vertex):
+    """Points p + t(q - p) have the cross ratio of their parameters t."""
+    p, q = pair
+    if p == q:
+        return
+    pts = [Point(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y)) for t in ts]
+    t1, t2, t3, t4 = ts
+    den = (t1 - t4) * (t2 - t3)
+    if den:
+        want = ("value", RationalFunction.constant((t1 - t3) * (t2 - t4) / den))
+        assert _value_outcome(cross_ratio, *pts) == want
+        if not is_collinear(vertex, p, q):
+            assert _value_outcome(pencil_cross_ratio, vertex, *pts) == want
+    lifted = [lift(pt, 1) for pt in pts]
+    assert _value_outcome(cross_ratio, *lifted) == _value_outcome(cross_ratio, *pts)
+    assert _value_outcome(pencil_cross_ratio, vertex, *lifted) == \
+        _value_outcome(pencil_cross_ratio, vertex, *pts)
+
+
 def test_symbolic_inputs_take_the_generic_body():
     a = RationalFunction.variable("a")
     one = Fraction(1)
@@ -910,3 +961,75 @@ def test_int_inputs_give_fractions_everywhere():
         fields = (_fields(value)[1:] if isinstance(value, (Point, Line, Circle))
                   else (value,))
         assert all(type(x) is Fraction for x in fields), value
+
+
+# -- canonical int tuples ---------------------------------------------------------
+#
+# A rational Point, Line or Circle stores ints with gcd 1 and a positive last
+# entry; point and circle equality compare these tuples directly.
+
+def assert_canonical(obj):
+    ints = obj._ints
+    assert ints is not None, obj
+    assert all(type(n) is int for n in ints), ints
+    assert gcd(*ints) == 1 and ints[-1] > 0, ints
+
+
+@given(point_triples(), lines_with_points(), line_pairs(), circle_triples(),
+       st.fractions(min_value=-50, max_value=50, max_denominator=20))
+def test_rational_objects_are_stored_canonically(triple, line_point, pair,
+                                                 circle_triple, t):
+    p, q, r = triple
+    line, on = line_point
+    built = [p, q, r, line, on, *pair, *circle_triple, on_unit_circle(t),
+             on_unit_circle(int(t))]
+    steps = [
+        (midpoint, p, q), (line_through, p, q), (perp_bisector, p, q),
+        (circle_on_diameter, p, q), (circumcenter, p, q, r),
+        (circumcircle, p, q, r), (parallelogram_fourth, p, q, r),
+        (newton_line, p, q, r, on), (intersect_lines, *pair),
+        (perp_through, on, line), (perp_through, p, pair[0]),
+    ]
+    for fn, *args in steps:
+        try:
+            built.append(fn(*args))
+        except DegenerateConfig:
+            pass
+    try:
+        built.append(second_intersection(circumcircle(p, q, r),
+                                         line_through(p, on), p))
+    except DegenerateConfig:
+        pass
+    for obj in built:
+        assert_canonical(obj)
+
+
+def test_equal_rationals_store_equal_tuples():
+    p = Point(Fraction(1, 2), Fraction(1, 3))
+    assert p == Point(Fraction(2, 4), Fraction(2, 6))
+    assert p._ints == (3, 2, 6)
+    assert midpoint(P(0, 0), P(1, 1))._ints == (1, 1, 2)
+    assert on_unit_circle(Fraction(1, 3))._ints == (4, 3, 5)  # (8, 6, 10) reduced
+    assert Circle(Fraction(-1, 2), 0, Fraction(2, 3))._ints == (-3, 0, 4, 6)
+    assert circumcircle(P(1, 0), P(0, 1), P(-1, 0))._ints == (0, 0, -1, 1)
+
+
+def test_same_line_through_different_points_compares_equal():
+    first = line_through(P(0, 0), P(1, 1))
+    second = line_through(P(2, 2), P(-3, -3))
+    # each keeps the exact coefficients it was built with
+    assert (first.u, first.v, first.w) == (1, -1, 0)
+    assert (second.u, second.v, second.w) == (-5, 5, 0)
+    assert first == second
+    assert line_through(P(Fraction(1, 2), 0), P(0, Fraction(1, 3))) == \
+        line_through(P(-1, 1), P(2, -1))
+    assert line_through(P(0, 0), P(1, 1)) != line_through(P(0, 1), P(1, 2))
+
+
+def test_second_intersection_tangent_returns_known_point():
+    unit = Circle(0, 0, -1)
+    known = on_unit_circle(Fraction(1, 2))            # (3/5, 4/5)
+    tangent = perp_through(known, line_through(P(0, 0), known))
+    assert second_intersection(unit, tangent, known) is known
+    chord = line_through(known, P(0, -1))
+    assert second_intersection(unit, chord, known) == P(0, -1)
