@@ -13,7 +13,8 @@ import sys
 from pathlib import Path
 
 from .dsl import DslError, evaluate_construction, parse
-from .errors import DegenerateConfig, EmptyScene, SamplerExhausted
+from .errors import (DegenerateConfig, EmptyScene, SamplerExhausted,
+                     ZeroDenominator)
 from .render import render_svg, scene_from_construction
 from .scalar import parse_rational
 from .theorems import CLOSED_FORM_CHECK_IDS, run_suite
@@ -73,6 +74,9 @@ def _load(path_text: str):
         source = path.read_text(encoding="utf-8")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return None, None, None
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
         return None, None, None
     try:
         return parse(source), source, path
@@ -154,7 +158,7 @@ def _cmd_render(args) -> int:
                 return 2
             try:
                 assignment[name] = parse_rational(text.strip())
-            except ValueError as exc:
+            except (ValueError, ZeroDenominator) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
     try:

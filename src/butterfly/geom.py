@@ -4,6 +4,8 @@ Every construction has a generic body written with the field operators,
 which works uniformly for `fractions.Fraction` coordinates and for
 `RationalFunction` coordinates; nothing here ever calls float math.  Zero
 tests go through `is_zero`, which both scalar types support via `__bool__`.
+A field of a `Point`, `Line` or `Circle` must be an int, a `Fraction` or a
+`RationalFunction`; any other type (a float, say) raises `TypeError`.
 
 A `Point`, `Line` or `Circle` whose fields are all int or `Fraction` is
 rational and is stored as a canonical tuple of Python ints: the entries
@@ -18,16 +20,20 @@ have gcd 1 and the last entry is positive.
 So two rational points, or two rational circles, are equal exactly when
 their tuples are equal.  Reading a public field (`x`, `y`, `u`, `v`, `w`,
 `d`, `e`, `f`) builds the `Fraction` it stands for.  An object with any
-other field, in particular any `RationalFunction`, keeps its fields as
-given (ints become `Fraction`s) and has no int tuple.
+`RationalFunction` field keeps its fields as given (ints become
+`Fraction`s) and has no int tuple.
 
-Each construction and predicate that does arithmetic of its own has two
-bodies, except `is_collinear` and `Line.__eq__`, which the numeric trials
-call too rarely to pay for a second one.  When every input is rational it runs the homogeneous form of the
-generic formula on the int tuples, reduces each output with one gcd and
-builds it with the trusted constructors `_point`, `_line` and `_circle`,
-so every public field equals the generic formula's value exactly (a
-line's triple included).  Otherwise it takes the generic body, which is
+A function keeps a second, integer body only where a benchmark workload
+reaches it with rational inputs: `midpoint`, `line_through`,
+`intersect_lines`, `perp_bisector`, `perp_through`, `parallelogram_fourth`,
+`circumcenter`, `circumcircle`, `circle_on_diameter`,
+`second_intersection`, `on_unit_circle`, `is_midpoint`, `is_on_line`,
+`is_parallel`, `is_perpendicular`, `are_coaxial` and `Point.__eq__`.  The
+integer body runs the homogeneous form of the generic formula on the int
+tuples, reduces each output with one gcd and builds it with the trusted
+constructors `_point`, `_line` and `_circle`, so every public field equals
+the generic formula's value exactly (a line's triple included).  Every
+other input, and every other function, takes the generic body, which is
 the only symbolic path.  When the integer body finds a degenerate input it
 does not raise: it falls through to the generic body, which raises exactly
 what it always raised, in the same check order.
@@ -59,6 +65,36 @@ from .scalar import field_div, is_zero
 _RATIONAL = (int, Fraction)
 
 
+class _Figure:
+    """The storage `Point`, `Line` and `Circle` share: the int tuple of a
+    rational object (`_ints`, else None) or the fields as given
+    (`_fields`).  Instances are immutable and, comparing by value across
+    representations, unhashable."""
+
+    __slots__ = ("_ints", "_fields")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __hash__ = None
+
+
+_set_ints, _set_fields = _Figure._ints.__set__, _Figure._fields.__set__
+_new = object.__new__
+
+
+def _exact(value):
+    """A field of an object with no int tuple: an int as a Fraction, so
+    that `/` never yields a float; a Fraction or RationalFunction as it is.
+    Any other type raises TypeError."""
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, (Fraction, RationalFunction)):
+        return value
+    raise TypeError("a geometry field must be an int, Fraction or "
+                    f"RationalFunction, not {type(value).__name__}")
+
+
 def _field(index: int, scale: int) -> property:
     """A public field: the Fraction entry `index` / entry `scale` of a
     rational object's int tuple, built on each read, or the field as given."""
@@ -72,27 +108,24 @@ def _field(index: int, scale: int) -> property:
     return property(read)
 
 
-class Point:
+class Point(_Figure):
     """A point of the affine plane with exact coordinates.
 
     A rational point is stored as its projective coordinates (X, Y, Z),
     reduced, with Z > 0.
     """
 
-    __slots__ = ("_ints", "_fields")
+    __slots__ = ()
 
     def __init__(self, x, y):
         if isinstance(x, _RATIONAL) and isinstance(y, _RATIONAL):
-            _set_point(self, _scaled(x, y))
+            _set_ints(self, _scaled(x, y))
         else:
-            _set_point(self, None)
-            _set_point_fields(self, (_exact(x), _exact(y)))
+            _set_ints(self, None)
+            _set_fields(self, (_exact(x), _exact(y)))
 
     x = _field(0, 2)
     y = _field(1, 2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Point is immutable")
 
     def __iter__(self):
         yield self.x
@@ -106,13 +139,11 @@ class Point:
             return a == b
         return is_zero(self.x - other.x) and is_zero(self.y - other.y)
 
-    __hash__ = None
-
     def __repr__(self):
         return f"Point({self.x!r}, {self.y!r})"
 
 
-class Line:
+class Line(_Figure):
     """The line u*x + v*y + w = 0; (u, v) must not both vanish.
 
     Coefficients are only meaningful up to a common nonzero factor, and
@@ -128,31 +159,24 @@ class Line:
     compounding denominators.
     """
 
-    __slots__ = ("_ints", "_fields")
+    __slots__ = ()
 
     def __init__(self, u, v, w):
         if (isinstance(u, _RATIONAL) and isinstance(v, _RATIONAL)
                 and isinstance(w, _RATIONAL)):
             if not (u or v):
                 raise ValueError("line needs u or v nonzero")
-            _set_line(self, _scaled(u, v, w))
+            _set_ints(self, _scaled(u, v, w))
             return
-        if isinstance(u, RationalFunction) or isinstance(v, RationalFunction) \
-                or isinstance(w, RationalFunction):
-            u, v, w = _clear_line(u, v, w)
-        else:
-            u, v, w = _exact(u), _exact(v), _exact(w)
+        u, v, w = _clear_line(_exact(u), _exact(v), _exact(w))
         if is_zero(u) and is_zero(v):
             raise ValueError("line needs u or v nonzero")
-        _set_line(self, None)
-        _set_line_fields(self, (u, v, w))
+        _set_ints(self, None)
+        _set_fields(self, (u, v, w))
 
     u = _field(0, 3)
     v = _field(1, 3)
     w = _field(2, 3)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Line is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, Line):
@@ -161,35 +185,30 @@ class Line:
                 and is_zero(self.u * other.w - other.u * self.w)
                 and is_zero(self.v * other.w - other.v * self.w))
 
-    __hash__ = None
-
     def __repr__(self):
         return f"Line({self.u!r}, {self.v!r}, {self.w!r})"
 
 
-class Circle:
+class Circle(_Figure):
     """The circle x^2 + y^2 + d*x + e*y + f = 0 (monic, so coefficients are unique).
 
     A rational circle is stored as (D, E, F, S), reduced, with S > 0: the
     equation S(x^2 + y^2) + Dx + Ey + F = 0.
     """
 
-    __slots__ = ("_ints", "_fields")
+    __slots__ = ()
 
     def __init__(self, d, e, f):
         if (isinstance(d, _RATIONAL) and isinstance(e, _RATIONAL)
                 and isinstance(f, _RATIONAL)):
-            _set_circle(self, _scaled(d, e, f))
+            _set_ints(self, _scaled(d, e, f))
         else:
-            _set_circle(self, None)
-            _set_circle_fields(self, (_exact(d), _exact(e), _exact(f)))
+            _set_ints(self, None)
+            _set_fields(self, (_exact(d), _exact(e), _exact(f)))
 
     d = _field(0, 3)
     e = _field(1, 3)
     f = _field(2, 3)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Circle is immutable")
 
     def center(self) -> Point:
         return Point(-self.d / 2, -self.e / 2)
@@ -200,13 +219,8 @@ class Circle:
     def __eq__(self, other):
         if not isinstance(other, Circle):
             return NotImplemented
-        a, b = self._ints, other._ints
-        if a and b:
-            return a == b
         return (is_zero(self.d - other.d) and is_zero(self.e - other.e)
                 and is_zero(self.f - other.f))
-
-    __hash__ = None
 
     def __repr__(self):
         return f"Circle({self.d!r}, {self.e!r}, {self.f!r})"
@@ -232,17 +246,6 @@ def _scaled(*values) -> tuple:
     return tuple(scaled)
 
 
-def _exact(value):
-    """A plain int as a Fraction, so that `/` never yields a float."""
-    return Fraction(value) if isinstance(value, int) else value
-
-
-_set_point, _set_point_fields = Point._ints.__set__, Point._fields.__set__
-_set_line, _set_line_fields = Line._ints.__set__, Line._fields.__set__
-_set_circle, _set_circle_fields = Circle._ints.__set__, Circle._fields.__set__
-_new = object.__new__
-
-
 # Trusted constructors for the integer bodies.  The last argument is nonzero
 # (positive for a line) and a line's (u, v) is nonzero, so of __init__'s
 # checks and conversions only the reduction remains: one gcd and, for a
@@ -256,7 +259,7 @@ def _point(x: int, y: int, z: int) -> Point:
     if g != 1:
         x, y, z = x // g, y // g, z // g
     p = _new(Point)
-    _set_point(p, (x, y, z))
+    _set_ints(p, (x, y, z))
     return p
 
 
@@ -265,7 +268,7 @@ def _line(u: int, v: int, w: int, s: int) -> Line:
     if g != 1:
         u, v, w, s = u // g, v // g, w // g, s // g
     line = _new(Line)
-    _set_line(line, (u, v, w, s))
+    _set_ints(line, (u, v, w, s))
     return line
 
 
@@ -276,7 +279,7 @@ def _circle(d: int, e: int, f: int, s: int) -> Circle:
     if g != 1:
         d, e, f, s = d // g, e // g, f // g, s // g
     circle = _new(Circle)
-    _set_circle(circle, (d, e, f, s))
+    _set_ints(circle, (d, e, f, s))
     return circle
 
 
@@ -547,12 +550,6 @@ def circle_on_diameter(p: Point, q: Point) -> Circle:
 
 def power_of_point(p: Point, circle: Circle):
     """Power of the point with respect to the circle, exact in the field."""
-    a, b = p._ints, circle._ints
-    if a and b:
-        x, y, z = a
-        d, e, f, s = b
-        return Fraction(s * (x * x + y * y) + (d * x + e * y + f * z) * z,
-                        s * z * z)
     return (p.x * p.x + p.y * p.y + circle.d * p.x + circle.e * p.y + circle.f)
 
 
@@ -679,14 +676,6 @@ def cross_ratio(p1: Point, p2: Point, p3: Point, p4: Point):
     for p in points:
         if not is_on_line(p, base):
             raise NotCollinear("cross ratio needs collinear points")
-    a, b, c, d = (p._ints for p in points)
-    if a and b and c and d:
-        # t_i = P_i / Z_i for the varying coordinate P; the Z_i cancel
-        k = 0 if base._ints[1] else 1
-        return field_div(
-            Fraction((a[k] * c[2] - c[k] * a[2]) * (b[k] * d[2] - d[k] * b[2])),
-            (a[k] * d[2] - d[k] * a[2]) * (b[k] * c[2] - c[k] * b[2]),
-            "cross ratio is infinite")
     t1, t2, t3, t4 = (_line_parameter(base, p) for p in points)
     return field_div((t1 - t3) * (t2 - t4), (t1 - t4) * (t2 - t3),
                      "cross ratio is infinite")
@@ -699,13 +688,6 @@ def pencil_cross_ratio(vertex: Point, p1: Point, p2: Point, p3: Point, p4: Point
     s(1,3)*s(2,4) / (s(1,4)*s(2,3)).  Equals the affine cross ratio of the
     four intersection points with any transversal line.
     """
-    o, a, b, c, d = (p._ints for p in (vertex, p1, p2, p3, p4))
-    if o and a and b and c and d:
-        # s(p, q) is det(vertex, p, q) / (z_vertex * z_p * z_q); the z cancel
-        return field_div(Fraction(_det3(o, a, c) * _det3(o, b, d)),
-                         _det3(o, a, d) * _det3(o, b, c),
-                         "pencil cross ratio is infinite or undefined")
-
     def s(p, q):
         return ((p.x - vertex.x) * (q.y - vertex.y)
                 - (p.y - vertex.y) * (q.x - vertex.x))

@@ -423,20 +423,14 @@ def _eval_scalar(value, assignment):
 def sample_gauge(rng, bound: int) -> GaugeConfig:
     """Draw a proper gauge configuration by rejection.
 
-    Enforced: a, b, c, d, k nonzero; a != c; b != d; and P strictly inside
-    both diagonals (a*c < 0, b*d < 0).
+    Enforced: k nonzero and P strictly inside both diagonals (a*c < 0,
+    b*d < 0), which already makes a, b, c, d nonzero, a != c and b != d.
     """
     for _ in range(_MAX_REDRAWS):
         a, b, c, d, k = (sample_rational(rng, bound) for _ in range(5))
-        if not a or not b or not c or not d or not k:
-            continue
-        if a == c or b == d:
-            continue
-        # a*c < 0 and b*d < 0, read off the signs of the nonzero numerators
-        if not ((a.numerator < 0) != (c.numerator < 0)
-                and (b.numerator < 0) != (d.numerator < 0)):
-            continue
-        return GaugeConfig(a, b, c, d, k)
+        # the signs of a*c and b*d are those of their numerators' products
+        if k and a.numerator * c.numerator < 0 and b.numerator * d.numerator < 0:
+            return GaugeConfig(a, b, c, d, k)
     raise SamplerExhausted("gauge sampler exhausted its redraw budget")
 
 
@@ -447,9 +441,9 @@ def sample_cyclic(rng, bound: int) -> CyclicConfig:
         if len(set(ts)) != 4 or any(abs(t) == 1 for t in ts):
             continue
         A, B, C, D = (on_unit_circle(t) for t in ts)
-        if (C.x - A.x) * (D.y - B.y) == (C.y - A.y) * (D.x - B.x):
-            continue  # parallel diagonals never meet at a P
-        return CyclicConfig(*ts)
+        # parallel diagonals never meet at a P
+        if not is_parallel(line_through(A, C), line_through(B, D)):
+            return CyclicConfig(*ts)
     raise SamplerExhausted("cyclic sampler exhausted its redraw budget")
 
 

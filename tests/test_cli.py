@@ -107,10 +107,17 @@ def _exit_code(argv):
      "error: binding 'a=3' repeats parameter 'a'"),
     (["render", THM1, "--set", ANCHOR_SET, "-o", "{tmp}/no/such/dir/x.svg"],
      "error: [Errno 2] No such file or directory"),
+    (["render", THM1, "--set", "a=1/0,b=1,c=-3,d=-2,k=1", "-o", "{tmp}/x.svg"],
+     "error: rational with zero denominator: 1/0"),
+    (["verify", "{tmp}/latin1.geo"],
+     "latin1.geo: 'utf-8' codec can't decode byte 0xff in position 8"),
+    (["render", "{tmp}/latin1.geo", "-o", "{tmp}/x.svg"],
+     "latin1.geo: 'utf-8' codec can't decode byte 0xff in position 8"),
 ])
 def test_usage_errors_exit_2_without_traceback(argv, message, capsys, tmp_path):
     geo = tmp_path / "superscript.geo"
     geo.write_text("scalar x = \u00b2;\n", encoding="utf-8")
+    (tmp_path / "latin1.geo").write_bytes(b"param a;\xff\n")
     argv = [str(geo) if arg == "{superscript.geo}"
             else arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert _exit_code(argv) == 2

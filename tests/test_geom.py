@@ -1,5 +1,6 @@
 """Geometry kernel: constructions, incidence predicates, circles, cross ratios."""
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -85,6 +86,25 @@ def test_line_symbolic_coefficients_are_cleared():
     for coeff in (line.u, line.v, line.w):
         assert coeff.den == 1
     assert line == Line(a, RationalFunction.constant(1), b * k)
+
+
+NOT_EXACT = [0.5, Decimal("0.5"), 0.5j, "1/2", None]
+
+
+@pytest.mark.parametrize("bad", NOT_EXACT, ids=lambda v: type(v).__name__)
+def test_fields_must_be_int_fraction_or_rational_function(bad):
+    a = RationalFunction.variable("a")
+    name = type(bad).__name__
+    for cls, arity in ((Point, 2), (Line, 3), (Circle, 3)):
+        for i in range(arity):
+            for other in (Fraction(1), a):       # rational and symbolic rest
+                fields = [other] * arity
+                fields[i] = bad
+                with pytest.raises(TypeError, match=name):
+                    cls(*fields)
+    # an int field next to a RationalFunction is still exact
+    p = Point(a, 0)
+    assert p.x == a and p.y == 0 and type(p.y) is Fraction
 
 
 def test_circle_monic_structural_equality():
