@@ -36,7 +36,10 @@ the generic formula's value exactly (a line's triple included).  Every
 other input, and every other function, takes the generic body, which is
 the only symbolic path.  When the integer body finds a degenerate input it
 does not raise: it falls through to the generic body, which raises exactly
-what it always raised, in the same check order.
+what it always raised, in the same check order.  Two functions have only
+an integer body: `projective_point` (a point from int projective
+coordinates) and `line_side` (the sign of a point against a line, which
+Q(a, b, c, d, k) cannot give, having no order).
 
 Degenerate inputs raise subclasses of `DegenerateConfig` carrying enough
 context to report *which* construction failed; callers running randomized
@@ -263,6 +266,19 @@ def _point(x: int, y: int, z: int) -> Point:
     return p
 
 
+def projective_point(x: int, y: int, z: int) -> Point:
+    """The rational point (x/z, y/z) from int projective coordinates.
+
+    The entry for callers that hold a point as ints already (the samplers
+    and `GaugeConfig.corners` in `theorems`): the triple is reduced as an
+    integer body's output is, and no Fraction is built.  z = 0 (a point at
+    infinity) raises ValueError; a non-int entry raises TypeError.
+    """
+    if not z:
+        raise ValueError("a projective point needs z nonzero")
+    return _point(x, y, z)
+
+
 def _line(u: int, v: int, w: int, s: int) -> Line:
     g = gcd(u, v, w, s)
     if g != 1:
@@ -448,6 +464,20 @@ def is_on_line(p: Point, line: Line) -> bool:
     if a and b:
         return not (b[0] * a[0] + b[1] * a[1] + b[2] * a[2])
     return is_zero(line.u * p.x + line.v * p.y + line.w)
+
+
+def line_side(p: Point, line: Line) -> int:
+    """The sign (-1, 0 or 1) of u*x + v*y + w: which side of `line` p is on.
+
+    Only the integer body exists: U*X + V*Y + W*Z = S*Z*(u*x + v*y + w)
+    with S > 0 and Z > 0, so the sums agree in sign.  Q(a, b, c, d, k)
+    has no order, so a symbolic input raises TypeError.
+    """
+    a, b = p._ints, line._ints
+    if not (a and b):
+        raise TypeError("line_side needs a rational point and line")
+    value = b[0] * a[0] + b[1] * a[1] + b[2] * a[2]
+    return (value > 0) - (value < 0)
 
 
 def is_parallel(l1: Line, l2: Line) -> bool:

@@ -6,10 +6,17 @@ work, see `ratfun`).  The two meet a common protocol — the arithmetic
 operators plus truthiness, where ``bool(x)`` is False exactly for the
 zero element — which keeps the kernel generic without a class hierarchy.
 No floats appear anywhere; equality is exact.
+
+Seeded sampling has one rejection loop, `sample_ratio`, which returns a
+draw as its reduced int pair (p, q).  The samplers in `theorems` test
+their candidates on those pairs before they build any `Fraction`;
+`sample_rational` is the same draw as a `Fraction`, for callers that keep
+every value.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 from random import Random
@@ -42,20 +49,30 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# What format_rational prints, plus unreduced fractions such as "6/4":
+# ASCII digits only ([0-9], not \d, which matches every Unicode digit).
+_RATIONAL_LITERAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse the canonical "p/q" form; inverse of format_rational."""
-    body = text.strip()
-    num, sep, den = body.partition("/")
-    try:
-        if sep:
-            return rational_from_parts(int(num), int(den))
-        return Fraction(int(body))
-    except ValueError:
-        raise ValueError(f"not a rational literal: {text!r}") from None
+    """Parse the canonical "p/q" form; inverse of format_rational.
+
+    Accepted: ASCII digits with one optional leading "-", then optionally
+    "/" and an ASCII-digit denominator.  Anything else (a sign on the
+    denominator, "+", "_", whitespace, non-ASCII digits) raises ValueError.
+    """
+    if not _RATIONAL_LITERAL.fullmatch(text):
+        raise ValueError(f"not a rational literal: {text!r}")
+    num, _, den = text.partition("/")
+    return rational_from_parts(int(num), int(den or 1))
 
 
-def sample_rational(rng: Random, bound: int) -> Fraction:
-    """Uniform draw from the reduced fractions p/q, |p| <= bound, 1 <= q <= bound.
+def sample_ratio(rng: Random, bound: int) -> tuple[int, int]:
+    """Uniform draw of a reduced pair (p, q), |p| <= bound, 1 <= q <= bound.
+
+    The pair is what `Fraction(p, q).as_integer_ratio()` returns, so equal
+    pairs are equal rationals, and a caller can test a candidate on the
+    ints before it builds a `Fraction`.
 
     Rejection sampling over the (p, q) grid: p is drawn, then q, and a
     reduced pair is kept, any other redrawn, so every reduced fraction in
@@ -80,7 +97,12 @@ def sample_rational(rng: Random, bound: int) -> Fraction:
         p -= bound
         q += 1
         if gcd(p, q) == 1:
-            return Fraction(p, q)
+            return p, q
+
+
+def sample_rational(rng: Random, bound: int) -> Fraction:
+    """The draw of `sample_ratio` as a Fraction: the same stream."""
+    return Fraction(*sample_ratio(rng, bound))
 
 
 def derive_rng(seed: int, *labels: object) -> Random:

@@ -13,6 +13,14 @@ A checker is a total function from a configuration to a bool; degenerate
 configurations raise a `DegenerateConfig` subclass, which the trial driver
 `run_trials` counts as a skip.  All builders work unchanged over both
 scalar backends.
+
+The samplers draw each value as its reduced int pair (`scalar.sample_ratio`)
+and test candidates on those ints: the gauge sign conditions on numerators,
+distinctness on the pairs, and the chord side test with `geom.line_side` on
+the points' int tuples.  A `Fraction` is built only for a value that passes
+the pair tests: for the gauge and quadrilateral samplers, only for the
+accepted configuration; the cyclic and chord samplers need their points to
+test a candidate, and `on_unit_circle` takes a scalar.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from .geom import (
     is_midpoint,
     is_parallel,
     is_perpendicular,
+    line_side,
     line_through,
     midpoint,
     newton_line,
@@ -46,12 +55,15 @@ from .geom import (
     perp_bisector,
     perp_through,
     power_of_point,
+    projective_point,
     second_intersection,
 )
 from .ratfun import RationalFunction
-from .scalar import derive_rng, format_rational, sample_rational
+from .scalar import derive_rng, format_rational, sample_ratio
 
 _MAX_REDRAWS = 100000
+_RATIONAL = (int, Fraction)
+_UNIT_CIRCLE = Circle(0, 0, -1)
 
 
 # -- configurations -----------------------------------------------------------
@@ -78,6 +90,16 @@ class GaugeConfig:
         return cls(*RationalFunction.variables())
 
     def corners(self) -> tuple[Point, Point, Point, Point, Point]:
+        values = (self.a, self.b, self.c, self.d, self.k)
+        if all(isinstance(value, _RATIONAL) for value in values):
+            # projective triples: B = (b, kb) is (b_n k_d, k_n b_n, b_d k_d)
+            (an, ad), (bn, bd), (cn, cd), (dn, dd), (kn, kd) = (
+                value.as_integer_ratio() for value in values)
+            return (projective_point(0, 0, 1),
+                    projective_point(an, 0, ad),
+                    projective_point(bn * kd, kn * bn, bd * kd),
+                    projective_point(cn, 0, cd),
+                    projective_point(dn * kd, kn * dn, dd * kd))
         zero = self.a * 0
         return (Point(zero, zero),
                 Point(self.a, zero),
@@ -427,18 +449,29 @@ def sample_gauge(rng, bound: int) -> GaugeConfig:
     b*d < 0), which already makes a, b, c, d nonzero, a != c and b != d.
     """
     for _ in range(_MAX_REDRAWS):
-        a, b, c, d, k = (sample_rational(rng, bound) for _ in range(5))
+        pairs = [sample_ratio(rng, bound) for _ in range(5)]
+        (a, _), (b, _), (c, _), (d, _), (k, _) = pairs
         # the signs of a*c and b*d are those of their numerators' products
-        if k and a.numerator * c.numerator < 0 and b.numerator * d.numerator < 0:
-            return GaugeConfig(a, b, c, d, k)
+        if k and a * c < 0 and b * d < 0:
+            return GaugeConfig(*(Fraction(p, q) for p, q in pairs))
     raise SamplerExhausted("gauge sampler exhausted its redraw budget")
+
+
+def _half_angles(rng, bound: int) -> list[Fraction] | None:
+    """Four distinct half-angle parameters other than +-1, or None."""
+    pairs = [sample_ratio(rng, bound) for _ in range(4)]
+    # reduced pairs are canonical, so equal pairs are equal rationals, and
+    # p/q = +-1 exactly when |p| = q
+    if len(set(pairs)) != 4 or any(abs(p) == q for p, q in pairs):
+        return None
+    return [Fraction(p, q) for p, q in pairs]
 
 
 def sample_cyclic(rng, bound: int) -> CyclicConfig:
     """Distinct half-angle parameters (excluding +-1) with non-parallel diagonals."""
     for _ in range(_MAX_REDRAWS):
-        ts = tuple(sample_rational(rng, bound) for _ in range(4))
-        if len(set(ts)) != 4 or any(abs(t) == 1 for t in ts):
+        ts = _half_angles(rng, bound)
+        if ts is None:
             continue
         A, B, C, D = (on_unit_circle(t) for t in ts)
         # parallel diagonals never meet at a P
@@ -449,30 +482,29 @@ def sample_cyclic(rng, bound: int) -> CyclicConfig:
 
 def sample_chord(rng, bound: int) -> ChordButterflyConfig:
     """Distinct parameters (excluding +-1) with C and F on opposite sides of AB."""
-    unit = Circle(Fraction(0), Fraction(0), Fraction(-1))
     for _ in range(_MAX_REDRAWS):
-        ts = tuple(sample_rational(rng, bound) for _ in range(4))
-        if len(set(ts)) != 4 or any(abs(t) == 1 for t in ts):
+        ts = _half_angles(rng, bound)
+        if ts is None:
             continue
         A, B, C, E = (on_unit_circle(t) for t in ts)
         M = midpoint(A, B)
         ab = line_through(A, B)
         try:
-            F = second_intersection(unit, line_through(E, M), E)
+            F = second_intersection(_UNIT_CIRCLE, line_through(E, M), E)
         except DegenerateConfig:
             continue
-        side_c = ab.u * C.x + ab.v * C.y + ab.w
-        side_f = ab.u * F.x + ab.v * F.y + ab.w
-        if side_c * side_f < 0:
+        if line_side(C, ab) * line_side(F, ab) < 0:
             return ChordButterflyConfig(*ts)
     raise SamplerExhausted("chord sampler exhausted its redraw budget")
 
 
 def sample_quad(rng, bound: int) -> QuadConfig:
     """Four unconstrained random vertices; degeneracies surface as checker skips."""
-    coords = [sample_rational(rng, bound) for _ in range(8)]
-    return QuadConfig(Point(coords[0], coords[1]), Point(coords[2], coords[3]),
-                      Point(coords[4], coords[5]), Point(coords[6], coords[7]))
+    vertices = []
+    for _ in range(4):
+        (xn, xd), (yn, yd) = sample_ratio(rng, bound), sample_ratio(rng, bound)
+        vertices.append(projective_point(xn * yd, yn * xd, xd * yd))
+    return QuadConfig(*vertices)
 
 
 def sample_lemma2(rng, bound: int) -> Lemma2Config:

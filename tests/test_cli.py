@@ -113,6 +113,15 @@ def _exit_code(argv):
      "latin1.geo: 'utf-8' codec can't decode byte 0xff in position 8"),
     (["render", "{tmp}/latin1.geo", "-o", "{tmp}/x.svg"],
      "latin1.geo: 'utf-8' codec can't decode byte 0xff in position 8"),
+    # values int() takes but format_rational never prints
+    (["render", THM1, "--set", "a=1_0,b=1,c=-3,d=-2,k=1", "-o", "{tmp}/x.svg"],
+     "error: not a rational literal: '1_0'"),
+    (["render", THM1, "--set", "a=\u0663,b=1,c=-3,d=-2,k=1", "-o", "{tmp}/x.svg"],
+     "error: not a rational literal: '\u0663'"),
+    (["render", THM1, "--set", "a=+3,b=1,c=-3,d=-2,k=1", "-o", "{tmp}/x.svg"],
+     "error: not a rational literal: '+3'"),
+    (["render", THM1, "--set", "a=3/-4,b=1,c=-3,d=-2,k=1", "-o", "{tmp}/x.svg"],
+     "error: not a rational literal: '3/-4'"),
 ])
 def test_usage_errors_exit_2_without_traceback(argv, message, capsys, tmp_path):
     geo = tmp_path / "superscript.geo"

@@ -37,6 +37,7 @@ from butterfly import (
     is_on_line,
     is_parallel,
     is_perpendicular,
+    line_side,
     line_through,
     midpoint,
     newton_line,
@@ -47,6 +48,7 @@ from butterfly import (
     perp_through,
     point_on,
     power_of_point,
+    projective_point,
     second_intersection,
 )
 
@@ -1053,3 +1055,51 @@ def test_second_intersection_tangent_returns_known_point():
     assert second_intersection(unit, tangent, known) is known
     chord = line_through(known, P(0, -1))
     assert second_intersection(unit, chord, known) == P(0, -1)
+
+
+# -- the two integer-only entries ------------------------------------------------
+
+ints = st.integers(min_value=-10**6, max_value=10**6)
+
+
+@given(ints, ints, ints.filter(bool))
+def test_projective_point_equals_the_affine_point(x, y, z):
+    p = projective_point(x, y, z)
+    assert p == Point(Fraction(x, z), Fraction(y, z))
+    assert p._ints == Point(Fraction(x, z), Fraction(y, z))._ints
+    assert_canonical(p)
+
+
+def test_projective_point_rejects_z_zero_and_non_ints():
+    for x, y in ((0, 0), (1, 0), (3, -4)):
+        with pytest.raises(ValueError):
+            projective_point(x, y, 0)
+    for bad in (Fraction(1, 2), 0.5):
+        with pytest.raises(TypeError):
+            projective_point(bad, 0, 1)
+
+
+def _sign(value):
+    return (value > 0) - (value < 0)
+
+
+@given(points, points, points)
+def test_line_side_is_the_sign_of_the_line_equation(p, q, r):
+    if p == q:
+        return
+    line = line_through(p, q)
+    assert line_side(p, line) == line_side(q, line) == 0
+    assert line_side(r, line) == _sign(line.u * r.x + line.v * r.y + line.w)
+    # the same line scaled by a negative factor swaps the sides
+    assert line_side(r, Line(-line.u, -line.v, -line.w)) == -line_side(r, line)
+
+
+def test_line_side_rejects_symbolic_inputs():
+    a, b = RationalFunction.variables()[:2]
+    rational_line, rational_point = Line(1, 1, -1), P(0, 0)
+    with pytest.raises(TypeError):
+        line_side(Point(a, b), rational_line)
+    with pytest.raises(TypeError):
+        line_side(rational_point, Line(a, b, 1))
+    with pytest.raises(TypeError):
+        line_side(Point(a, b), Line(a, b, 1))

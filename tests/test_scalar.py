@@ -14,6 +14,7 @@ from butterfly import (
     is_zero,
     parse_rational,
     rational_from_parts,
+    sample_ratio,
     sample_rational,
 )
 
@@ -89,13 +90,18 @@ def test_format_rational():
     assert format_rational(Fraction(0)) == "0"
 
 
-@given(rationals)
-def test_format_parse_round_trip(x):
+@given(rationals | st.fractions(), st.integers(min_value=1, max_value=10**6))
+def test_format_parse_round_trip(x, m):
     assert parse_rational(format_rational(x)) == x
+    assert parse_rational(f"{x.numerator * m}/{x.denominator * m}") == x
 
 
 def test_parse_rational_rejects_garbage():
-    for bad in ("", "one", "1/0", "1.5", "2/2/2"):
+    # int() alone takes "1_0", "\u0663" (an Arabic-Indic 3), "+3", " 3",
+    # "3\n" and "\uff13" (a fullwidth 3); "3/-4" and "3/+4" put a sign on
+    # the denominator
+    for bad in ("", "one", "1/0", "1.5", "2/2/2", "1_0", "\u0663", "+3",
+                "3/-4", "3/+4", " 3", "3\n", "\uff13", "--3", "-", "/4", "3/"):
         with pytest.raises((ValueError, ZeroDenominator)):
             parse_rational(bad)
 
@@ -161,10 +167,15 @@ def test_sample_stream_matches_randint_reference(bound):
     # (1, 2, 4, 8, 16, 32, 64 and their neighbours)
     for label in ("a", "b", "c"):
         rng, ref = derive_rng(7, label, bound), derive_rng(7, label, bound)
+        pairs = derive_rng(7, label, bound)
         drawn = [sample_rational(rng, bound) for _ in range(20)]
         assert drawn == [ref_sample_rational(ref, bound) for _ in range(20)]
         assert all(type(x) is Fraction for x in drawn)
         assert rng.getstate() == ref.getstate()
+        # sample_ratio is the same draw as its reduced int pair
+        assert ([sample_ratio(pairs, bound) for _ in range(20)]
+                == [x.as_integer_ratio() for x in drawn])
+        assert pairs.getstate() == ref.getstate()
 
 
 def test_derive_rng_label_independence():

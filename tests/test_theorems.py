@@ -10,9 +10,21 @@ import pytest
 
 from butterfly import theorems
 from butterfly.dsl import evaluate_construction, parse
-from butterfly.errors import CollinearPoints, DegenerateConfig
-from butterfly.geom import Circle, Line, Point, is_midpoint, power_of_point
-from butterfly.scalar import derive_rng
+from butterfly.errors import CollinearPoints, DegenerateConfig, SamplerExhausted
+from butterfly.geom import (
+    Circle,
+    Line,
+    Point,
+    is_midpoint,
+    is_parallel,
+    line_through,
+    midpoint,
+    on_unit_circle,
+    power_of_point,
+    second_intersection,
+)
+from butterfly.ratfun import RationalFunction
+from butterfly.scalar import derive_rng, sample_rational
 from butterfly.theorems import (
     CLOSED_FORM_CHECK_IDS,
     NUMERIC_ORDER,
@@ -22,6 +34,7 @@ from butterfly.theorems import (
     CyclicConfig,
     GaugeConfig,
     Lemma2Config,
+    QuadConfig,
     VerificationReport,
     build_chord,
     build_lemma2,
@@ -269,7 +282,6 @@ def test_sample_cyclic_invariants():
 
 
 def test_sample_chord_keeps_free_chord_endpoints_split_by_ab():
-    from butterfly.geom import line_through, midpoint, second_intersection
     unit = Circle(F(0), F(0), F(-1))
     for seed in range(25):
         cfg = sample_chord(derive_rng(seed, "ch"), 6)
@@ -279,6 +291,87 @@ def test_sample_chord_keeps_free_chord_endpoints_split_by_ab():
         side_c = ab.u * C.x + ab.v * C.y + ab.w
         side_f = ab.u * f.x + ab.v * f.y + ab.w
         assert side_c * side_f < 0
+
+
+# Reference samplers written on Fractions: each value comes from
+# sample_rational and every test reads Fraction fields.  The samplers must
+# make the same draws and return equal configurations.
+
+def ref_sample_gauge(rng, bound):
+    for _ in range(100000):
+        a, b, c, d, k = (sample_rational(rng, bound) for _ in range(5))
+        if k and a.numerator * c.numerator < 0 and b.numerator * d.numerator < 0:
+            return GaugeConfig(a, b, c, d, k)
+    raise SamplerExhausted("gauge sampler exhausted its redraw budget")
+
+
+def ref_sample_cyclic(rng, bound):
+    for _ in range(100000):
+        ts = tuple(sample_rational(rng, bound) for _ in range(4))
+        if len(set(ts)) != 4 or any(abs(t) == 1 for t in ts):
+            continue
+        A, B, C, D = (on_unit_circle(t) for t in ts)
+        if not is_parallel(line_through(A, C), line_through(B, D)):
+            return CyclicConfig(*ts)
+    raise SamplerExhausted("cyclic sampler exhausted its redraw budget")
+
+
+def ref_sample_chord(rng, bound):
+    unit = Circle(F(0), F(0), F(-1))
+    for _ in range(100000):
+        ts = tuple(sample_rational(rng, bound) for _ in range(4))
+        if len(set(ts)) != 4 or any(abs(t) == 1 for t in ts):
+            continue
+        A, B, C, E = (on_unit_circle(t) for t in ts)
+        M = midpoint(A, B)
+        ab = line_through(A, B)
+        try:
+            f = second_intersection(unit, line_through(E, M), E)
+        except DegenerateConfig:
+            continue
+        side_c = ab.u * C.x + ab.v * C.y + ab.w
+        side_f = ab.u * f.x + ab.v * f.y + ab.w
+        if side_c * side_f < 0:
+            return ChordButterflyConfig(*ts)
+    raise SamplerExhausted("chord sampler exhausted its redraw budget")
+
+
+def ref_sample_quad(rng, bound):
+    coords = [sample_rational(rng, bound) for _ in range(8)]
+    return QuadConfig(Point(coords[0], coords[1]), Point(coords[2], coords[3]),
+                      Point(coords[4], coords[5]), Point(coords[6], coords[7]))
+
+
+def ref_corners(cfg):
+    zero = cfg.a * 0
+    return (Point(zero, zero), Point(cfg.a, zero), Point(cfg.b, cfg.k * cfg.b),
+            Point(cfg.c, zero), Point(cfg.d, cfg.k * cfg.d))
+
+
+@pytest.mark.parametrize("bound", (2, 3, 6, 20))
+@pytest.mark.parametrize("sampler, ref", [
+    (sample_gauge, ref_sample_gauge), (sample_cyclic, ref_sample_cyclic),
+    (sample_chord, ref_sample_chord), (sample_quad, ref_sample_quad),
+], ids=["gauge", "cyclic", "chord", "quad"])
+def test_sampler_matches_its_fraction_reference(sampler, ref, bound):
+    for seed in range(200):
+        rng, ref_rng = derive_rng(seed, "ref", bound), derive_rng(seed, "ref", bound)
+        cfg = sampler(rng, bound)
+        assert cfg == ref(ref_rng, bound)
+        # equal generator states: the sampler made the reference's draws
+        assert rng.getstate() == ref_rng.getstate()
+        assert all(type(value) is Fraction for _, value in cfg.params())
+
+
+def test_corners_match_the_reference_on_both_backends():
+    _, b, _, d, k = RationalFunction.variables()
+    configs = [ANCHOR, GaugeConfig(2, 1, -3, -2, 1), GaugeConfig.symbolic(),
+               GaugeConfig(F(1, 2), b, F(-3), d, k)]
+    configs += [sample_gauge(derive_rng(seed, "corners"), 20) for seed in range(50)]
+    for cfg in configs:
+        corners = cfg.corners()
+        assert corners == ref_corners(cfg)
+        assert [p._ints for p in corners] == [p._ints for p in ref_corners(cfg)]
 
 
 def test_sample_lemma2_instances_satisfy_constraints():
