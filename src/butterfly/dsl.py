@@ -65,11 +65,11 @@ from .geom import (
     power_of_point,
     second_intersection,
 )
+from .poly import VARIABLES
 from .ratfun import RationalFunction
 from .scalar import field_div, sample_rational
 from .theorems import VerificationReport, run_checks, run_trials
 
-SYMBOLIC_PARAMS = ("a", "b", "c", "d", "k")
 MAX_NESTING = 64
 
 
@@ -768,10 +768,10 @@ def _evaluate_symbolic(construction, label):
     for stmt in construction.statements:
         if isinstance(stmt, ParamDecl):
             for name, span in zip(stmt.names, stmt.name_spans):
-                if name not in SYMBOLIC_PARAMS:
+                if name not in VARIABLES:
                     raise DslTypeError(
                         "symbolic mode allows only the parameters "
-                        f"a, b, c, d, k; got '{name}'", span)
+                        f"{', '.join(VARIABLES)}; got '{name}'", span)
     env = {name: RationalFunction.variable(name)
            for name in construction.params}
     program = _compile_program(construction)

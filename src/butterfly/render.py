@@ -49,36 +49,25 @@ class Scene:
 
     def add_point(self, label: str, point: Point,
                   cls: str = "construction") -> None:
-        for entry in self.points:
-            if entry[1] == point:
-                entry[2] = _stronger(entry[2], cls)
-                if label and not entry[0]:
-                    entry[0] = label
-                return
-        self.points.append([label, point, cls])
+        entry = _merge(self.points, lambda e: e[1] == point, cls)
+        if entry is None:
+            self.points.append([label, point, cls])
+        elif label and not entry[0]:
+            entry[0] = label
 
     def add_segment(self, p: Point, q: Point,
                     cls: str = "construction") -> None:
-        for entry in self.segments:
-            if (entry[0] == p and entry[1] == q) or \
-               (entry[0] == q and entry[1] == p):
-                entry[2] = _stronger(entry[2], cls)
-                return
-        self.segments.append([p, q, cls])
+        if _merge(self.segments, lambda e: (e[0] == p and e[1] == q)
+                  or (e[0] == q and e[1] == p), cls) is None:
+            self.segments.append([p, q, cls])
 
     def add_line(self, line: Line, cls: str = "construction") -> None:
-        for entry in self.lines:
-            if entry[0] == line:
-                entry[1] = _stronger(entry[1], cls)
-                return
-        self.lines.append([line, cls])
+        if _merge(self.lines, lambda e: e[0] == line, cls) is None:
+            self.lines.append([line, cls])
 
     def add_circle(self, circle: Circle, cls: str = "construction") -> None:
-        for entry in self.circles:
-            if entry[0] == circle:
-                entry[1] = _stronger(entry[1], cls)
-                return
-        self.circles.append([circle, cls])
+        if _merge(self.circles, lambda e: e[0] == circle, cls) is None:
+            self.circles.append([circle, cls])
 
     def is_empty(self) -> bool:
         return not (self.points or self.segments or self.lines or self.circles)
@@ -87,10 +76,15 @@ class Scene:
 _CLASS_RANK = {"construction": 0, "result": 1, "assertion": 2}
 
 
-def _stronger(current: str, incoming: str) -> str:
-    if _CLASS_RANK.get(incoming, 0) > _CLASS_RANK.get(current, 0):
-        return incoming
-    return current
+def _merge(entries: list, matches, cls: str):
+    """The first entry `matches` accepts, its class (last item) raised to
+    `cls` when that ranks higher; None when no entry matches."""
+    for entry in entries:
+        if matches(entry):
+            if _CLASS_RANK.get(cls, 0) > _CLASS_RANK.get(entry[-1], 0):
+                entry[-1] = cls
+            return entry
+    return None
 
 
 def _round_decimal(x: Fraction) -> str:
@@ -219,21 +213,15 @@ def render_svg(scene: Scene, width_px: int = 640) -> str:
         out.append(f'  <circle class="circle {cls}" cx="{_round_decimal(cx)}" '
                    f'cy="{_round_decimal(cy)}" r="{_round_decimal(r)}"/>')
 
+    strokes = []
     for line, cls in scene.lines:
-        clipped = _clip_line(Line(Fraction(line.u), Fraction(line.v),
-                                  Fraction(line.w)), xmin, xmax, ymin, ymax)
-        if clipped is None:
-            continue
-        (x1, y1), (x2, y2) = clipped
+        clipped = _clip_line(line, xmin, xmax, ymin, ymax)
+        if clipped is not None:
+            strokes.append((*clipped, cls))
+    strokes.extend(((p.x, p.y), (q.x, q.y), cls) for p, q, cls in scene.segments)
+    for (x1, y1), (x2, y2), cls in strokes:
         px1, py1 = to_px(x1, y1)
         px2, py2 = to_px(x2, y2)
-        out.append(f'  <line class="{cls}" x1="{_round_decimal(px1)}" '
-                   f'y1="{_round_decimal(py1)}" x2="{_round_decimal(px2)}" '
-                   f'y2="{_round_decimal(py2)}"/>')
-
-    for p, q, cls in scene.segments:
-        px1, py1 = to_px(p.x, p.y)
-        px2, py2 = to_px(q.x, q.y)
         out.append(f'  <line class="{cls}" x1="{_round_decimal(px1)}" '
                    f'y1="{_round_decimal(py1)}" x2="{_round_decimal(px2)}" '
                    f'y2="{_round_decimal(py2)}"/>')

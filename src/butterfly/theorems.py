@@ -26,7 +26,7 @@ test a candidate, and `on_unit_circle` takes a scalar.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -69,6 +69,11 @@ _UNIT_CIRCLE = Circle(0, 0, -1)
 # -- configurations -----------------------------------------------------------
 
 
+def _field_params(cfg) -> tuple[tuple[str, object], ...]:
+    """A scalar configuration's parameters: its dataclass fields, in order."""
+    return tuple((f.name, getattr(cfg, f.name)) for f in fields(cfg))
+
+
 @dataclass(frozen=True)
 class GaugeConfig:
     """Quadrilateral in the diagonal gauge: P(0,0), A(a,0), B(b,kb), C(c,0), D(d,kd).
@@ -107,12 +112,10 @@ class GaugeConfig:
                 Point(self.c, zero),
                 Point(self.d, self.k * self.d))
 
-    def params(self) -> tuple[tuple[str, object], ...]:
-        return (("a", self.a), ("b", self.b), ("c", self.c),
-                ("d", self.d), ("k", self.k))
+    params = _field_params
 
     def as_assignment(self) -> dict[str, Fraction]:
-        return {name: value for name, value in self.params()}
+        return dict(self.params())
 
 
 @dataclass(frozen=True)
@@ -128,9 +131,7 @@ class CyclicConfig:
         return (on_unit_circle(self.t_a), on_unit_circle(self.t_b),
                 on_unit_circle(self.t_c), on_unit_circle(self.t_d))
 
-    def params(self) -> tuple[tuple[str, object], ...]:
-        return (("t_a", self.t_a), ("t_b", self.t_b),
-                ("t_c", self.t_c), ("t_d", self.t_d))
+    params = _field_params
 
 
 @dataclass(frozen=True)
@@ -151,9 +152,7 @@ class ChordButterflyConfig:
         return (on_unit_circle(self.t_a), on_unit_circle(self.t_b),
                 on_unit_circle(self.t_c), on_unit_circle(self.t_e))
 
-    def params(self) -> tuple[tuple[str, object], ...]:
-        return (("t_a", self.t_a), ("t_b", self.t_b),
-                ("t_c", self.t_c), ("t_e", self.t_e))
+    params = _field_params
 
 
 @dataclass(frozen=True)
@@ -657,104 +656,94 @@ def run_checks(theorem: str, checks) -> VerificationReport:
 # -- symbolic proofs --------------------------------------------------------------
 
 
-def _run_plan(theorem: str, plan) -> VerificationReport:
-    return run_checks(theorem, ((check_id, check(), check_id)
-                                for check_id, check in plan))
+def _ratio_at(objs, key: str):
+    """Power of `objs[key]` with respect to circle_ac over that to circle_bd."""
+    point = objs[key]
+    return (power_of_point(point, objs["circle_ac"])
+            / power_of_point(point, objs["circle_bd"]))
+
+
+def _diagonal_ratio(objs):
+    """(PB . PD) / (PA . PC) with the dot products taken from P."""
+    P, A, B, C, D = (objs[key] for key in "PABCD")
+    return (((B.x - P.x) * (D.x - P.x) + (B.y - P.y) * (D.y - P.y))
+            / ((A.x - P.x) * (C.x - P.x) + (A.y - P.y) * (C.y - P.y)))
+
+
+# Each proof, as rows (step, reproduces a closed form?, check on the built
+# objects) run in order; the check id is "<theorem>.<step>".
+_PLANS = {
+    "thm1": (
+        ("O_a", True, lambda o: o["O_a"] == closedforms.O_A),
+        ("O_b", True, lambda o: o["O_b"] == closedforms.O_B),
+        ("O_c", True, lambda o: o["O_c"] == closedforms.O_C),
+        ("O_d", True, lambda o: o["O_d"] == closedforms.O_D),
+        ("M", True, lambda o: o["M"] == closedforms.M_CENTERS),
+        ("N", True, lambda o: o["N"] == closedforms.N_CENTERS),
+        ("axis", True, lambda o: o["axis"] == closedforms.AXIS),
+        ("line_AB", True, lambda o: o["line_AB"] == closedforms.LINE_AB),
+        ("line_CD", True, lambda o: o["line_CD"] == closedforms.LINE_CD),
+        ("Q", True, lambda o: o["Q"] == closedforms.Q_FIRST),
+        ("R", True, lambda o: o["R"] == closedforms.R_FIRST),
+        ("midpoint_PQR", False, lambda o: is_midpoint(o["P"], o["Q"], o["R"])),
+    ),
+    "thm2": (
+        ("X", True, lambda o: o["X"] == closedforms.X_MEET),
+        ("Y", True, lambda o: o["Y"] == closedforms.Y_MEET),
+        ("Z", True, lambda o: o["Z"] == closedforms.Z_MEET),
+        ("W", True, lambda o: o["W"] == closedforms.W_VERTEX),
+        ("W_x", True, lambda o: o["W"].x == closedforms.W_X),
+        ("W_y", True, lambda o: o["W"].y == closedforms.W_Y),
+        ("axis", True, lambda o: o["axis"] == closedforms.AXIS),
+        ("Q", True, lambda o: o["Q"] == closedforms.Q_SECOND),
+        ("R", True, lambda o: o["R"] == closedforms.R_SECOND),
+        ("midpoint_PQR", False, lambda o: is_midpoint(o["P"], o["Q"], o["R"])),
+        ("axis_matches_thm1", False,
+         lambda o: o["axis"] == build_thm1(GaugeConfig.symbolic())["axis"]),
+    ),
+    "lemma3": (
+        ("O_a", True, lambda o: o["O_a"] == closedforms.O_A),
+        ("O_b", True, lambda o: o["O_b"] == closedforms.O_B),
+        ("O_c", True, lambda o: o["O_c"] == closedforms.O_C),
+        ("O_d", True, lambda o: o["O_d"] == closedforms.O_D),
+        ("ratio_P", True, lambda o: _ratio_at(o, "P") == closedforms.POWER_RATIO),
+        ("ratio_M", True, lambda o: _ratio_at(o, "M") == closedforms.POWER_RATIO),
+        ("ratio_N", True, lambda o: _ratio_at(o, "N") == closedforms.POWER_RATIO),
+        ("ratio_chain", True,
+         lambda o: (_diagonal_ratio(o) == closedforms.POWER_RATIO
+                    and _ratio_at(o, "P") == _ratio_at(o, "M")
+                    == _ratio_at(o, "N") == _diagonal_ratio(o))),
+        ("pencil", False,
+         lambda o: are_coaxial(o["circle_ac"], o["circle_bd"], o["circle_pmn"])),
+    ),
+}
+
+# ids of the checks that reproduce stored construction-step formulas, as
+# opposed to the theorem-level identities proved on top of them
+CLOSED_FORM_CHECK_IDS = tuple(f"{theorem}.{step}" for theorem, rows in _PLANS.items()
+                              for step, closed_form, _ in rows if closed_form)
+
+
+def _prove(theorem: str, objs: dict[str, object]) -> VerificationReport:
+    """Run the plan of `theorem` on its built symbolic objects."""
+    checks = ((f"{theorem}.{step}", check) for step, _, check in _PLANS[theorem])
+    return run_checks(theorem, ((check_id, check(objs), check_id)
+                                for check_id, check in checks))
 
 
 def prove_thm1() -> VerificationReport:
     """Symbolic proof of the first generalization, step by step against closed forms."""
-    objs = build_thm1(GaugeConfig.symbolic())
-    cf = closedforms
-    plan = [
-        ("thm1.O_a", lambda: objs["O_a"] == cf.O_A),
-        ("thm1.O_b", lambda: objs["O_b"] == cf.O_B),
-        ("thm1.O_c", lambda: objs["O_c"] == cf.O_C),
-        ("thm1.O_d", lambda: objs["O_d"] == cf.O_D),
-        ("thm1.M", lambda: objs["M"] == cf.M_CENTERS),
-        ("thm1.N", lambda: objs["N"] == cf.N_CENTERS),
-        ("thm1.axis", lambda: objs["axis"] == cf.AXIS),
-        ("thm1.line_AB", lambda: objs["line_AB"] == cf.LINE_AB),
-        ("thm1.line_CD", lambda: objs["line_CD"] == cf.LINE_CD),
-        ("thm1.Q", lambda: objs["Q"] == cf.Q_FIRST),
-        ("thm1.R", lambda: objs["R"] == cf.R_FIRST),
-        ("thm1.midpoint_PQR",
-         lambda: is_midpoint(objs["P"], objs["Q"], objs["R"])),
-    ]
-    return _run_plan("thm1", plan)
+    return _prove("thm1", build_thm1(GaugeConfig.symbolic()))
 
 
 def prove_thm2() -> VerificationReport:
     """Symbolic proof of the second generalization, including the shared axis."""
-    objs = build_thm2(GaugeConfig.symbolic())
-    cf = closedforms
-    plan = [
-        ("thm2.X", lambda: objs["X"] == cf.X_MEET),
-        ("thm2.Y", lambda: objs["Y"] == cf.Y_MEET),
-        ("thm2.Z", lambda: objs["Z"] == cf.Z_MEET),
-        ("thm2.W", lambda: objs["W"] == cf.W_VERTEX),
-        ("thm2.W_x", lambda: objs["W"].x == cf.W_X),
-        ("thm2.W_y", lambda: objs["W"].y == cf.W_Y),
-        ("thm2.axis", lambda: objs["axis"] == cf.AXIS),
-        ("thm2.Q", lambda: objs["Q"] == cf.Q_SECOND),
-        ("thm2.R", lambda: objs["R"] == cf.R_SECOND),
-        ("thm2.midpoint_PQR",
-         lambda: is_midpoint(objs["P"], objs["Q"], objs["R"])),
-        ("thm2.axis_matches_thm1",
-         lambda: objs["axis"] == build_thm1(GaugeConfig.symbolic())["axis"]),
-    ]
-    return _run_plan("thm2", plan)
-
-
-def _dot_from(origin: Point, p: Point, q: Point):
-    return ((p.x - origin.x) * (q.x - origin.x)
-            + (p.y - origin.y) * (q.y - origin.y))
+    return _prove("thm2", build_thm2(GaugeConfig.symbolic()))
 
 
 def prove_lemma3() -> VerificationReport:
     """Symbolic proof of coaxiality via the three equal power ratios."""
-    objs = build_lemma3(GaugeConfig.symbolic())
-    cf = closedforms
-
-    def ratio_at(point_key: str):
-        num = power_of_point(objs[point_key], objs["circle_ac"])
-        den = power_of_point(objs[point_key], objs["circle_bd"])
-        return num / den
-
-    def diagonal_ratio():
-        num = _dot_from(objs["P"], objs["B"], objs["D"])
-        den = _dot_from(objs["P"], objs["A"], objs["C"])
-        return num / den
-
-    plan = [
-        ("lemma3.O_a", lambda: objs["O_a"] == cf.O_A),
-        ("lemma3.O_b", lambda: objs["O_b"] == cf.O_B),
-        ("lemma3.O_c", lambda: objs["O_c"] == cf.O_C),
-        ("lemma3.O_d", lambda: objs["O_d"] == cf.O_D),
-        ("lemma3.ratio_P", lambda: ratio_at("P") == cf.POWER_RATIO),
-        ("lemma3.ratio_M", lambda: ratio_at("M") == cf.POWER_RATIO),
-        ("lemma3.ratio_N", lambda: ratio_at("N") == cf.POWER_RATIO),
-        ("lemma3.ratio_chain",
-         lambda: (diagonal_ratio() == cf.POWER_RATIO
-                  and ratio_at("P") == ratio_at("M") == ratio_at("N")
-                  == diagonal_ratio())),
-        ("lemma3.pencil",
-         lambda: are_coaxial(objs["circle_ac"], objs["circle_bd"],
-                             objs["circle_pmn"])),
-    ]
-    return _run_plan("lemma3", plan)
-
-
-# ids of the checks that reproduce stored construction-step formulas, as
-# opposed to the theorem-level identities proved on top of them
-CLOSED_FORM_CHECK_IDS = (
-    "thm1.O_a", "thm1.O_b", "thm1.O_c", "thm1.O_d", "thm1.M", "thm1.N",
-    "thm1.axis", "thm1.line_AB", "thm1.line_CD", "thm1.Q", "thm1.R",
-    "thm2.X", "thm2.Y", "thm2.Z", "thm2.W", "thm2.W_x", "thm2.W_y",
-    "thm2.axis", "thm2.Q", "thm2.R",
-    "lemma3.O_a", "lemma3.O_b", "lemma3.O_c", "lemma3.O_d",
-    "lemma3.ratio_P", "lemma3.ratio_M", "lemma3.ratio_N", "lemma3.ratio_chain",
-)
+    return _prove("lemma3", build_lemma3(GaugeConfig.symbolic()))
 
 
 # -- suite runner ------------------------------------------------------------------
@@ -783,11 +772,11 @@ _SUITE: dict[str, tuple[Callable, Callable]] = {
     "lemma3": (sample_gauge, check_lemma3),
 }
 
-NUMERIC_ORDER = ("butterfly_chord", "thm0_cyclic", "thm1", "thm2",
-                 "lemma1", "lemma2", "lemma3")
-SYMBOLIC_ORDER = ("thm1", "thm2", "lemma3")
-
 _PROVERS = {"thm1": prove_thm1, "thm2": prove_thm2, "lemma3": prove_lemma3}
+
+NUMERIC_ORDER = tuple(_SUITE)
+SYMBOLIC_ORDER = tuple(_PROVERS)
+
 
 def run_numeric(theorem: str, trials: int = 1000, seed: int = 0,
                 bound: int = 20) -> VerificationReport:

@@ -11,7 +11,9 @@ from butterfly import Circle, DegenerateConfig, Line, Point, RationalFunction
 from butterfly.dsl import (
     _FUNCTION_IMPLS,
     _PREDICATE_IMPLS,
+    FUNCTIONS,
     MAX_NESTING,
+    PREDICATES,
     Assertion,
     Binary,
     Call,
@@ -404,6 +406,11 @@ def test_symbolic_generic_degeneracy_is_reported():
     assert not report.ok
     assert report.failure.startswith("degenerate for generic parameters:")
     assert report.attempted == 0
+
+
+def test_signature_tables_and_implementation_tables_name_the_same_calls():
+    assert list(FUNCTIONS) == list(_FUNCTION_IMPLS)
+    assert list(PREDICATES) == list(_PREDICATE_IMPLS)
 
 
 def test_dsl_error_is_a_package_error():

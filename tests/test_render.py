@@ -72,6 +72,20 @@ def test_scene_segment_dedupe_ignores_orientation():
     assert scene.segments == [[p, q, "assertion"]]
 
 
+def test_scene_circle_and_line_dedupe_never_downgrades():
+    scene = Scene()
+    unit, other = Circle(F(0), F(0), F(-1)), Circle(F(0), F(0), F(-4))
+    scene.add_circle(unit, "result")
+    scene.add_circle(Circle(F(0), F(0), F(-1)))
+    scene.add_circle(other, "assertion")
+    assert scene.circles == [[unit, "result"], [other, "assertion"]]
+
+    line = Line(F(0), F(1), F(0))
+    scene.add_line(line, "assertion")
+    scene.add_line(Line(F(0), F(3), F(0)))
+    assert scene.lines == [[line, "assertion"]]
+
+
 def test_scene_is_empty():
     scene = Scene()
     assert scene.is_empty()

@@ -4,6 +4,7 @@ Anchor-instance coordinates (a=2, b=1, c=-3, d=-2, k=1) and the cyclic/chord
 instances were computed by hand and frozen here as independent oracles.
 """
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,19 @@ def test_config_params_shapes():
     gaugeless = Lemma2Config(A=lem2.A, B=lem2.B, C=lem2.C, D=lem2.D,
                              P=lem2.P, Q=lem2.Q, R=lem2.R, S=lem2.S)
     assert len(gaugeless.params()) == 16
+
+
+@pytest.mark.parametrize("cfg, names", [
+    (ANCHOR, ("a", "b", "c", "d", "k")),
+    (CyclicConfig(F(1, 2), F(3), F(-1, 3), F(-3, 2)),
+     ("t_a", "t_b", "t_c", "t_d")),
+    (ChordButterflyConfig(F(1, 3), F(-3), F(3, 2), F(-1, 4)),
+     ("t_a", "t_b", "t_c", "t_e")),
+], ids=["gauge", "cyclic", "chord"])
+def test_scalar_config_params_are_its_fields(cfg, names):
+    assert tuple(name for name, _ in cfg.params()) == names
+    assert names == tuple(f.name for f in fields(cfg))
+    assert all(value is getattr(cfg, name) for name, value in cfg.params())
 
 
 def test_gauge_from_cyclic_properties():
@@ -538,12 +552,29 @@ def test_prove_lemma3_report():
     assert "lemma3.ratio_chain" in ids and "lemma3.pencil" in ids
 
 
+# The closed-form checks, keyed in here independently of the proof plans.
+CLOSED_FORM_ORACLE = (
+    "thm1.O_a", "thm1.O_b", "thm1.O_c", "thm1.O_d", "thm1.M", "thm1.N",
+    "thm1.axis", "thm1.line_AB", "thm1.line_CD", "thm1.Q", "thm1.R",
+    "thm2.X", "thm2.Y", "thm2.Z", "thm2.W", "thm2.W_x", "thm2.W_y",
+    "thm2.axis", "thm2.Q", "thm2.R",
+    "lemma3.O_a", "lemma3.O_b", "lemma3.O_c", "lemma3.O_d",
+    "lemma3.ratio_P", "lemma3.ratio_M", "lemma3.ratio_N", "lemma3.ratio_chain",
+)
+IDENTITY_CHECK_IDS = ("thm1.midpoint_PQR", "thm2.midpoint_PQR",
+                      "thm2.axis_matches_thm1", "lemma3.pencil")
+
+
 def test_closed_form_check_ids_complete():
-    assert len(CLOSED_FORM_CHECK_IDS) == 28
+    assert CLOSED_FORM_CHECK_IDS == CLOSED_FORM_ORACLE
     seen = {}
     for report in (prove_thm1(), prove_thm2(), prove_lemma3()):
         assert report.ok
+        for check_id, _ in report.checks:
+            assert check_id not in seen
+            assert check_id in CLOSED_FORM_ORACLE + IDENTITY_CHECK_IDS
         seen.update(dict(report.checks))
+    assert set(seen) == set(CLOSED_FORM_ORACLE + IDENTITY_CHECK_IDS)
     for check_id in CLOSED_FORM_CHECK_IDS:
         assert seen[check_id] is True
 
@@ -560,6 +591,13 @@ def test_run_checks_reports_the_first_mismatch():
 
 
 # -- suite runner -----------------------------------------------------------------------
+
+def test_result_orders_are_the_registries():
+    assert tuple(theorems._CLAIMS) == tuple(theorems._SUITE) == NUMERIC_ORDER
+    assert NUMERIC_ORDER == ("butterfly_chord", "thm0_cyclic", "thm1", "thm2",
+                             "lemma1", "lemma2", "lemma3")
+    assert SYMBOLIC_ORDER == tuple(theorems._PROVERS) == ("thm1", "thm2", "lemma3")
+
 
 def test_run_suite_ordering_and_modes():
     reports = run_suite(mode="both", trials=3, seed=1, bound=8)
