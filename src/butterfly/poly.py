@@ -70,6 +70,21 @@ def _coerce_coeff(value) -> Fraction:
     raise TypeError(f"polynomial coefficients must be rational, got {type(value).__name__}")
 
 
+def _exact_point(values: Mapping[str, Fraction]) -> tuple[Fraction, ...]:
+    """The values of a full assignment of VARIABLES, in that order, as
+    Fractions; the checks `Polynomial.evaluate` documents."""
+    try:
+        point = tuple(values[name] for name in VARIABLES)
+    except KeyError as missing:
+        raise ValueError(f"assignment must bind all of {', '.join(VARIABLES)}; "
+                         f"missing {missing.args[0]!r}") from None
+    for name, value in zip(VARIABLES, point):
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"the value of {name} must be an int or Fraction, "
+                            f"not {type(value).__name__}")
+    return tuple(Fraction(value) for value in point)
+
+
 def _make(terms: tuple[tuple[int, int], ...], den: int) -> Polynomial:
     """Wrap pairs that are already canonical together with `den`."""
     poly = object.__new__(Polynomial)
@@ -266,12 +281,10 @@ class Polynomial:
     # -- evaluation and equality -------------------------------------------
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
-        """Exact value at a full assignment of the five variables."""
-        try:
-            point = tuple(Fraction(values[name]) for name in VARIABLES)
-        except KeyError as missing:
-            raise ValueError(f"assignment must bind all of {', '.join(VARIABLES)}; "
-                             f"missing {missing.args[0]!r}") from None
+        """Exact value at a full assignment of the five variables to ints or
+        Fractions.  A missing variable raises ValueError; any other value
+        type (a float or a string, say) raises TypeError."""
+        point = _exact_point(values)
         # val ** e for each (variable, exponent) met, kept for this call only
         powers = tuple(({}, val, shift) for val, shift in zip(point, _SHIFTS))
         total = Fraction(0)

@@ -2,6 +2,9 @@
 
 Equality is decided by cross-multiplication (f.num * g.den == g.num * f.den),
 which is exact over an integral domain and avoids multivariate gcd entirely.
+A sum or difference of two functions whose denominators are structurally
+equal adds or subtracts the numerators over that one denominator; any other
+sum cross-multiplies.  Equality always cross-multiplies.
 A cheap normal form keeps expression growth in check without full reduction:
 
   * a zero numerator forces den = 1,
@@ -103,6 +106,8 @@ class RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den == other.den:
+            return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(self.num * other.den + other.num * self.den,
                                 self.den * other.den)
 
@@ -115,6 +120,8 @@ class RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den == other.den:
+            return RationalFunction(self.num - other.num, self.den)
         return RationalFunction(self.num * other.den - other.num * self.den,
                                 self.den * other.den)
 

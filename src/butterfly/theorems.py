@@ -58,6 +58,7 @@ from .geom import (
     projective_point,
     second_intersection,
 )
+from .poly import _exact_point
 from .ratfun import RationalFunction
 from .scalar import derive_rng, format_rational, sample_ratio
 
@@ -420,22 +421,25 @@ def gauge_from_cyclic(cfg: CyclicConfig) -> GaugeConfig:
 
 
 def evaluate_object(obj, assignment: Mapping[str, Fraction]):
-    """Exact evaluation of a symbolic Point/Line/Circle at a rational assignment."""
+    """Exact evaluation of a symbolic Point/Line/Circle at an assignment of
+    the five variables to ints or Fractions.  The assignment is checked as
+    `Polynomial.evaluate` checks it, even where every field is a constant."""
+    if not isinstance(obj, (Point, Line, Circle)):
+        raise TypeError(f"cannot evaluate {type(obj).__name__}")
+    _exact_point(assignment)
     if isinstance(obj, Point):
         return Point(_eval_scalar(obj.x, assignment), _eval_scalar(obj.y, assignment))
     if isinstance(obj, Line):
         return Line(_eval_scalar(obj.u, assignment), _eval_scalar(obj.v, assignment),
                     _eval_scalar(obj.w, assignment))
-    if isinstance(obj, Circle):
-        return Circle(_eval_scalar(obj.d, assignment), _eval_scalar(obj.e, assignment),
-                      _eval_scalar(obj.f, assignment))
-    raise TypeError(f"cannot evaluate {type(obj).__name__}")
+    return Circle(_eval_scalar(obj.d, assignment), _eval_scalar(obj.e, assignment),
+                  _eval_scalar(obj.f, assignment))
 
 
 def _eval_scalar(value, assignment):
     if isinstance(value, RationalFunction):
         return value.evaluate(assignment)
-    return Fraction(value)
+    return value
 
 
 # -- samplers -------------------------------------------------------------------
@@ -709,10 +713,15 @@ _PLANS = {
         ("ratio_P", True, lambda o: _ratio_at(o, "P") == closedforms.POWER_RATIO),
         ("ratio_M", True, lambda o: _ratio_at(o, "M") == closedforms.POWER_RATIO),
         ("ratio_N", True, lambda o: _ratio_at(o, "N") == closedforms.POWER_RATIO),
+        # The chain D == PR and P == M == N == D (D the diagonal ratio, PR the
+        # closed form) is decided as "each of D, P, M and N equals PR".  Exact
+        # equality in a field is transitive, so both say the same thing on
+        # every input; each comparison is then against PR's 2/1 terms, not
+        # another unreduced ratio of hundreds.
         ("ratio_chain", True,
          lambda o: (_diagonal_ratio(o) == closedforms.POWER_RATIO
-                    and _ratio_at(o, "P") == _ratio_at(o, "M")
-                    == _ratio_at(o, "N") == _diagonal_ratio(o))),
+                    and all(_ratio_at(o, key) == closedforms.POWER_RATIO
+                            for key in "PMN"))),
         ("pencil", False,
          lambda o: are_coaxial(o["circle_ac"], o["circle_bd"], o["circle_pmn"])),
     ),

@@ -1,5 +1,6 @@
 """Sparse polynomial layer: canonical form, ring arithmetic, rendering."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,10 @@ def test_evaluate():
     assert p.evaluate(values) == Fraction(-2)
     with pytest.raises(ValueError, match="missing 'k'"):
         p.evaluate({"a": 1, "b": 1, "c": 1, "d": 1})
+    # exact values only: a float or a string is not converted
+    for bad in (0.1, "1/3", Decimal(1)):
+        with pytest.raises(TypeError, match="value of a must be an int or Fraction"):
+            A.evaluate({**values, "a": bad})
 
 
 def test_render_format():

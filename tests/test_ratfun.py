@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from butterfly import DenominatorVanishes, Polynomial, RationalFunction, ZeroDenominator
 
@@ -99,6 +99,12 @@ def test_evaluate():
     assert ((a + c) / 2).evaluate(SIGMA) == Fraction(-1, 2)
 
 
+def test_evaluate_rejects_inexact_values():
+    for bad in (0.5, "1/3"):
+        with pytest.raises(TypeError, match="must be an int or Fraction"):
+            (a / k).evaluate({**SIGMA, "k": bad})
+
+
 def test_evaluate_denominator_vanishes():
     f = a / (a - 2)
     with pytest.raises(DenominatorVanishes):
@@ -114,11 +120,15 @@ def test_render():
 small_ints = st.integers(min_value=-9, max_value=9)
 
 
+def _numerator(draw):
+    nc = [draw(small_ints) for _ in range(3)]
+    return nc[0] * pvar("a") * pvar("k") + nc[1] * pvar("b") + Polynomial.constant(nc[2])
+
+
 @st.composite
 def ratfuns(draw):
-    nc = [draw(small_ints) for _ in range(3)]
+    num = _numerator(draw)
     dc = [draw(small_ints) for _ in range(2)]
-    num = nc[0] * pvar("a") * pvar("k") + nc[1] * pvar("b") + Polynomial.constant(nc[2])
     den = dc[0] * pvar("c") + Polynomial.constant(dc[1])
     if den.is_zero():
         den = Polynomial.one()
@@ -154,3 +164,56 @@ def test_evaluation_homomorphism(f, g):
     assert (f * g).evaluate(sigma) == fv * gv
     if gv != 0 and g:
         assert (f / g).evaluate(sigma) == fv / gv
+
+
+# -- sums over a shared denominator ------------------------------------------------
+
+nonzero_ints = small_ints.filter(bool)
+
+
+@st.composite
+def shared_denominator_pairs(draw):
+    """Two functions whose normalized denominators are structurally equal:
+    the denominator has a nonzero constant term, so no monomial cancels, and
+    the second is given over a rational multiple of it."""
+    dc = [draw(small_ints) for _ in range(2)]
+    den = (dc[0] * pvar("c") * pvar("k") + dc[1] * pvar("a") ** 2
+           + Polynomial.constant(draw(nonzero_ints)))
+    scale = Fraction(draw(nonzero_ints), draw(nonzero_ints))
+    # a zero numerator would put its function over 1
+    nums = [_numerator(draw) for _ in range(2)]
+    assume(not any(num.is_zero() for num in nums))
+    return (RationalFunction(nums[0], den),
+            RationalFunction(nums[1].scale(scale), den.scale(scale)))
+
+
+def ref_add(f, g):
+    return RationalFunction(f.num * g.den + g.num * f.den, f.den * g.den)
+
+
+def ref_sub(f, g):
+    return RationalFunction(f.num * g.den - g.num * f.den, f.den * g.den)
+
+
+@given(shared_denominator_pairs())
+def test_shared_denominator_sums_match_cross_multiplication(pair):
+    f, g = pair
+    assert f.den == g.den  # the shared-denominator branch is the one taken
+    sigma = {"a": Fraction(3, 2), "b": Fraction(-5), "c": Fraction(7, 4),
+             "d": Fraction(1, 9), "k": Fraction(-2, 3)}
+    for result, ref in ((f + g, ref_add(f, g)), (f - g, ref_sub(f, g))):
+        assert result == ref
+        assert result.den.degree() <= f.den.degree()
+        try:
+            expected = ref.evaluate(sigma)
+        except DenominatorVanishes:
+            continue
+        assert result.evaluate(sigma) == expected
+
+
+@given(shared_denominator_pairs())
+def test_shared_denominator_difference_cancels_to_zero(pair):
+    f, _ = pair
+    for zero in (f - f, f + (-f)):
+        assert zero.is_zero()
+        assert zero.num == Polynomial.zero() and zero.den == Polynomial.one()

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from butterfly import theorems
+from butterfly import closedforms, theorems
 from butterfly.dsl import evaluate_construction, parse
 from butterfly.errors import CollinearPoints, DegenerateConfig, SamplerExhausted
 from butterfly.geom import (
@@ -272,6 +272,15 @@ def test_evaluate_object_matches_numeric_construction():
 def test_evaluate_object_rejects_unknown_types():
     with pytest.raises(TypeError):
         evaluate_object("not geometry", {})
+
+
+def test_evaluate_object_checks_the_assignment_of_a_constant_object():
+    origin = Point(0, 0)
+    assert evaluate_object(origin, {"a": 1, "b": 2, "c": F(1, 3), "d": 4, "k": 5}) == origin
+    with pytest.raises(TypeError, match="value of c must be an int or Fraction"):
+        evaluate_object(origin, {**ANCHOR.as_assignment(), "c": 0.5})
+    with pytest.raises(ValueError, match="missing 'k'"):
+        evaluate_object(origin, {"a": 1, "b": 2, "c": 3, "d": 4})
 
 
 # -- samplers ----------------------------------------------------------------------
@@ -550,6 +559,60 @@ def test_prove_lemma3_report():
     assert report.attempted == 9 and report.passed == 9
     ids = [check_id for check_id, _ in report.checks]
     assert "lemma3.ratio_chain" in ids and "lemma3.pencil" in ids
+
+
+def ref_ratio_chain(objs):
+    """lemma3's ratio chain as first stated: D == PR and P == M == N == D."""
+    ratio_at, diagonal_ratio = theorems._ratio_at, theorems._diagonal_ratio
+    return (diagonal_ratio(objs) == closedforms.POWER_RATIO
+            and ratio_at(objs, "P") == ratio_at(objs, "M")
+            == ratio_at(objs, "N") == diagonal_ratio(objs))
+
+
+def _ratio_chain(objs):
+    (check,) = [check for step, _, check in theorems._PLANS["lemma3"]
+                if step == "ratio_chain"]
+    return check(objs)
+
+
+def _nudge_m(objs):
+    """The objects with M moved off the midpoint of AC."""
+    M = objs["M"]
+    return dict(objs, M=Point(M.x + 1, M.y))
+
+
+def test_ratio_chain_is_the_reference_proposition_symbolically():
+    objs = build_lemma3(GaugeConfig.symbolic())
+    assert _ratio_chain(objs) is True and ref_ratio_chain(objs) is True
+    nudged = _nudge_m(objs)
+    assert _ratio_chain(nudged) is False and ref_ratio_chain(nudged) is False
+
+
+def _outcome(chain, objs):
+    try:
+        return chain(objs)
+    except (DegenerateConfig, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def test_ratio_chain_is_the_reference_proposition_on_fraction_builds(monkeypatch):
+    # PR is the symbolic closed form, or its value at the draw, so that the
+    # chain holds on the built objects and fails on the nudged ones
+    shipped = closedforms.POWER_RATIO
+    seen = set()
+    for seed in range(50):
+        cfg = sample_gauge(derive_rng(seed, "ratio-chain"), 10)
+        try:
+            objs = build_lemma3(cfg)
+        except DegenerateConfig:
+            continue
+        for power_ratio in (shipped, shipped.evaluate(cfg.as_assignment())):
+            monkeypatch.setattr(closedforms, "POWER_RATIO", power_ratio)
+            for candidate in (objs, _nudge_m(objs)):
+                outcome = _outcome(_ratio_chain, candidate)
+                assert outcome == _outcome(ref_ratio_chain, candidate)
+                seen.add(outcome)
+    assert {True, False} <= seen
 
 
 # The closed-form checks, keyed in here independently of the proof plans.
