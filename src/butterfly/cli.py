@@ -39,22 +39,17 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify", help="check the assertions in .geo construction files")
     verify.add_argument("files", nargs="+", metavar="FILE")
-    verify.add_argument("--mode", choices=("numeric", "symbolic", "both"),
-                        default="numeric")
-    verify.add_argument("--trials", type=_positive_int, default=1000)
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--bound", type=_positive_int, default=20)
     verify.set_defaults(handler=_cmd_verify)
-
     prove = sub.add_parser(
         "prove-paper",
         help="rerun every bundled theorem and lemma check")
-    prove.add_argument("--mode", choices=("numeric", "symbolic", "both"),
-                       default="both")
-    prove.add_argument("--trials", type=_positive_int, default=1000)
-    prove.add_argument("--seed", type=int, default=0)
-    prove.add_argument("--bound", type=_positive_int, default=20)
     prove.set_defaults(handler=_cmd_prove_paper)
+    for command, mode in ((verify, "numeric"), (prove, "both")):
+        command.add_argument("--mode", choices=("numeric", "symbolic", "both"),
+                             default=mode)
+        command.add_argument("--trials", type=_positive_int, default=1000)
+        command.add_argument("--seed", type=int, default=0)
+        command.add_argument("--bound", type=_positive_int, default=20)
 
     render = sub.add_parser(
         "render", help="evaluate a .geo file at rational values and write SVG")
@@ -163,7 +158,7 @@ def _cmd_render(args) -> int:
                 return 2
     try:
         scene = scene_from_construction(construction, assignment)
-    except ValueError as exc:
+    except (EmptyScene, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DegenerateConfig as exc:
@@ -171,9 +166,6 @@ def _cmd_render(args) -> int:
         return 1
     try:
         svg = render_svg(scene, width_px=args.width)
-    except EmptyScene as exc:
-        print(f"degenerate instance: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

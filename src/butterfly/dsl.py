@@ -288,65 +288,45 @@ class Construction:
 
 _TYPES = ("point", "line", "circle", "scalar")
 
-# function name -> (argument types, result type)
-FUNCTIONS = {
-    "midpoint": (("point", "point"), "point"),
-    "circumcenter": (("point", "point", "point"), "point"),
-    "perp_bisector": (("point", "point"), "line"),
-    "perp_through": (("point", "line"), "line"),
-    "line": (("point", "point"), "line"),
-    "intersect": (("line", "line"), "point"),
-    "second_intersection": (("circle", "line", "point"), "point"),
-    "circle_on_diameter": (("point", "point"), "circle"),
-    "circumcircle": (("point", "point", "point"), "circle"),
-    "parallelogram_fourth": (("point", "point", "point"), "point"),
-    "newton_line": (("point", "point", "point", "point"), "line"),
-    "on_unit_circle": (("scalar",), "point"),
-    "power": (("point", "circle"), "scalar"),
-    "cross_ratio": (("point", "point", "point", "point"), "scalar"),
+# name -> (implementation, argument types, result type)
+_FUNCTION_ROWS = {
+    "midpoint": (midpoint, ("point", "point"), "point"),
+    "circumcenter": (circumcenter, ("point", "point", "point"), "point"),
+    "perp_bisector": (perp_bisector, ("point", "point"), "line"),
+    "perp_through": (perp_through, ("point", "line"), "line"),
+    "line": (line_through, ("point", "point"), "line"),
+    "intersect": (intersect_lines, ("line", "line"), "point"),
+    "second_intersection": (second_intersection, ("circle", "line", "point"), "point"),
+    "circle_on_diameter": (circle_on_diameter, ("point", "point"), "circle"),
+    "circumcircle": (circumcircle, ("point", "point", "point"), "circle"),
+    "parallelogram_fourth": (parallelogram_fourth, ("point", "point", "point"), "point"),
+    "newton_line": (newton_line, ("point", "point", "point", "point"), "line"),
+    "on_unit_circle": (on_unit_circle, ("scalar",), "point"),
+    "power": (power_of_point, ("point", "circle"), "scalar"),
+    "cross_ratio": (cross_ratio, ("point", "point", "point", "point"), "scalar"),
 }
 
-PREDICATES = {
-    "midpoint": ("point", "point", "point"),
-    "perpendicular": ("line", "line"),
-    "parallel": ("line", "line"),
-    "collinear": ("point", "point", "point"),
-    "concyclic": ("point", "point", "point", "point"),
-    "harmonic": ("point", "point", "point", "point"),
-    "coaxial": ("circle", "circle", "circle"),
-    "on": ("point", "line or circle"),
+# name -> (implementation, argument types)
+_PREDICATE_ROWS = {
+    "midpoint": (is_midpoint, ("point", "point", "point")),
+    "perpendicular": (is_perpendicular, ("line", "line")),
+    "parallel": (is_parallel, ("line", "line")),
+    "collinear": (is_collinear, ("point", "point", "point")),
+    "concyclic": (are_concyclic, ("point", "point", "point", "point")),
+    "harmonic": (harmonic, ("point", "point", "point", "point")),
+    "coaxial": (are_coaxial, ("circle", "circle", "circle")),
+    "on": (point_on, ("point", "line or circle")),
 }
+
+# views of the rows: the signatures `parse` checks, the implementations
+# programs are compiled against
+FUNCTIONS = {name: row[1:] for name, row in _FUNCTION_ROWS.items()}
+PREDICATES = {name: row[1] for name, row in _PREDICATE_ROWS.items()}
+_FUNCTION_IMPLS = {name: row[0] for name, row in _FUNCTION_ROWS.items()}
+_PREDICATE_IMPLS = {name: row[0] for name, row in _PREDICATE_ROWS.items()}
 
 _RESERVED = (set(_TYPES) | {"param", "assert"}
              | set(FUNCTIONS) | set(PREDICATES))
-
-_FUNCTION_IMPLS = {
-    "midpoint": midpoint,
-    "circumcenter": circumcenter,
-    "perp_bisector": perp_bisector,
-    "perp_through": perp_through,
-    "line": line_through,
-    "intersect": intersect_lines,
-    "second_intersection": second_intersection,
-    "circle_on_diameter": circle_on_diameter,
-    "circumcircle": circumcircle,
-    "parallelogram_fourth": parallelogram_fourth,
-    "newton_line": newton_line,
-    "on_unit_circle": on_unit_circle,
-    "power": power_of_point,
-    "cross_ratio": cross_ratio,
-}
-
-_PREDICATE_IMPLS = {
-    "midpoint": is_midpoint,
-    "perpendicular": is_perpendicular,
-    "parallel": is_parallel,
-    "collinear": is_collinear,
-    "concyclic": are_concyclic,
-    "harmonic": harmonic,
-    "coaxial": are_coaxial,
-    "on": point_on,
-}
 
 
 # -- parser ----------------------------------------------------------------------
@@ -386,6 +366,14 @@ class _Parser:
                                  _token_span(tok))
         return self._next()
 
+    def _comma_list(self, item) -> list:
+        """`item()`, then `item()` again after each ","."""
+        items = [item()]
+        while self._peek().kind == "COMMA":
+            self._next()
+            items.append(item())
+        return items
+
     def parse_program(self) -> Construction:
         statements = []
         while self._peek().kind != "EOF":
@@ -398,8 +386,8 @@ class _Parser:
                 "param", "assert", *_TYPES):
             found = repr(tok.text) if tok.kind != "EOF" else "end of input"
             raise DslSyntaxError(
-                "expected one of: param, point, line, circle, scalar, "
-                f"assert; found {found}", _token_span(tok))
+                f"expected one of: param, {', '.join(_TYPES)}, assert; "
+                f"found {found}", _token_span(tok))
         if tok.text == "param":
             return self._param_decl()
         if tok.text == "assert":
@@ -408,19 +396,11 @@ class _Parser:
 
     def _param_decl(self) -> ParamDecl:
         kw = self._next()
-        names, spans = [], []
-        tok = self._expect("IDENT", "a parameter name")
-        names.append(tok.text)
-        spans.append(_token_span(tok))
-        while self._peek().kind == "COMMA":
-            self._next()
-            tok = self._expect("IDENT", "a parameter name")
-            names.append(tok.text)
-            spans.append(_token_span(tok))
+        toks = self._comma_list(lambda: self._expect("IDENT", "a parameter name"))
         semi = self._expect("SEMI", "';'")
-        return ParamDecl(names=tuple(names),
+        return ParamDecl(names=tuple(tok.text for tok in toks),
                          span=_join_spans(_token_span(kw), _token_span(semi)),
-                         name_spans=tuple(spans))
+                         name_spans=tuple(_token_span(tok) for tok in toks))
 
     def _definition(self) -> Definition:
         type_tok = self._next()
@@ -437,10 +417,7 @@ class _Parser:
         kw = self._next()
         pred_tok = self._expect("IDENT", "a predicate name")
         self._expect("LPAREN", "'('")
-        args = [self._expr()[0]]
-        while self._peek().kind == "COMMA":
-            self._next()
-            args.append(self._expr()[0])
+        args = [arg for arg, _ in self._comma_list(self._expr)]
         self._expect("RPAREN", "')'")
         semi = self._expect("SEMI", "';'")
         return Assertion(predicate=pred_tok.text, args=tuple(args),
@@ -495,12 +472,8 @@ class _Parser:
             self._next()
             if self._peek().kind == "LPAREN":
                 self._next()
-                args = []
-                if self._peek().kind != "RPAREN":
-                    args.append(self._expr())
-                    while self._peek().kind == "COMMA":
-                        self._next()
-                        args.append(self._expr())
+                args = ([] if self._peek().kind == "RPAREN"
+                        else self._comma_list(self._expr))
                 rparen = self._expect("RPAREN", "')'")
                 height = max((h for _, h in args), default=0)
                 return (Call(func=tok.text, args=tuple(a for a, _ in args),

@@ -72,7 +72,8 @@ def _coerce_coeff(value) -> Fraction:
 
 def _exact_point(values: Mapping[str, Fraction]) -> tuple[Fraction, ...]:
     """The values of a full assignment of VARIABLES, in that order, as
-    Fractions; the checks `Polynomial.evaluate` documents."""
+    Fractions (ints converted, Fractions as given); the checks
+    `Polynomial.evaluate` documents."""
     try:
         point = tuple(values[name] for name in VARIABLES)
     except KeyError as missing:
@@ -82,7 +83,8 @@ def _exact_point(values: Mapping[str, Fraction]) -> tuple[Fraction, ...]:
         if not isinstance(value, (int, Fraction)):
             raise TypeError(f"the value of {name} must be an int or Fraction, "
                             f"not {type(value).__name__}")
-    return tuple(Fraction(value) for value in point)
+    return tuple(value if isinstance(value, Fraction) else Fraction(value)
+                 for value in point)
 
 
 def _make(terms: tuple[tuple[int, int], ...], den: int) -> Polynomial:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from .dsl import Definition, Name, ParamDecl, eval_expr
+from .dsl import Assertion, Definition, Name, ParamDecl, eval_expr
 from .errors import EmptyScene
 from .geom import Circle, Line, Point
 from .scalar import format_rational
@@ -249,11 +249,17 @@ def scene_from_construction(construction, assignment) -> Scene:
     an assertion mentions by name is upgraded to "result"; objects built
     inline inside assertions enter as "assertion", as does the target
     segment of each midpoint assertion.  Assertion truth is not checked
-    here; figures of false claims are legitimate.
+    here; figures of false claims are legitimate.  A program with no
+    assertion (every predicate takes points, lines or circles) and only
+    scalar definitions raises EmptyScene before it is evaluated.
     """
     missing = [name for name in construction.params if name not in assignment]
     if missing:
         raise ValueError(f"unbound parameters: {', '.join(missing)}")
+    if not any(isinstance(stmt, Assertion)
+               or isinstance(stmt, Definition) and stmt.type != "scalar"
+               for stmt in construction.statements):
+        raise EmptyScene("nothing to draw")
     env = {name: Fraction(assignment[name]) for name in construction.params}
 
     scene = Scene()

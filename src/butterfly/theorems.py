@@ -119,6 +119,17 @@ class GaugeConfig:
         return dict(self.params())
 
 
+def _unit_circle_corners(cfg) -> tuple[Point, ...]:
+    """A half-angle configuration's points: its fields, in order, on the unit circle."""
+    return tuple(on_unit_circle(value) for _, value in _field_params(cfg))
+
+
+def _point_params(cfg, names: str) -> tuple[tuple[str, object], ...]:
+    """The coordinates of the points `names` as parameters "ax", "ay", "bx", ..."""
+    return tuple((f"{name.lower()}{axis}", getattr(getattr(cfg, name), axis))
+                 for name in names for axis in "xy")
+
+
 @dataclass(frozen=True)
 class CyclicConfig:
     """Four tangent-half-angle parameters placing A, B, C, D on the unit circle."""
@@ -128,10 +139,7 @@ class CyclicConfig:
     t_c: object
     t_d: object
 
-    def corners(self) -> tuple[Point, Point, Point, Point]:
-        return (on_unit_circle(self.t_a), on_unit_circle(self.t_b),
-                on_unit_circle(self.t_c), on_unit_circle(self.t_d))
-
+    corners = _unit_circle_corners
     params = _field_params
 
 
@@ -149,10 +157,7 @@ class ChordButterflyConfig:
     t_c: object
     t_e: object
 
-    def corners(self) -> tuple[Point, Point, Point, Point]:
-        return (on_unit_circle(self.t_a), on_unit_circle(self.t_b),
-                on_unit_circle(self.t_c), on_unit_circle(self.t_e))
-
+    corners = _unit_circle_corners
     params = _field_params
 
 
@@ -166,9 +171,7 @@ class QuadConfig:
     D: Point
 
     def params(self) -> tuple[tuple[str, object], ...]:
-        return (("ax", self.A.x), ("ay", self.A.y), ("bx", self.B.x),
-                ("by", self.B.y), ("cx", self.C.x), ("cy", self.C.y),
-                ("dx", self.D.x), ("dy", self.D.y))
+        return _point_params(self, "ABCD")
 
 
 @dataclass(frozen=True)
@@ -193,24 +196,23 @@ class Lemma2Config:
     def params(self) -> tuple[tuple[str, object], ...]:
         if self.gauge is not None:
             return self.gauge.params()
-        pairs = []
-        for name in ("A", "B", "C", "D", "P", "Q", "R", "S"):
-            pt = getattr(self, name)
-            pairs.append((f"{name.lower()}x", pt.x))
-            pairs.append((f"{name.lower()}y", pt.y))
-        return tuple(pairs)
+        return _point_params(self, "ABCDPQRS")
 
 
 # -- builders (shared by numeric, symbolic, and bridge paths) -----------------
 
 
+def _circumcenters(A: Point, B: Point, C: Point, D: Point) -> tuple[Point, ...]:
+    """O_a, O_b, O_c, O_d: the circumcenters of BCD, CDA, DAB and ABC, met from
+    the bisectors of BC, BD; of CD, CA; of DA, DB; and of AB, AC."""
+    return (circumcenter(C, B, D), circumcenter(D, C, A),
+            circumcenter(A, D, B), circumcenter(B, A, C))
+
+
 def build_thm1(cfg: GaugeConfig) -> dict[str, object]:
     """All intermediate objects of the first generalization, in construction order."""
     P, A, B, C, D = cfg.corners()
-    O_a = circumcenter(C, B, D)  # bisectors of BC, BD
-    O_b = circumcenter(D, C, A)  # bisectors of CD, CA
-    O_c = circumcenter(A, D, B)  # bisectors of DA, DB
-    O_d = circumcenter(B, A, C)  # bisectors of AB, AC
+    O_a, O_b, O_c, O_d = _circumcenters(A, B, C, D)
     M = midpoint(O_a, O_c)
     N = midpoint(O_b, O_d)
     line_MN = line_through(M, N)
@@ -246,10 +248,7 @@ def build_thm2(cfg: GaugeConfig) -> dict[str, object]:
 def build_lemma3(cfg: GaugeConfig) -> dict[str, object]:
     """Circumcenters, diagonal midpoints, and the three circles of the coaxiality lemma."""
     P, A, B, C, D = cfg.corners()
-    O_a = circumcenter(C, B, D)
-    O_b = circumcenter(D, C, A)
-    O_c = circumcenter(A, D, B)
-    O_d = circumcenter(B, A, C)
+    O_a, O_b, O_c, O_d = _circumcenters(A, B, C, D)
     M = midpoint(A, C)
     N = midpoint(B, D)
     circle_ac = circle_on_diameter(O_a, O_c)
@@ -292,10 +291,7 @@ def build_chord(cfg: ChordButterflyConfig) -> dict[str, object]:
 def build_lemma2(gauge: GaugeConfig) -> Lemma2Config:
     """Instance of the doubly-perpendicular quadrilateral pair via circumcenters."""
     _, A, B, C, D = gauge.corners()
-    O_a = circumcenter(C, B, D)
-    O_b = circumcenter(D, C, A)
-    O_c = circumcenter(A, D, B)
-    O_d = circumcenter(B, A, C)
+    O_a, O_b, O_c, O_d = _circumcenters(A, B, C, D)
     return Lemma2Config(A=A, B=B, C=C, D=D, P=O_c, Q=O_d, R=O_a, S=O_b,
                         gauge=gauge)
 
@@ -676,12 +672,15 @@ def _diagonal_ratio(objs):
 
 # Each proof, as rows (step, reproduces a closed form?, check on the built
 # objects) run in order; the check id is "<theorem>.<step>".
+_CIRCUMCENTER_ROWS = (
+    ("O_a", True, lambda o: o["O_a"] == closedforms.O_A),
+    ("O_b", True, lambda o: o["O_b"] == closedforms.O_B),
+    ("O_c", True, lambda o: o["O_c"] == closedforms.O_C),
+    ("O_d", True, lambda o: o["O_d"] == closedforms.O_D),
+)
 _PLANS = {
     "thm1": (
-        ("O_a", True, lambda o: o["O_a"] == closedforms.O_A),
-        ("O_b", True, lambda o: o["O_b"] == closedforms.O_B),
-        ("O_c", True, lambda o: o["O_c"] == closedforms.O_C),
-        ("O_d", True, lambda o: o["O_d"] == closedforms.O_D),
+        *_CIRCUMCENTER_ROWS,
         ("M", True, lambda o: o["M"] == closedforms.M_CENTERS),
         ("N", True, lambda o: o["N"] == closedforms.N_CENTERS),
         ("axis", True, lambda o: o["axis"] == closedforms.AXIS),
@@ -706,10 +705,7 @@ _PLANS = {
          lambda o: o["axis"] == build_thm1(GaugeConfig.symbolic())["axis"]),
     ),
     "lemma3": (
-        ("O_a", True, lambda o: o["O_a"] == closedforms.O_A),
-        ("O_b", True, lambda o: o["O_b"] == closedforms.O_B),
-        ("O_c", True, lambda o: o["O_c"] == closedforms.O_C),
-        ("O_d", True, lambda o: o["O_d"] == closedforms.O_D),
+        *_CIRCUMCENTER_ROWS,
         ("ratio_P", True, lambda o: _ratio_at(o, "P") == closedforms.POWER_RATIO),
         ("ratio_M", True, lambda o: _ratio_at(o, "M") == closedforms.POWER_RATIO),
         ("ratio_N", True, lambda o: _ratio_at(o, "N") == closedforms.POWER_RATIO),
@@ -758,28 +754,25 @@ def prove_lemma3() -> VerificationReport:
 # -- suite runner ------------------------------------------------------------------
 
 
-_CLAIMS = {
-    "butterfly_chord": "midpoint(M, G, H)",
-    "thm0_cyclic": "midpoint(P, Q, R)",
-    "thm1": "midpoint(P, Q, R)",
-    "thm2": "midpoint(P, Q, R)",
-    "lemma1": "perpendicular(line(X, Y), newton_line(A, B, C, D))",
-    "lemma2": "six perpendicularities and perpendicular(line(J, K), "
-              "newton_line(A, B, C, D))",
-    "lemma3": "coaxial(circle_on_diameter(O_a, O_c), circle_on_diameter(O_b, O_d), "
-              "circumcircle(P, M, N))",
+# result id -> (sampler, checker, claim named in a counterexample), in run order
+_RESULTS = {
+    "butterfly_chord": (sample_chord, check_butterfly_chord, "midpoint(M, G, H)"),
+    "thm0_cyclic": (sample_cyclic, check_thm0, "midpoint(P, Q, R)"),
+    "thm1": (sample_gauge, check_thm1, "midpoint(P, Q, R)"),
+    "thm2": (sample_gauge, check_thm2, "midpoint(P, Q, R)"),
+    "lemma1": (sample_quad, lambda cfg: check_lemma1(cfg.A, cfg.B, cfg.C, cfg.D),
+               "perpendicular(line(X, Y), newton_line(A, B, C, D))"),
+    "lemma2": (sample_lemma2, check_lemma2,
+               "six perpendicularities and perpendicular(line(J, K), "
+               "newton_line(A, B, C, D))"),
+    "lemma3": (sample_gauge, check_lemma3,
+               "coaxial(circle_on_diameter(O_a, O_c), circle_on_diameter(O_b, O_d), "
+               "circumcircle(P, M, N))"),
 }
-
+# the views `run_numeric` reads
 _SUITE: dict[str, tuple[Callable, Callable]] = {
-    "butterfly_chord": (sample_chord, check_butterfly_chord),
-    "thm0_cyclic": (sample_cyclic, check_thm0),
-    "thm1": (sample_gauge, check_thm1),
-    "thm2": (sample_gauge, check_thm2),
-    "lemma1": (sample_quad,
-               lambda cfg: check_lemma1(cfg.A, cfg.B, cfg.C, cfg.D)),
-    "lemma2": (sample_lemma2, check_lemma2),
-    "lemma3": (sample_gauge, check_lemma3),
-}
+    theorem: row[:2] for theorem, row in _RESULTS.items()}
+_CLAIMS = {theorem: row[2] for theorem, row in _RESULTS.items()}
 
 _PROVERS = {"thm1": prove_thm1, "thm2": prove_thm2, "lemma3": prove_lemma3}
 

@@ -228,6 +228,21 @@ def test_render_degenerate_instance_exits_1(tmp_path, capsys):
     assert not (tmp_path / "x.svg").exists()
 
 
+@pytest.mark.parametrize("scalar", ["a * 2", "1 / (a - a)"])
+def test_render_of_a_file_that_draws_nothing_exits_2(tmp_path, capsys, scalar):
+    # no statement is a point, line or circle, whatever the values (even a
+    # division by zero at a=1): a usage error, where a degenerate instance
+    # (above) exits 1
+    empty = tmp_path / "empty.geo"
+    empty.write_text(f"param a;\nscalar s = {scalar};\n")
+    code = main(["render", str(empty), "--set", "a=1",
+                 "-o", str(tmp_path / "x.svg")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: nothing to draw\n"
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_render_width_validation_exits_2(tmp_path, capsys):
     code = main(["render", THM1, "--set", ANCHOR_SET, "--width", "10",
                  "-o", str(tmp_path / "x.svg")])

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from butterfly.poly import NVARS, Polynomial, VARIABLES, grlex_key
+from butterfly.poly import NVARS, Polynomial, VARIABLES, _exact_point, grlex_key
 
 
 def var(name):
@@ -153,6 +153,18 @@ def test_evaluate():
     for bad in (0.1, "1/3", Decimal(1)):
         with pytest.raises(TypeError, match="value of a must be an int or Fraction"):
             A.evaluate({**values, "a": bad})
+
+
+def test_evaluate_keeps_fractions_and_converts_ints():
+    values = {"a": Fraction(2, 3), "b": Fraction(-1, 5), "c": Fraction(7),
+              "d": Fraction(-3, 4), "k": Fraction(5, 6)}
+    assert all(got is want for got, want
+               in zip(_exact_point(values), values.values()))
+    point = _exact_point({**values, "a": 2})
+    assert type(point[0]) is Fraction and point[0] == 2
+    # an all-int assignment still evaluates to a Fraction, never an int
+    value = ((A + C) * K - B).evaluate(dict.fromkeys(VARIABLES, 3))
+    assert type(value) is Fraction and value == 15
 
 
 def test_render_format():

@@ -191,6 +191,49 @@ def test_harmonic_and_perpendicularity_on_sampled_configs():
     assert done >= 6
 
 
+def _nudged(build, key, nudge):
+    """`build` with the object at `key` replaced by `nudge` of the built objects."""
+    def nudged_build(cfg):
+        objs = build(cfg)
+        return dict(objs, **{key: nudge(objs)})
+    return nudged_build
+
+
+# Each nudge breaks the fact one test of the checker decides: R off the
+# harmonic pencil, P off the diagonals' meet, the axis off the parallel to
+# FG, and line PW off the perpendicular to UV.
+CRITERION_5_NUDGES = (
+    (check_thm1_harmonic, "build_thm1", "R",
+     lambda o: Point(o["R"].x + 1, o["R"].y)),
+    (check_thm1_harmonic, "build_thm1", "P",
+     lambda o: Point(o["P"].x + 1, o["P"].y)),
+    (check_thm1_harmonic, "build_thm1", "axis",
+     lambda o: line_through(o["P"], Point(o["P"].x + 1, o["P"].y + 2))),
+    (check_thm2_perpendicularity, "build_thm2", "line_PW",
+     lambda o: line_through(o["P"], Point(o["W"].x + 1, o["W"].y))),
+)
+
+
+@pytest.mark.parametrize("checker, builder, key, nudge", CRITERION_5_NUDGES,
+                         ids=lambda v: v if isinstance(v, str) else None)
+def test_criterion_5_checkers_refute_nudged_objects(monkeypatch, checker,
+                                                    builder, key, nudge):
+    configs = [ANCHOR] + [sample_gauge(derive_rng(seed, "aux-refute"), 10)
+                          for seed in range(8)]
+    refuted = 0
+    for cfg in configs:
+        try:
+            assert checker(cfg) is True
+        except DegenerateConfig:
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr(theorems, builder,
+                          _nudged(getattr(theorems, builder), key, nudge))
+            assert checker(cfg) is False
+        refuted += 1
+    assert refuted >= 5
+
+
 # -- config plumbing --------------------------------------------------------------
 
 def test_config_params_shapes():
