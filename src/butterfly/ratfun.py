@@ -4,7 +4,8 @@ Equality is decided by cross-multiplication (f.num * g.den == g.num * f.den),
 which is exact over an integral domain and avoids multivariate gcd entirely.
 A sum or difference of two functions whose denominators are structurally
 equal adds or subtracts the numerators over that one denominator; any other
-sum cross-multiplies.  Equality always cross-multiplies.
+sum cross-multiplies.  Equality always cross-multiplies.  A product with,
+or a quotient by, the int 1 is the function itself.
 A cheap normal form keeps expression growth in check without full reduction:
 
   * a zero numerator forces den = 1,
@@ -132,6 +133,8 @@ class RationalFunction:
         return other - self
 
     def __mul__(self, other):
+        if type(other) is int and other == 1:
+            return self
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -140,6 +143,8 @@ class RationalFunction:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if type(other) is int and other == 1:
+            return self
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

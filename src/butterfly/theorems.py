@@ -40,7 +40,6 @@ from .geom import (
     circle_on_diameter,
     circumcenter,
     circumcircle,
-    cross_ratio,
     intersect_lines,
     is_midpoint,
     is_parallel,
@@ -359,8 +358,9 @@ def check_thm1_harmonic(cfg: GaugeConfig) -> bool:
     """Harmonic-pencil and parallelism facts behind the projective proof.
 
     With F = BC meet DA and G = CD meet AB: the pencil at F through
-    (P, G; A, B) and through (P, G; R, Q) is harmonic, the same value
-    read on the transversal AB is -1, and QR is parallel to FG.
+    (P, G; A, B) and through (P, G; R, Q) is harmonic, and QR is parallel
+    to FG.  (The pencil's value read on a transversal such as AB is the
+    same cross ratio, so it would decide nothing more.)
     """
     objs = build_thm1(cfg)
     P, A, B, C, D = objs["P"], objs["A"], objs["B"], objs["C"], objs["D"]
@@ -369,9 +369,6 @@ def check_thm1_harmonic(cfg: GaugeConfig) -> bool:
     if pencil_cross_ratio(F, P, G, A, B) != -1:
         return False
     if pencil_cross_ratio(F, P, G, objs["R"], objs["Q"]) != -1:
-        return False
-    S = intersect_lines(line_through(F, P), objs["line_AB"])
-    if cross_ratio(S, G, A, B) != -1:
         return False
     return is_parallel(objs["axis"], line_through(F, G))
 

@@ -39,7 +39,14 @@ from butterfly.theorems import (
     run_numeric,
     sample_gauge,
 )
-from butterfly.geom import Point, power_of_point
+from butterfly.geom import (
+    Point,
+    cross_ratio,
+    intersect_lines,
+    line_through,
+    pencil_cross_ratio,
+    power_of_point,
+)
 from tests.test_dsl import CORPUS, FIXTURES
 
 
@@ -156,7 +163,18 @@ def test_criterion_5_harmonic_and_perpendicular_properties():
             done += 1
         return done
 
-    done_harmonic = run("harmonic", check_thm1_harmonic)
+    def harmonic(cfg):
+        # the checker, plus a cross-check of the two cross-ratio functions:
+        # the pencil at F through (P, G; A, B) against its trace on line AB
+        objs = build_thm1(cfg)
+        P, A, B, C, D = objs["P"], objs["A"], objs["B"], objs["C"], objs["D"]
+        F = intersect_lines(line_through(B, C), line_through(D, A))
+        G = intersect_lines(objs["line_CD"], objs["line_AB"])
+        S = intersect_lines(line_through(F, P), objs["line_AB"])
+        return (pencil_cross_ratio(F, P, G, A, B) == cross_ratio(S, G, A, B)
+                and check_thm1_harmonic(cfg))
+
+    done_harmonic = run("harmonic", harmonic)
     done_perp = run("perpendicular", check_thm2_perpendicularity)
     ok = done_harmonic == done_perp == 500 and not failures
     _emit(5, ok, f"harmonic pencil + axis parallelism in {done_harmonic} "

@@ -16,6 +16,7 @@ from butterfly import (
     DegenerateConfig,
     DegenerateNewtonLine,
     DivisionByZero,
+    GaugeConfig,
     Line,
     NotCollinear,
     ParallelLines,
@@ -447,13 +448,14 @@ def test_pencil_cross_ratio_matches_transversal():
     assert cross_ratio(*other) == -1
 
 
-# -- integer paths against the generic Fraction formulas ----------------------
+# -- the homogeneous bodies against the affine formulas ------------------------
 #
-# For Fraction inputs the hot constructions run on Python ints.  The
-# functions below are the generic formulas, kept here as the reference: the
-# integer path must return the same values coordinate by coordinate (a
-# line's stored triple and a circle's coefficients included) and raise the
-# same exception class with the same message.
+# Every construction has one body, written on homogeneous coordinates; for
+# Fraction inputs it runs on Python ints.  The functions below are the affine
+# formulas, kept here as the reference: a construction must return the same
+# values coordinate by coordinate (a line's stored triple and a circle's
+# coefficients included) and raise the same exception class with the same
+# message.
 
 def ref_midpoint(p, q):
     return Point((p.x + q.x) / 2, (p.y + q.y) / 2)
@@ -680,16 +682,15 @@ def test_degenerate_inputs_raise_like_reference():
         assert _outcome(fn, *args) == _outcome(ref, *args)
 
 
-# -- integer predicates and the remaining integer constructions ----------------
+# -- the predicates and the remaining constructions ----------------------------
 #
-# `is_midpoint`, `is_on_line`, `is_perpendicular`, `are_coaxial`,
-# `Point.__eq__`, `perp_through`, `parallelogram_fourth` and
+# `is_collinear`, `is_midpoint`, `is_on_line`, `is_perpendicular`,
+# `are_coaxial`, `Point.__eq__`, `perp_through`, `parallelogram_fourth` and
 # `circle_on_diameter` decide on Python ints for Fraction inputs and build
-# their outputs without re-validation; `is_collinear` has only the generic
-# body and is checked here the same way.  The generic formulas below are the
-# reference: verdicts must agree, constructions must store the same values
-# (or raise the same error), and inputs holding a RationalFunction anywhere
-# must take the generic body.
+# their outputs without re-validation.  The affine formulas below are the
+# reference: verdicts must agree, and constructions must store the same
+# values (or raise the same error), both on rational inputs and on inputs
+# with one field lifted to an equal RationalFunction.
 
 def ref_point_eq(p, q):
     return not (p.x - q.x) and not (p.y - q.y)
@@ -940,7 +941,7 @@ def test_cross_ratios_match_reference(pair, ts, vertex):
         _value_outcome(pencil_cross_ratio, vertex, *pts)
 
 
-def test_symbolic_inputs_take_the_generic_body():
+def test_mixed_rational_and_symbolic_coordinates():
     a = RationalFunction.variable("a")
     one = Fraction(1)
     p, q = Point(a, one), Point(-a, one)           # mixed coordinates
@@ -957,6 +958,44 @@ def test_symbolic_inputs_take_the_generic_body():
         are_coaxial(c1, Circle(a, Fraction(0), Fraction(-1)), Circle(one, one, one))
     assert are_coaxial(c1, Circle(a, Fraction(0), Fraction(-4)),
                        Circle(a, Fraction(0), Fraction(-9)))
+
+
+def test_symbolic_objects_are_built_term_for_term_as_the_affine_formulas():
+    """With last entries 1 the homogeneous bodies replay the affine formulas'
+    field operations, so each field's num and den are structurally equal
+    (`Polynomial ==` compares canonical forms) to the reference's.  This
+    is what keeps the symbolic sizes and their evaluation work unchanged."""
+    P0, A, B, C, D = GaugeConfig.symbolic().corners()
+    a, b = RationalFunction.variables()[:2]
+    line_ab, line_cd = ref_line_through(A, B), ref_line_through(C, D)
+    # points with denominators, where a different order of operations would
+    # give another representation of the same value
+    O, Q = ref_circumcenter(A, B, C), ref_intersect_lines(line_ab, line_cd)
+    cases = [
+        (midpoint, ref_midpoint, (O, Q)),
+        (line_through, ref_line_through, (O, Q)),
+        (intersect_lines, ref_intersect_lines, (ref_line_through(O, B), line_cd)),
+        (perp_bisector, ref_perp_bisector, (O, Q)),
+        (perp_through, ref_perp_through, (P0, line_ab)),
+        (perp_through, ref_perp_through, (O, ref_line_through(Q, D))),
+        (parallelogram_fourth, ref_parallelogram_fourth, (O, Q, B)),
+        (circumcenter, ref_circumcenter, (O, Q, B)),
+        (circumcircle, ref_circumcircle, (O, Q, B)),
+        (circle_on_diameter, ref_circle_on_diameter, (O, Q)),
+        (on_unit_circle, ref_on_unit_circle, (a / b,)),
+    ]
+    for fn, ref, args in cases:
+        built = _exact(fn(*args))
+        assert all(part[0] == "RationalFunction" for part in built[1:]), \
+            fn.__name__
+        assert built == _exact(ref(*args)), fn.__name__
+    # The Vieta form puts each coordinate over z*s*(u^2 + v^2) in one
+    # division, where the affine formula adds t*v to x with t a quotient of
+    # its own: the same values in other (unreduced) representations.  No
+    # workload or proof builds a second intersection symbolically.
+    circle = circumcircle(A, B, C)
+    assert second_intersection(circle, line_through(A, D), A) == \
+        ref_second_intersection(circle, line_through(A, D), A)
 
 
 # -- int inputs never produce floats --------------------------------------------
@@ -988,7 +1027,8 @@ def test_int_inputs_give_fractions_everywhere():
 # -- canonical int tuples ---------------------------------------------------------
 #
 # A rational Point, Line or Circle stores ints with gcd 1 and a positive last
-# entry; point and circle equality compare these tuples directly.
+# entry, so equal rational points, and equal rational circles, store equal
+# tuples.
 
 def assert_canonical(obj):
     ints = obj._ints
