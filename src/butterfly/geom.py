@@ -62,6 +62,7 @@ from .errors import (
     PointNotOnCircle,
     PointNotOnLine,
 )
+from .poly import common_monomial
 from .ratfun import RationalFunction
 from .scalar import field_div
 
@@ -181,12 +182,14 @@ class Line(_Figure):
     w = _field(2, 3)
 
     def __eq__(self, other):
+        """Projective equality: the triples (u, v, w) are proportional.
+        `_rank_one` decides it from two minors, the first triple's (u, v)
+        being nonzero."""
         if not isinstance(other, Line):
             return NotImplemented
         u1, v1, w1, _ = self._ints or _coords(self)
         u2, v2, w2, _ = other._ints or _coords(other)
-        return (not (u1 * v2 - u2 * v1) and not (u1 * w2 - u2 * w1)
-                and not (v1 * w2 - v2 * w1))
+        return _rank_one(u1, v1, w1, u2, v2, w2)
 
     def __repr__(self):
         return f"Line({self.u!r}, {self.v!r}, {self.w!r})"
@@ -229,6 +232,22 @@ class Circle(_Figure):
 
     def __repr__(self):
         return f"Circle({self.d!r}, {self.e!r}, {self.f!r})"
+
+
+def _rank_one(p0, p1, p2, q0, q1, q2) -> bool:
+    """Whether the rows (p0, p1, p2) and (q0, q1, q2) have rank <= 1, for a
+    first row that is not zero.
+
+    Two of the three 2x2 minors decide it, the two through a nonzero entry
+    of the first row: both vanish exactly when the second row is a
+    multiple of the first, and then the third vanishes too.  For p0 != 0
+    these are the minors of columns (0, 1) and (0, 2).  For p0 = 0 those
+    minors are -p1*q0 and -p2*q0, which vanish exactly when q0 does (p1
+    or p2 is nonzero), and the minor of columns (1, 2) is tested as well.
+    """
+    if p0:
+        return not (p0 * q1 - p1 * q0) and not (p0 * q2 - p2 * q0)
+    return not q0 and not (p1 * q2 - p2 * q1)
 
 
 def _scaled(*values) -> tuple:
@@ -338,10 +357,7 @@ def _clear_line(u, v, w):
     if not nonzero:
         # invalid either way; let the (u, v) check in Line.__init__ report it
         return (RationalFunction(pu), RationalFunction(pv), RationalFunction(pw))
-    mins = None
-    for p in nonzero:
-        m = p.min_exponents()
-        mins = m if mins is None else tuple(min(x, y) for x, y in zip(mins, m))
+    mins = common_monomial(*nonzero)
     if any(mins):
         polys = [p if p.is_zero() else p.shift_down(mins) for p in polys]
         nonzero = [p for p in polys if not p.is_zero()]
@@ -632,8 +648,10 @@ def are_coaxial(c1: Circle, c2: Circle, c3: Circle) -> bool:
     """Whether three pairwise distinct circles belong to one pencil.
 
     Tested as rank <= 1 of the two coefficient-difference vectors, i.e.
-    all three 2x2 minors vanish.  Distinct concentric circles do share a
-    (degenerate) pencil and test true.
+    all three 2x2 minors vanish.  The first vector is not zero once the
+    circles are known to be distinct, so `_rank_one` decides it from the
+    two minors through its first nonzero entry.  Distinct concentric
+    circles do share a (degenerate) pencil and test true.
     """
     d1, e1, f1, s1 = c1._ints or _coords(c1)
     d2, e2, f2, s2 = c2._ints or _coords(c2)
@@ -643,9 +661,7 @@ def are_coaxial(c1: Circle, c2: Circle, c3: Circle) -> bool:
     r2 = (d1 * s3 - d3 * s1, e1 * s3 - e3 * s1, f1 * s3 - f3 * s1)
     if not any(r1) or not any(r2) or c2 == c3:
         raise CoincidentCircles("coaxial test needs pairwise distinct circles")
-    return (not (r1[0] * r2[1] - r1[1] * r2[0])
-            and not (r1[0] * r2[2] - r1[2] * r2[0])
-            and not (r1[1] * r2[2] - r1[2] * r2[1]))
+    return _rank_one(*r1, *r2)
 
 
 # -- cross ratios ----------------------------------------------------------------

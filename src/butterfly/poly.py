@@ -87,6 +87,30 @@ def _exact_point(values: Mapping[str, Fraction]) -> tuple[Fraction, ...]:
                  for value in point)
 
 
+def common_monomial(first: Polynomial, *rest: Polynomial) -> Monomial:
+    """The largest monomial dividing every one of the nonzero polynomials.
+
+    The exponents start at `first.min_exponents()`.  Each further
+    polynomial is scanned only in the variables whose exponent is still
+    positive, and each such scan stops as soon as it reaches 0, so a
+    `first` with a constant term reads nothing else.
+    """
+    bounds = list(first.min_exponents())
+    for poly in rest:
+        for index, shift in enumerate(_SHIFTS):
+            low = bounds[index]
+            if not low:
+                continue
+            for mono, _ in poly._terms:
+                exp = mono >> shift & _MASK
+                if exp < low:
+                    low = exp
+                    if not low:
+                        break
+            bounds[index] = low
+    return tuple(bounds)
+
+
 def _make(terms: tuple[tuple[int, int], ...], den: int) -> Polynomial:
     """Wrap pairs that are already canonical together with `den`."""
     poly = object.__new__(Polynomial)
@@ -231,11 +255,15 @@ class Polynomial:
         if degree >= _DEGREE_LIMIT:
             raise OverflowError(f"product of total degree {degree} exceeds the limit "
                                 f"{_DEGREE_LIMIT - 1} of the packed monomial")
+        # the longer operand in the inner loop, for fewer loop set-ups;
+        # `_collect` sorts, so the result does not depend on the order
+        outer, inner = self._terms, other._terms
+        if len(outer) > len(inner):
+            outer, inner = inner, outer
         acc: dict[int, int] = {}
         get = acc.get
-        right = other._terms
-        for m1, c1 in self._terms:
-            for m2, c2 in right:
+        for m1, c1 in outer:
+            for m2, c2 in inner:
                 mono = m1 + m2
                 acc[mono] = get(mono, 0) + c1 * c2
         return _collect(acc, self._den * other._den)

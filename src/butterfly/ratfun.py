@@ -9,7 +9,10 @@ or a quotient by, the int 1 is the function itself.
 A cheap normal form keeps expression growth in check without full reduction:
 
   * a zero numerator forces den = 1,
-  * the common monomial factor of num and den is cancelled,
+  * the common monomial factor of num and den is cancelled: it is taken
+    from the denominator first, and the numerator is read only in the
+    variables where that factor is still nonzero, each read stopping at
+    exponent 0 (`poly.common_monomial`),
   * the denominator is scaled to integer content 1 with a positive leading
     coefficient (the numerator is scaled by the same factor).
 
@@ -22,12 +25,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import DenominatorVanishes, ZeroDenominator
-from .poly import Polynomial
-
-
-def _pairwise_min(m1, m2):
-    return (min(m1[0], m2[0]), min(m1[1], m2[1]), min(m1[2], m2[2]),
-            min(m1[3], m2[3]), min(m1[4], m2[4]))
+from .poly import Polynomial, common_monomial
 
 
 def _coerce_poly(value):
@@ -53,7 +51,7 @@ class RationalFunction:
         if npoly.is_zero():
             dpoly = Polynomial.one()
         else:
-            common = _pairwise_min(npoly.min_exponents(), dpoly.min_exponents())
+            common = common_monomial(dpoly, npoly)
             if any(common):
                 npoly = npoly.shift_down(common)
                 dpoly = dpoly.shift_down(common)

@@ -30,11 +30,6 @@ def rational_from_parts(num: int, den: int) -> Fraction:
     return Fraction(num, den)
 
 
-def is_zero(x) -> bool:
-    """Exact zero test, valid for every scalar backend."""
-    return not x
-
-
 def field_div(x, y, context: str = "division by zero"):
     """x / y, raising a typed error that names the geometric situation."""
     if not y:

@@ -604,11 +604,17 @@ def lines(draw):
 @st.composite
 def line_pairs(draw):
     l1 = draw(lines())
-    kind = draw(st.sampled_from(("free", "parallel", "coincident", "same")))
+    kind = draw(st.sampled_from(
+        ("free", "parallel", "coincident", "same", "horizontal")))
     if kind == "free":
         return l1, draw(lines())
     if kind == "same":
         return l1, l1
+    if kind == "horizontal":  # u1 = u2 = 0, (v, w) not proportional
+        v1, v2 = draw(coords.filter(bool)), draw(coords.filter(bool))
+        w1 = draw(coords)
+        return (Line(Fraction(0), v1, w1),
+                Line(Fraction(0), v2, w1 * v2 / v1 + draw(coords.filter(bool))))
     k = draw(coords.filter(bool))
     w = draw(coords) if kind == "parallel" else k * l1.w
     return l1, Line(k * l1.u, k * l1.v, w)
@@ -834,7 +840,8 @@ circles = st.builds(Circle, coords, coords, coords)
 def circle_triples(draw):
     c1, c2 = draw(circles), draw(circles)
     kind = draw(st.sampled_from(
-        ("free", "pencil", "concentric", "same_f", "c1=c2", "c1=c3", "c2=c3")))
+        ("free", "pencil", "concentric", "same_d", "same_f", "c1=c2", "c1=c3",
+         "c2=c3")))
     if kind == "pencil":
         t = draw(coords)
         return c1, c2, Circle(c1.d + t * (c2.d - c1.d), c1.e + t * (c2.e - c1.e),
@@ -842,6 +849,9 @@ def circle_triples(draw):
     if kind == "concentric":
         return (c1, Circle(c1.d, c1.e, draw(coords)),
                 Circle(c1.d, c1.e, draw(coords)))
+    if kind == "same_d":  # the first column is zero; the three are in no pencil
+        return (c1, Circle(c1.d, c1.e + 1, c2.f),
+                Circle(c1.d, c1.e, c1.f + draw(coords.filter(bool))))
     if kind == "same_f":  # two of the three minors vanish, the first decides
         return c1, Circle(c2.d, c2.e, c1.f), Circle(draw(coords), draw(coords), c1.f)
     c3 = draw(circles)
@@ -895,9 +905,20 @@ def ref_is_parallel(l1, l2):
     return not (l1.u * l2.v - l2.u * l1.v)
 
 
+def ref_line_eq(l1, l2):
+    """Proportional triples, tested on all three 2x2 minors."""
+    return (not (l1.u * l2.v - l2.u * l1.v) and not (l1.u * l2.w - l2.u * l1.w)
+            and not (l1.v * l2.w - l2.v * l1.w))
+
+
+def line_eq(l1, l2):
+    return l1 == l2
+
+
 @given(line_pairs(), st.data())
 def test_line_relations_match_reference(pair, data):
     assert_same_on_both_backends(is_parallel, ref_is_parallel, pair, data)
+    assert_same_on_both_backends(line_eq, ref_line_eq, pair, data)
 
 
 def _value_outcome(fn, *args):

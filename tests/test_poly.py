@@ -4,9 +4,10 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from butterfly.poly import NVARS, Polynomial, VARIABLES, _exact_point, grlex_key
+from butterfly.poly import (NVARS, Polynomial, VARIABLES, _exact_point,
+                            common_monomial, grlex_key)
 
 
 def var(name):
@@ -230,6 +231,22 @@ def test_packing_guard():
 @given(polys, polys)
 def test_mul_matches_naive_oracle(p, q):
     assert p * q == naive_mul(p, q)
+
+
+@given(polys, polys)
+def test_mul_is_term_for_term_commutative(p, q):
+    """The shorter operand drives the outer loop; the canonical result does
+    not depend on which one that is."""
+    assume(len(p._terms) != len(q._terms))
+    pq, qp = p * q, q * p
+    assert pq._terms == qp._terms and pq._den == qp._den
+
+
+@given(st.lists(polys.filter(bool), min_size=1, max_size=4), monomials)
+def test_common_monomial_is_the_componentwise_minimum(ps, shift):
+    ps = [p * Polynomial({shift: 1}) for p in ps]
+    want = tuple(min(column) for column in zip(*(p.min_exponents() for p in ps)))
+    assert common_monomial(*ps) == want
 
 
 @given(polys, polys, polys)

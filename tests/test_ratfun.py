@@ -217,3 +217,51 @@ def test_shared_denominator_difference_cancels_to_zero(pair):
     for zero in (f - f, f + (-f)):
         assert zero.is_zero()
         assert zero.num == Polynomial.zero() and zero.den == Polynomial.one()
+
+
+# -- the normal form ------------------------------------------------------------
+
+
+def ref_normal_form(num, den):
+    """The normal form with the common monomial taken as the componentwise
+    minimum of both sides' `min_exponents`."""
+    if num.is_zero():
+        return Polynomial.zero(), Polynomial.one()
+    common = tuple(map(min, num.min_exponents(), den.min_exponents()))
+    num, den = num.shift_down(common), den.shift_down(common)
+    scale = den.content()
+    if den.leading_coefficient() < 0:
+        scale = -scale
+    return num.scale(1 / scale), den.scale(1 / scale)
+
+
+exponents = st.tuples(*(st.integers(min_value=0, max_value=3) for _ in range(5)))
+term_lists = st.lists(
+    st.tuples(exponents, st.fractions(min_value=-20, max_value=20,
+                                      max_denominator=9)), max_size=6)
+
+
+@st.composite
+def normal_form_inputs(draw):
+    """A numerator and a nonzero denominator, each with or without a monomial
+    factor; some denominators are constants."""
+    num = Polynomial(draw(term_lists))
+    if draw(st.booleans()):
+        num = num * Polynomial({draw(exponents): 1})
+    if draw(st.booleans()):
+        den = Polynomial.constant(draw(st.fractions(max_denominator=9).filter(bool)))
+    else:
+        den = Polynomial(draw(term_lists))
+        assume(not den.is_zero())
+        if draw(st.booleans()):
+            den = den * Polynomial({draw(exponents): 1})
+    return num, den
+
+
+@given(normal_form_inputs())
+def test_normal_form_matches_reference(pair):
+    num, den = pair
+    f = RationalFunction(num, den)
+    want_num, want_den = ref_normal_form(num, den)
+    # Polynomial equality is structural: the same `_den` and `_terms`
+    assert f.num == want_num and f.den == want_den

@@ -7,11 +7,11 @@ from hypothesis import given, strategies as st
 
 from butterfly import (
     DivisionByZero,
+    RationalFunction,
     ZeroDenominator,
     derive_rng,
     field_div,
     format_rational,
-    is_zero,
     parse_rational,
     rational_from_parts,
     sample_ratio,
@@ -56,9 +56,14 @@ def test_field_div_carries_context():
         field_div(Fraction(1), Fraction(0), "lines parallel")
 
 
-def test_is_zero():
-    assert is_zero(Fraction(0))
-    assert not is_zero(Fraction(0, 5) + Fraction(1, 7))
+def test_truthiness_is_the_exact_zero_test():
+    # the shared field protocol: `not x` holds exactly for the zero element
+    # on both backends
+    assert not Fraction(0)
+    assert Fraction(0, 5) + Fraction(1, 7)
+    a = RationalFunction.variable("a")
+    assert not (a * a - a * a)
+    assert (a + 1) * (a - 1) - a * a
 
 
 @given(rationals)

@@ -4,6 +4,7 @@ Anchor-instance coordinates (a=2, b=1, c=-3, d=-2, k=1) and the cyclic/chord
 instances were computed by hand and frozen here as independent oracles.
 """
 
+import hashlib
 from dataclasses import fields
 from fractions import Fraction
 
@@ -612,10 +613,14 @@ def ref_ratio_chain(objs):
             == ratio_at(objs, "N") == diagonal_ratio(objs))
 
 
+def _plan_check(theorem, step):
+    (check,) = [check for name, _, check in theorems._PLANS[theorem]
+                if name == step]
+    return check
+
+
 def _ratio_chain(objs):
-    (check,) = [check for step, _, check in theorems._PLANS["lemma3"]
-                if step == "ratio_chain"]
-    return check(objs)
+    return _plan_check("lemma3", "ratio_chain")(objs)
 
 
 def _nudge_m(objs):
@@ -656,6 +661,55 @@ def test_ratio_chain_is_the_reference_proposition_on_fraction_builds(monkeypatch
                 assert outcome == _outcome(ref_ratio_chain, candidate)
                 seen.add(outcome)
     assert {True, False} <= seen
+
+
+def ref_axis_matches_thm1(objs):
+    """thm2's shared-axis check as first stated: thm2's axis equals the
+    rebuilt thm1 axis, compared directly."""
+    return objs["axis"] == build_thm1(GaugeConfig.symbolic())["axis"]
+
+
+def _axis_matches_thm1(objs):
+    return _plan_check("thm2", "axis_matches_thm1")(objs)
+
+
+def test_axis_matches_thm1_is_the_reference_proposition():
+    objs = build_thm2(GaugeConfig.symbolic())
+    assert _axis_matches_thm1(objs) is True and ref_axis_matches_thm1(objs) is True
+    axis = objs["axis"]
+    nudged = dict(objs, axis=Line(axis.u, axis.v, axis.w + 1))
+    assert _axis_matches_thm1(nudged) is False
+    assert ref_axis_matches_thm1(nudged) is False
+
+
+# SHA-256 over every coordinate of the symbolic thm1, thm2 and lemma3
+# objects, term by term (`_den` and `_terms` of each numerator and
+# denominator).  A change to the polynomial or rational-function
+# representation, or to the order of operations of a construction, moves
+# it; such a change updates it here on purpose.
+SYMBOLIC_OBJECTS_SHA256 = (
+    "22d7b43c02470e73274a3c6dfcc176bd35b1870a6f628bd7445662071b62d7df")
+
+
+def _coordinates(obj):
+    if isinstance(obj, Point):
+        return obj.x, obj.y
+    if isinstance(obj, Line):
+        return obj.u, obj.v, obj.w
+    return obj.d, obj.e, obj.f
+
+
+def test_symbolic_objects_are_byte_identical():
+    digest = hashlib.sha256()
+    for build in (build_thm1, build_thm2, build_lemma3):
+        for name, obj in sorted(build(GaugeConfig.symbolic()).items()):
+            digest.update(name.encode())
+            for value in _coordinates(obj):
+                if not isinstance(value, RationalFunction):
+                    value = RationalFunction.constant(value)
+                for poly in (value.num, value.den):
+                    digest.update(repr((poly._terms, poly._den)).encode())
+    assert digest.hexdigest() == SYMBOLIC_OBJECTS_SHA256
 
 
 # The closed-form checks, keyed in here independently of the proof plans.
