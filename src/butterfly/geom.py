@@ -62,7 +62,7 @@ from .errors import (
     PointNotOnCircle,
     PointNotOnLine,
 )
-from .poly import common_monomial
+from .poly import _make, _shift_down, common_monomial
 from .ratfun import RationalFunction
 from .scalar import field_div
 
@@ -347,7 +347,9 @@ def _as_ratfun(value):
 
 
 def _clear_line(u, v, w):
-    """Rescale symbolic line coefficients to a normalized polynomial triple."""
+    """Rescale symbolic line coefficients to a normalized polynomial triple:
+    common monomial divided out, integer content 1, first nonzero entry
+    with a positive leading coefficient."""
     u, v, w = _as_ratfun(u), _as_ratfun(v), _as_ratfun(w)
     pu = u.num * v.den * w.den
     pv = v.num * u.den * w.den
@@ -359,18 +361,19 @@ def _clear_line(u, v, w):
         return (RationalFunction(pu), RationalFunction(pv), RationalFunction(pw))
     mins = common_monomial(*nonzero)
     if any(mins):
-        polys = [p if p.is_zero() else p.shift_down(mins) for p in polys]
+        polys = [_shift_down(p, mins) for p in polys]
         nonzero = [p for p in polys if not p.is_zero()]
-    num_gcd, den_lcm = 0, 1
-    for p in nonzero:
-        cont = p.content()
-        num_gcd = gcd(num_gcd, cont.numerator)
-        den_lcm = den_lcm * cont.denominator // gcd(den_lcm, cont.denominator)
-    scale = Fraction(num_gcd, den_lcm)
-    if nonzero[0].leading_coefficient() < 0:
-        scale = -scale
-    polys = [p.scale(1 / scale) for p in polys]
-    return tuple(RationalFunction(p) for p in polys)
+    # divide by the gcd of the Fraction contents, g / den for g the gcd of
+    # all integer coefficients and den the lcm of the `_den`s, signed as the
+    # first nonzero entry's leading coefficient: each entry becomes
+    # integer terms over 1, and g divides each of them exactly
+    g = gcd(*[c for p in nonzero for _, c in p._terms])
+    if nonzero[0]._terms[0][1] < 0:
+        g = -g
+    den = lcm(*[p._den for p in nonzero])
+    return tuple(RationalFunction(_make(tuple([(m, c // g * (den // p._den))
+                                               for m, c in p._terms]), 1))
+                 for p in polys)
 
 
 # -- point and line constructions ------------------------------------------

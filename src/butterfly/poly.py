@@ -88,15 +88,22 @@ def _exact_point(values: Mapping[str, Fraction]) -> tuple[Fraction, ...]:
 
 
 def common_monomial(first: Polynomial, *rest: Polynomial) -> Monomial:
-    """The largest monomial dividing every one of the nonzero polynomials.
+    """The largest monomial dividing every one of the polynomials.
 
-    The exponents start at `first.min_exponents()`.  Each further
-    polynomial is scanned only in the variables whose exponent is still
-    positive, and each such scan stops as soon as it reaches 0, so a
-    `first` with a constant term reads nothing else.
+    `first` must be nonzero; a zero polynomial in `rest` bounds nothing.
+    The exponents start at those of `first`'s last term, the lowest in
+    graded-lex order, which bound the minimum from above, and a constant
+    last term ends the search at once.  `first` and each further polynomial
+    are then scanned only in the variables whose exponent is still
+    positive, and each such scan stops as soon as it reaches 0.
     """
-    bounds = list(first.min_exponents())
-    for poly in rest:
+    if not first._terms:
+        raise ValueError("common_monomial needs a nonzero first polynomial")
+    last = first._terms[-1][0]
+    if not last:
+        return (0,) * NVARS
+    bounds = [last >> shift & _MASK for shift in _SHIFTS]
+    for poly in (first, *rest):
         for index, shift in enumerate(_SHIFTS):
             low = bounds[index]
             if not low:
@@ -127,6 +134,13 @@ def _reduced(terms: list[tuple[int, int]], den: int) -> Polynomial:
             den //= g
             terms = [(m, c // g) for m, c in terms]
     return _make(tuple(terms), den)
+
+
+def _shift_down(poly: Polynomial, mono: Monomial) -> Polynomial:
+    """`poly.shift_down(mono)` without its divisibility check, for a `mono`
+    known to divide every term (one that `common_monomial` returned)."""
+    shift = _pack(mono)
+    return _make(tuple([(m - shift, c) for m, c in poly._terms]), poly._den)
 
 
 def _collect(acc: dict[int, int], den: int) -> Polynomial:
@@ -168,6 +182,9 @@ class Polynomial:
 
     @classmethod
     def variable(cls, name: str) -> Polynomial:
+        if name not in VARIABLES:
+            raise ValueError(f"unknown variable {name!r}; the variables are "
+                             f"{', '.join(VARIABLES)}")
         shift = _SHIFTS[VARIABLES.index(name)]
         return _make((((1 << _DEGREE_SHIFT) | (1 << shift), 1),), 1)
 
@@ -260,6 +277,13 @@ class Polynomial:
         outer, inner = self._terms, other._terms
         if len(outer) > len(inner):
             outer, inner = inner, outer
+        if len(outer) == 1:
+            # adding one packed monomial keeps the graded-lex order (no
+            # field carries, by the degree check above) and is injective, so
+            # the products are already sorted and distinct
+            ((m1, c1),) = outer
+            return _reduced([(m1 + m2, c1 * c2) for m2, c2 in inner],
+                            self._den * other._den)
         acc: dict[int, int] = {}
         get = acc.get
         for m1, c1 in outer:
@@ -293,13 +317,13 @@ class Polynomial:
                         self._den * factor.denominator)
 
     def shift_down(self, mono: Monomial) -> Polynomial:
-        """Exact division by the monomial `mono` (which must divide every term)."""
-        shift = _pack(mono)
+        """Exact division by the monomial `mono`, which must divide every term
+        (ValueError otherwise)."""
         mins = self.min_exponents()
         if mins is not None and any(f > e for f, e in zip(mono, mins)):
             raise ValueError(f"monomial {mono!r} does not divide {mins!r}, "
                              f"the largest monomial factor")
-        return _make(tuple([(m - shift, c) for m, c in self._terms]), self._den)
+        return _shift_down(self, mono)
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):

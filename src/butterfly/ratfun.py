@@ -10,11 +10,16 @@ A cheap normal form keeps expression growth in check without full reduction:
 
   * a zero numerator forces den = 1,
   * the common monomial factor of num and den is cancelled: it is taken
-    from the denominator first, and the numerator is read only in the
-    variables where that factor is still nonzero, each read stopping at
-    exponent 0 (`poly.common_monomial`),
+    from the denominator first, starting at its lowest term, and the
+    numerator is read only in the variables where that factor is still
+    nonzero, each read stopping at exponent 0 (`poly.common_monomial`);
+    both sides are divided by it without re-checking that it divides,
   * the denominator is scaled to integer content 1 with a positive leading
-    coefficient (the numerator is scaled by the same factor).
+    coefficient, and the numerator by the same factor.  This is done on
+    ints, with no Fraction: for g the gcd of the denominator's integer
+    coefficients, signed as its leading one, the denominator becomes those
+    coefficients divided by g over 1, and the numerator is multiplied by
+    the denominator's integer denominator and put over g, in one reduction.
 
 Instances are immutable and unhashable (equality is not structural).
 """
@@ -22,10 +27,11 @@ Instances are immutable and unhashable (equality is not structural).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Mapping
 
 from .errors import DenominatorVanishes, ZeroDenominator
-from .poly import Polynomial, common_monomial
+from .poly import Polynomial, _make, _reduced, _shift_down, common_monomial
 
 
 def _coerce_poly(value):
@@ -53,14 +59,18 @@ class RationalFunction:
         else:
             common = common_monomial(dpoly, npoly)
             if any(common):
-                npoly = npoly.shift_down(common)
-                dpoly = dpoly.shift_down(common)
-        scale = dpoly.content()
-        if dpoly.leading_coefficient() < 0:
-            scale = -scale
-        if scale != 1:
-            npoly = npoly.scale(1 / scale)
-            dpoly = dpoly.scale(1 / scale)
+                npoly = _shift_down(npoly, common)
+                dpoly = _shift_down(dpoly, common)
+            # divide both by content(den) = g / den._den, signed as den's
+            # leading coefficient (see the module docstring)
+            den_terms, den_den = dpoly._terms, dpoly._den
+            g = gcd(*[c for _, c in den_terms])
+            if den_terms[0][1] < 0:
+                g, den_den = -g, -den_den
+            if g != 1 or den_den != 1:
+                npoly = _reduced([(m, c * den_den) for m, c in npoly._terms],
+                                 npoly._den * abs(g))
+                dpoly = _make(tuple([(m, c // g) for m, c in den_terms]), 1)
         object.__setattr__(self, "num", npoly)
         object.__setattr__(self, "den", dpoly)
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from . import closedforms
-from .errors import DegenerateConfig, SamplerExhausted
+from .errors import DegenerateConfig, DenominatorVanishes, SamplerExhausted
 from .geom import (
     Circle,
     Line,
@@ -423,8 +423,12 @@ def evaluate_object(obj, assignment: Mapping[str, Fraction]):
     if isinstance(obj, Point):
         return Point(_eval_scalar(obj.x, assignment), _eval_scalar(obj.y, assignment))
     if isinstance(obj, Line):
-        return Line(_eval_scalar(obj.u, assignment), _eval_scalar(obj.v, assignment),
-                    _eval_scalar(obj.w, assignment))
+        u, v = _eval_scalar(obj.u, assignment), _eval_scalar(obj.v, assignment)
+        if not (u or v):
+            # a common root of a symbolic line's u and v, where it is undefined
+            raise DenominatorVanishes("the line's u and v both vanish at the "
+                                      "given assignment")
+        return Line(u, v, _eval_scalar(obj.w, assignment))
     return Circle(_eval_scalar(obj.d, assignment), _eval_scalar(obj.e, assignment),
                   _eval_scalar(obj.f, assignment))
 
@@ -654,10 +658,24 @@ def run_checks(theorem: str, checks) -> VerificationReport:
 
 
 def _ratio_at(objs, key: str):
-    """Power of `objs[key]` with respect to circle_ac over that to circle_bd."""
-    point = objs[key]
-    return (power_of_point(point, objs["circle_ac"])
-            / power_of_point(point, objs["circle_bd"]))
+    """Power of `objs[key]` with respect to circle_ac over that to circle_bd,
+    kept in `objs["ratios"]` when there is one (`prove_lemma3` adds it)."""
+    ratios = objs.get("ratios", {})
+    if key not in ratios:
+        point = objs[key]
+        ratios[key] = (power_of_point(point, objs["circle_ac"])
+                       / power_of_point(point, objs["circle_bd"]))
+    return ratios[key]
+
+
+def _thm1_axis_holds(objs):
+    """Whether thm1's symbolic axis equals closedforms.AXIS: the verdict of
+    check "thm1.axis" when `prove_thm2` was given thm1's report (held under
+    that id), or else decided here on a fresh build."""
+    holds = objs.get("thm1.axis")
+    if holds is None:
+        holds = build_thm1(GaugeConfig.symbolic())["axis"] == closedforms.AXIS
+    return holds
 
 
 def _diagonal_ratio(objs):
@@ -698,15 +716,17 @@ _PLANS = {
         ("Q", True, lambda o: o["Q"] == closedforms.Q_SECOND),
         ("R", True, lambda o: o["R"] == closedforms.R_SECOND),
         ("midpoint_PQR", False, lambda o: is_midpoint(o["P"], o["Q"], o["R"])),
-        # "thm2's axis equals the rebuilt thm1 axis" is decided as "each
-        # equals closedforms.AXIS".  Equality of lines is projective, i.e.
+        # "thm2's axis equals thm1's axis" is decided as "each equals
+        # closedforms.AXIS".  Equality of lines is projective, i.e.
         # proportional triples, which is transitive, so both say the same
         # thing on every input; each comparison is then against AXIS's 2/4
-        # terms, not the other axis's hundreds.
+        # terms, not the other axis's hundreds.  The second conjunct is
+        # check "thm1.axis": in `run_suite` its verdict is read from thm1's
+        # report of the same call, whose proof built thm1's axis; a
+        # standalone `prove_thm2()` builds that axis and decides it here
+        # (`_thm1_axis_holds`).
         ("axis_matches_thm1", False,
-         lambda o: (o["axis"] == closedforms.AXIS
-                    and build_thm1(GaugeConfig.symbolic())["axis"]
-                    == closedforms.AXIS)),
+         lambda o: o["axis"] == closedforms.AXIS and _thm1_axis_holds(o)),
     ),
     "lemma3": (
         *_CIRCUMCENTER_ROWS,
@@ -717,7 +737,8 @@ _PLANS = {
         # closed form) is decided as "each of D, P, M and N equals PR".  Exact
         # equality in a field is transitive, so both say the same thing on
         # every input; each comparison is then against PR's 2/1 terms, not
-        # another unreduced ratio of hundreds.
+        # another unreduced ratio of hundreds.  In a proof, P, M and N are
+        # the values the rows above computed (`_ratio_at`).
         ("ratio_chain", True,
          lambda o: (_diagonal_ratio(o) == closedforms.POWER_RATIO
                     and all(_ratio_at(o, key) == closedforms.POWER_RATIO
@@ -745,14 +766,21 @@ def prove_thm1() -> VerificationReport:
     return _prove("thm1", build_thm1(GaugeConfig.symbolic()))
 
 
-def prove_thm2() -> VerificationReport:
-    """Symbolic proof of the second generalization, including the shared axis."""
-    return _prove("thm2", build_thm2(GaugeConfig.symbolic()))
+def prove_thm2(thm1: VerificationReport | None = None) -> VerificationReport:
+    """Symbolic proof of the second generalization, including the shared
+    axis.  Given `prove_thm1()`'s report of the same run as `thm1`, the
+    shared-axis check reads its "thm1.axis" verdict; else it builds and
+    checks thm1's axis itself."""
+    objs = build_thm2(GaugeConfig.symbolic())
+    if thm1 is not None:
+        objs.update(check for check in thm1.checks if check[0] == "thm1.axis")
+    return _prove("thm2", objs)
 
 
 def prove_lemma3() -> VerificationReport:
-    """Symbolic proof of coaxiality via the three equal power ratios."""
-    return _prove("lemma3", build_lemma3(GaugeConfig.symbolic()))
+    """Symbolic proof of coaxiality via the three equal power ratios, each
+    computed once."""
+    return _prove("lemma3", {**build_lemma3(GaugeConfig.symbolic()), "ratios": {}})
 
 
 # -- suite runner ------------------------------------------------------------------
@@ -804,8 +832,10 @@ def run_suite(mode: str = "both", trials: int = 1000, seed: int = 0,
         raise ValueError(f"unknown mode {mode!r}")
     reports = []
     if mode in ("symbolic", "both"):
-        for theorem in SYMBOLIC_ORDER:
-            reports.append(_PROVERS[theorem]())
+        # thm1 is built once per call: thm2's axis_matches_thm1 row reads
+        # thm1's verdict on its axis
+        thm1 = _PROVERS["thm1"]()
+        reports += [thm1, _PROVERS["thm2"](thm1), _PROVERS["lemma3"]()]
     if mode in ("numeric", "both"):
         for theorem in NUMERIC_ORDER:
             reports.append(run_numeric(theorem, trials=trials, seed=seed,

@@ -2,10 +2,10 @@
 
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from butterfly import (
     Circle,
@@ -23,6 +23,7 @@ from butterfly import (
     Point,
     PointNotOnCircle,
     PointNotOnLine,
+    Polynomial,
     RationalFunction,
     are_coaxial,
     are_concyclic,
@@ -89,6 +90,50 @@ def test_line_symbolic_coefficients_are_cleared():
     for coeff in (line.u, line.v, line.w):
         assert coeff.den == 1
     assert line == Line(a, RationalFunction.constant(1), b * k)
+
+
+def ref_clear_line(u, v, w):
+    """The symbolic line normal form on Fraction contents: (u, v, w) over one
+    denominator, the componentwise-minimum monomial divided out, then
+    divided by the gcd of the entries' contents, signed as the first
+    nonzero entry's leading coefficient."""
+    polys = [u.num * v.den * w.den, v.num * u.den * w.den, w.num * u.den * v.den]
+    nonzero = [p for p in polys if p]
+    common = tuple(map(min, zip(*(p.min_exponents() for p in nonzero))))
+    polys = [p.shift_down(common) for p in polys]
+    contents = [p.content() for p in polys if p]
+    scale = Fraction(gcd(*(c.numerator for c in contents)),
+                     lcm(*(c.denominator for c in contents)))
+    if next(p for p in polys if p).leading_coefficient() < 0:
+        scale = -scale
+    return [p.scale(1 / scale) for p in polys]
+
+
+small_exponents = st.tuples(*(st.integers(min_value=0, max_value=2)
+                              for _ in range(5)))
+small_polys = st.lists(st.tuples(small_exponents, coords), max_size=4).map(Polynomial)
+
+
+@st.composite
+def symbolic_triples(draw):
+    """Three rational functions with (u, v) not both zero, the numerators
+    sharing a drawn monomial factor and scaled by a drawn nonzero factor,
+    which may be negative or have an integer part other than 1."""
+    shared = Polynomial({draw(small_exponents): draw(coords.filter(bool))})
+    triple = []
+    for _ in range(3):
+        den = draw(small_polys)
+        triple.append(RationalFunction(draw(small_polys) * shared,
+                                       den if den else Polynomial.one()))
+    assume(triple[0] or triple[1])
+    return triple
+
+
+@given(symbolic_triples())
+def test_symbolic_line_normal_form_matches_reference(triple):
+    line = Line(*triple)
+    for got, want in zip((line.u, line.v, line.w), ref_clear_line(*triple)):
+        assert got.num == want and got.den == Polynomial.one()
 
 
 NOT_EXACT = [0.5, Decimal("0.5"), 0.5j, "1/2", None]

@@ -4,8 +4,9 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
+from butterfly import poly
 from butterfly.poly import (NVARS, Polynomial, VARIABLES, _exact_point,
                             common_monomial, grlex_key)
 
@@ -133,7 +134,16 @@ def test_min_exponents_and_shift_down():
     assert q == A + B * K
     with pytest.raises(ValueError):
         (A + B).shift_down((1, 0, 0, 0, 0))
+    # a monomial that divides the leading term but not the last one
+    with pytest.raises(ValueError, match="does not divide"):
+        (A**2 * B + A).shift_down((1, 1, 0, 0, 0))
     assert Polynomial.zero().min_exponents() is None
+
+
+def test_unknown_variable_names_the_variables():
+    for bad in ("x", "A", ""):
+        with pytest.raises(ValueError, match="a, b, c, d, k"):
+            Polynomial.variable(bad)
 
 
 def test_pow():
@@ -242,11 +252,55 @@ def test_mul_is_term_for_term_commutative(p, q):
     assert pq._terms == qp._terms and pq._den == qp._den
 
 
+def _componentwise_min(ps):
+    return tuple(min(column) for column in
+                 zip(*(p.min_exponents() for p in ps if p)))
+
+
 @given(st.lists(polys.filter(bool), min_size=1, max_size=4), monomials)
 def test_common_monomial_is_the_componentwise_minimum(ps, shift):
     ps = [p * Polynomial({shift: 1}) for p in ps]
-    want = tuple(min(column) for column in zip(*(p.min_exponents() for p in ps)))
-    assert common_monomial(*ps) == want
+    assert common_monomial(*ps) == _componentwise_min(ps)
+
+
+@given(polys, coeffs.filter(bool), st.lists(polys, max_size=3), monomials)
+def test_common_monomial_with_a_constant_term_first(p, constant, rest, shift):
+    """A `first` whose last term is constant ends the search at once; the
+    others (zero ones included) may have any monomial factor."""
+    first = p + constant
+    assume(first.terms[-1][0] == (0,) * NVARS)
+    rest = [q * Polynomial({shift: 1}) for q in rest]
+    assert common_monomial(first, *rest) == _componentwise_min([first, *rest])
+
+
+def test_common_monomial_needs_a_nonzero_first_argument():
+    assert common_monomial(A * B + A**2 * K, Polynomial.zero()) == (1, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match="nonzero"):
+        common_monomial(Polynomial.zero(), A)
+
+
+def _never_collect(acc, den):
+    raise AssertionError("a product with a one-term operand collected a dict")
+
+
+@given(st.tuples(monomials, coeffs.filter(bool)), term_lists)
+@example(((1, 0, 0, 0, 0), Fraction(-2, 3)),
+         [((0, 1, 0, 0, 0), Fraction(3, 4)), ((0, 0, 0, 0, 0), Fraction(9, 2))])
+@example(((0, 0, 0, 0, 0), Fraction(-4, 9)),
+         [((2, 0, 1, 0, 0), Fraction(3, 8)), ((0, 0, 0, 1, 3), Fraction(-3, 2))])
+def test_one_term_products_match_dict_arithmetic(term, other):
+    """Rational and negative coefficients, and denominators that reduce
+    (in the examples, 12 to 2 and 72 to 6), on either side of the product."""
+    mono, coeff = term
+    single, q = Polynomial([term]), Polynomial(other)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poly, "_collect", _never_collect)
+        products = (single * q, q * single)
+    want = dict_mul({mono: coeff}, dict_sum(other))
+    for product in products:
+        assert read_terms(product) == want
+        # canonical too: structural equality compares `_den` and `_terms`
+        assert product == Polynomial(want)
 
 
 @given(polys, polys, polys)

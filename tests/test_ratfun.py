@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from butterfly import DenominatorVanishes, Polynomial, RationalFunction, ZeroDenominator
 
@@ -15,6 +15,11 @@ SIGMA = {"a": Fraction(2), "b": Fraction(1), "c": Fraction(-3),
 
 def pvar(name):
     return Polynomial.variable(name)
+
+
+def test_unknown_variable_names_the_variables():
+    with pytest.raises(ValueError, match="a, b, c, d, k"):
+        RationalFunction.variable("z")
 
 
 def test_common_factor_equality():
@@ -241,10 +246,16 @@ term_lists = st.lists(
                                       max_denominator=9)), max_size=6)
 
 
+# nonzero rational factors, negative ones and ones with numerator > 1 among them
+factors = st.fractions(min_value=-12, max_value=12, max_denominator=9).filter(bool)
+
+
 @st.composite
 def normal_form_inputs(draw):
     """A numerator and a nonzero denominator, each with or without a monomial
-    factor; some denominators are constants."""
+    factor; some denominators are constants.  A denominator may be scaled
+    by a rational factor, which can make its leading coefficient negative
+    and its integer content other than 1."""
     num = Polynomial(draw(term_lists))
     if draw(st.booleans()):
         num = num * Polynomial({draw(exponents): 1})
@@ -255,10 +266,20 @@ def normal_form_inputs(draw):
         assume(not den.is_zero())
         if draw(st.booleans()):
             den = den * Polynomial({draw(exponents): 1})
+    if draw(st.booleans()):
+        den = den.scale(draw(factors))
     return num, den
 
 
+A2, B, K = pvar("a") ** 2, pvar("b"), pvar("k")
+
+
 @given(normal_form_inputs())
+# a denominator with a negative lead, one with content 2/5, and one with
+# both (lead -6*a^2*b, content 3)
+@example((B + 1, -A2 + B))
+@example((B.scale(Fraction(1, 2)), (6 * A2 * K + 4 * B).scale(Fraction(1, 5))))
+@example((A2 * K - B, (-6 * A2 + 9 * B * K) * B))
 def test_normal_form_matches_reference(pair):
     num, den = pair
     f = RationalFunction(num, den)

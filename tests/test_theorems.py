@@ -10,9 +10,15 @@ from fractions import Fraction
 
 import pytest
 
-from butterfly import closedforms, theorems
+from butterfly import cli, closedforms, theorems
 from butterfly.dsl import evaluate_construction, parse
-from butterfly.errors import CollinearPoints, DegenerateConfig, SamplerExhausted
+from butterfly.errors import (
+    CoincidentPoints,
+    CollinearPoints,
+    DegenerateConfig,
+    DenominatorVanishes,
+    SamplerExhausted,
+)
 from butterfly.geom import (
     Circle,
     Line,
@@ -25,6 +31,7 @@ from butterfly.geom import (
     power_of_point,
     second_intersection,
 )
+from butterfly.poly import Polynomial
 from butterfly.ratfun import RationalFunction
 from butterfly.scalar import derive_rng, sample_rational
 from butterfly.theorems import (
@@ -311,6 +318,23 @@ def test_evaluate_object_matches_numeric_construction():
         if done == 4:
             return
     raise AssertionError("too few proper configurations in 10 seeds")
+
+
+def test_evaluate_object_reports_a_vanishing_line_as_degenerate():
+    # ABCD is cyclic at this draw (PA * PC = PB * PD = 2), so the four
+    # circumcenters coincide: the Fraction build meets CoincidentPoints, Q's
+    # denominator vanishes, and so do both cleared (u, v) of line_MN and of
+    # the axis, which is the same degeneracy
+    draw = dict(zip("abcdk", (2, 1, -1, -1, 1)))
+    with pytest.raises(CoincidentPoints):
+        build_thm1(GaugeConfig(*(F(value) for value in draw.values())))
+    objs = build_thm1(GaugeConfig.symbolic())
+    for name in ("line_MN", "axis", "Q"):
+        with pytest.raises(DenominatorVanishes):
+            evaluate_object(objs[name], draw)
+    # the public constructor's own check keeps its message
+    with pytest.raises(ValueError, match="line needs u or v nonzero"):
+        Line(0, 0, 5)
 
 
 def test_evaluate_object_rejects_unknown_types():
@@ -605,6 +629,71 @@ def test_prove_lemma3_report():
     assert "lemma3.ratio_chain" in ids and "lemma3.pencil" in ids
 
 
+def _count_calls(monkeypatch, owner, name):
+    """Replace `owner.name` with a wrapper that records each call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_run_suite_builds_thm1_once(monkeypatch):
+    calls = _count_calls(monkeypatch, theorems, "build_thm1")
+    reports = run_suite(mode="symbolic")
+    assert [r.theorem for r in reports] == list(SYMBOLIC_ORDER)
+    assert all(r.ok for r in reports)
+    assert len(calls) == 1
+
+
+def test_standalone_prove_thm2_builds_thm1s_axis(monkeypatch):
+    calls = _count_calls(monkeypatch, theorems, "build_thm1")
+    report = prove_thm2()
+    assert report.ok and dict(report.checks)["thm2.axis_matches_thm1"] is True
+    assert len(calls) == 1
+
+
+def test_axis_matches_thm1_fails_with_thm1s_axis_moved(monkeypatch):
+    build = theorems.build_thm1
+
+    def moved(cfg):
+        objs = build(cfg)
+        axis = objs["axis"]
+        return dict(objs, axis=Line(axis.u, axis.v, axis.w + 1))
+
+    monkeypatch.setattr(theorems, "build_thm1", moved)
+    thm1, thm2, _ = run_suite(mode="symbolic")
+    assert dict(thm1.checks)["thm1.axis"] is False
+    for report in (thm2, prove_thm2()):
+        checks = dict(report.checks)
+        assert checks["thm2.axis"] is True
+        assert checks["thm2.axis_matches_thm1"] is False
+        assert report.failure == "SymbolicMismatch: thm2.axis_matches_thm1"
+
+
+def test_prove_lemma3_computes_each_power_ratio_once(monkeypatch):
+    calls = _count_calls(monkeypatch, theorems, "power_of_point")
+    assert prove_lemma3().ok
+    # two powers for each of P, M and N; ratio_chain reads them back
+    assert len(calls) == 6
+
+
+def test_prove_paper_keeps_nothing_between_calls(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, Polynomial, "__mul__")
+    monkeypatch.setattr(Polynomial, "__rmul__", Polynomial.__mul__)
+    counts = []
+    for _ in range(2):
+        before = len(calls)
+        assert cli.main(["prove-paper", "--mode", "symbolic"]) == 0
+        counts.append(len(calls) - before)
+    assert capsys.readouterr().out.count("theorem: thm2\n") == 2
+    assert counts[0] == counts[1] > 0
+
+
 def ref_ratio_chain(objs):
     """lemma3's ratio chain as first stated: D == PR and P == M == N == D."""
     ratio_at, diagonal_ratio = theorems._ratio_at, theorems._diagonal_ratio
@@ -689,6 +778,10 @@ def test_axis_matches_thm1_is_the_reference_proposition():
 # it; such a change updates it here on purpose.
 SYMBOLIC_OBJECTS_SHA256 = (
     "22d7b43c02470e73274a3c6dfcc176bd35b1870a6f628bd7445662071b62d7df")
+# The same digest over the points A, B, C, D, P, Q, R, S of the symbolic
+# lemma2 configuration, in that order.
+LEMMA2_POINTS_SHA256 = (
+    "bee1109787d0e4da04b89de7b43439d95e2d30b3185c975a6238320dbd121f65")
 
 
 def _coordinates(obj):
@@ -699,17 +792,28 @@ def _coordinates(obj):
     return obj.d, obj.e, obj.f
 
 
-def test_symbolic_objects_are_byte_identical():
+def _digest(named_objects):
     digest = hashlib.sha256()
-    for build in (build_thm1, build_thm2, build_lemma3):
-        for name, obj in sorted(build(GaugeConfig.symbolic()).items()):
-            digest.update(name.encode())
-            for value in _coordinates(obj):
-                if not isinstance(value, RationalFunction):
-                    value = RationalFunction.constant(value)
-                for poly in (value.num, value.den):
-                    digest.update(repr((poly._terms, poly._den)).encode())
-    assert digest.hexdigest() == SYMBOLIC_OBJECTS_SHA256
+    for name, obj in named_objects:
+        digest.update(name.encode())
+        for value in _coordinates(obj):
+            if not isinstance(value, RationalFunction):
+                value = RationalFunction.constant(value)
+            for poly in (value.num, value.den):
+                digest.update(repr((poly._terms, poly._den)).encode())
+    return digest.hexdigest()
+
+
+def test_symbolic_objects_are_byte_identical():
+    assert _digest(item for build in (build_thm1, build_thm2, build_lemma3)
+                   for item in sorted(build(GaugeConfig.symbolic()).items())
+                   ) == SYMBOLIC_OBJECTS_SHA256
+
+
+def test_symbolic_lemma2_points_are_byte_identical():
+    cfg = build_lemma2(GaugeConfig.symbolic())
+    assert _digest((name, getattr(cfg, name)) for name in "ABCDPQRS"
+                   ) == LEMMA2_POINTS_SHA256
 
 
 # The closed-form checks, keyed in here independently of the proof plans.
