@@ -31,6 +31,14 @@ steps, one per definition or assertion, each a closure over its expression
 tree with constants built and names resolved up front; every numeric trial
 and the symbolic run execute that tuple, and `eval_expr` compiles and runs
 a single expression the same way.
+
+A numeric trial draws its parameters in one call (`scalar.sample_ratios`)
+and binds each to its reduced int pair.  A point literal whose coordinates
+are parameters, int literals or products of them, such as `(a, 0)` or
+`(b, k*b)`, compiles to int-pair products ending in one
+`geom.projective_point`; every other read of a parameter builds the
+`Fraction` of its pair, and a counterexample prints the parameters as
+`Fraction`s.
 """
 
 from __future__ import annotations
@@ -63,11 +71,12 @@ from .geom import (
     perp_through,
     point_on,
     power_of_point,
+    projective_point,
     second_intersection,
 )
 from .poly import VARIABLES
 from .ratfun import RationalFunction
-from .scalar import field_div, sample_rational
+from .scalar import field_div, sample_ratios
 from .theorems import VerificationReport, run_checks, run_trials
 
 MAX_NESTING = 64
@@ -642,53 +651,101 @@ def to_source(node) -> str:
 # Function and predicate names are looked up in _FUNCTION_IMPLS and
 # _PREDICATE_IMPLS when a program is compiled, so a run uses the
 # implementations installed when it starts.
+#
+# In numeric trials `pairs` maps each parameter name to the env key of its
+# reduced int pair: the parameter's position in `params`, an int, which no
+# name equals.  A parameter read outside a pair literal compiles to the
+# `Fraction` of its pair.
 
 _ARITHMETIC = {"+": add, "-": sub, "*": mul}
 
 
-def _compile_expr(node):
+def _is_pair_scalar(node, pairs) -> bool:
+    """Whether int-pair arithmetic computes the scalar `node`: a parameter,
+    an int literal, or a product of such."""
+    if isinstance(node, IntLit):
+        return True
+    if isinstance(node, Name):
+        return node.ident in pairs
+    return (isinstance(node, Binary) and node.op == "*"
+            and _is_pair_scalar(node.left, pairs)
+            and _is_pair_scalar(node.right, pairs))
+
+
+def _compile_pair(node, pairs):
+    """A closure computing a scalar `_is_pair_scalar` accepts as an int pair
+    (n, d), d positive but not reduced."""
+    if isinstance(node, IntLit):
+        value = (node.value, 1)
+        return lambda env: value
+    if isinstance(node, Name):
+        return itemgetter(pairs[node.ident])
+    left = _compile_pair(node.left, pairs)
+    right = _compile_pair(node.right, pairs)
+
+    def product(env):
+        ln, ld = left(env)
+        rn, rd = right(env)
+        return ln * rn, ld * rd
+    return product
+
+
+def _compile_expr(node, pairs=None):
     """A closure evaluating the checked expression `node` in an environment."""
     if isinstance(node, IntLit):
         value = Fraction(node.value)
         return lambda env: value
     if isinstance(node, Name):
+        if pairs and node.ident in pairs:
+            key = pairs[node.ident]
+            return lambda env: Fraction(*env[key])
         return itemgetter(node.ident)
     if isinstance(node, PointLit):
         if isinstance(node.x, IntLit) and isinstance(node.y, IntLit):
             point = Point(Fraction(node.x.value), Fraction(node.y.value))
             return lambda env: point
-        x = _compile_expr(node.x)
-        y = _compile_expr(node.y)
+        if pairs and _is_pair_scalar(node.x, pairs) and _is_pair_scalar(node.y, pairs):
+            x = _compile_pair(node.x, pairs)
+            y = _compile_pair(node.y, pairs)
+
+            def literal(env):
+                xn, xd = x(env)
+                yn, yd = y(env)
+                return projective_point(xn * yd, yn * xd, xd * yd)
+            return literal
+        x = _compile_expr(node.x, pairs)
+        y = _compile_expr(node.y, pairs)
         return lambda env: Point(x(env), y(env))
     if isinstance(node, Unary):
-        operand = _compile_expr(node.operand)
+        operand = _compile_expr(node.operand, pairs)
         return lambda env: -operand(env)
     if isinstance(node, Binary):
-        left = _compile_expr(node.left)
-        right = _compile_expr(node.right)
+        left = _compile_expr(node.left, pairs)
+        right = _compile_expr(node.right, pairs)
         if node.op == "/":
             return lambda env: field_div(
                 left(env), right(env), "division by zero in a scalar expression")
         op = _ARITHMETIC[node.op]
         return lambda env: op(left(env), right(env))
     if isinstance(node, Call):
-        return _compile_call(_FUNCTION_IMPLS[node.func], node.args)
+        return _compile_call(_FUNCTION_IMPLS[node.func], node.args, pairs)
     raise TypeError(f"not an expression node: {type(node).__name__}")
 
 
-def _compile_call(fn, args):
+def _compile_call(fn, args, pairs=None):
     """A closure applying `fn` to the values of the argument expressions."""
-    if all(isinstance(arg, Name) for arg in args):
+    if all(isinstance(arg, Name) and arg.ident not in (pairs or ())
+           for arg in args):
         if len(args) == 1:
             get = itemgetter(args[0].ident)
             return lambda env: fn(get(env))
         get = itemgetter(*(arg.ident for arg in args))
         return lambda env: fn(*get(env))
-    compiled = [_compile_expr(arg) for arg in args]
+    compiled = [_compile_expr(arg, pairs) for arg in args]
     return lambda env: fn(*[arg(env) for arg in compiled])
 
 
-def _compile_program(construction: Construction):
+def _compile_program(construction: Construction, pairs=None):
     """The definitions and assertions as steps (name, evaluate, assertion).
 
     A definition step has `assertion` None and binds `name` to the value;
@@ -697,10 +754,10 @@ def _compile_program(construction: Construction):
     steps = []
     for stmt in construction.statements:
         if isinstance(stmt, Definition):
-            steps.append((stmt.name, _compile_expr(stmt.expr), None))
+            steps.append((stmt.name, _compile_expr(stmt.expr, pairs), None))
         elif isinstance(stmt, Assertion):
             steps.append((None, _compile_call(_PREDICATE_IMPLS[stmt.predicate],
-                                              stmt.args), stmt))
+                                              stmt.args, pairs), stmt))
     return tuple(steps)
 
 
@@ -721,17 +778,19 @@ def _run_trial(program, env: dict) -> Assertion | None:
 
 def _evaluate_numeric(construction, seed, trials, bound, label):
     params = construction.params
-    program = _compile_program(construction)
+    pairs = {name: key for key, name in enumerate(params)}
+    program = _compile_program(construction, pairs)
+    count = len(params)
 
     def sample(rng, bound):
-        return {name: sample_rational(rng, bound) for name in params}
+        return dict(enumerate(sample_ratios(rng, bound, count)))
 
     def check(env):
         failed = _run_trial(program, env)
         if failed is None:
             return None
-        # parameters are never rebound, so env still holds the draw
-        return (tuple((name, env[name]) for name in params),
+        # the draw's pairs are never rebound
+        return (tuple((name, Fraction(*env[key])) for name, key in pairs.items()),
                 f"assertion {_assertion_text(failed)} failed")
 
     return run_trials(label, "trial", sample, check, trials, seed, bound)

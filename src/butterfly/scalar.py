@@ -7,11 +7,12 @@ operators plus truthiness, where ``bool(x)`` is False exactly for the
 zero element — which keeps the kernel generic without a class hierarchy.
 No floats appear anywhere; equality is exact.
 
-Seeded sampling has one rejection loop, `sample_ratio`, which returns a
-draw as its reduced int pair (p, q).  The samplers in `theorems` test
-their candidates on those pairs before they build any `Fraction`;
-`sample_rational` is the same draw as a `Fraction`, for callers that keep
-every value.
+Seeded sampling has one rejection loop, `sample_ratios`, which draws n
+values in one call, each as its reduced int pair (p, q); `sample_ratio` is
+its one-value case.  The samplers in `theorems` take one batched draw per
+candidate and test it on the pairs before they build any `Fraction`, and
+`.geo` trials bind each parameter to its pair.  `sample_rational` is the
+same draw as a `Fraction`, for callers that want `Fraction`s.
 """
 
 from __future__ import annotations
@@ -62,10 +63,10 @@ def parse_rational(text: str) -> Fraction:
     return rational_from_parts(int(num), int(den or 1))
 
 
-def sample_ratio(rng: Random, bound: int) -> tuple[int, int]:
-    """Uniform draw of a reduced pair (p, q), |p| <= bound, 1 <= q <= bound.
+def sample_ratios(rng: Random, bound: int, n: int) -> list[tuple[int, int]]:
+    """n uniform draws of a reduced pair (p, q), |p| <= bound, 1 <= q <= bound.
 
-    The pair is what `Fraction(p, q).as_integer_ratio()` returns, so equal
+    Each pair is what `Fraction(p, q).as_integer_ratio()` returns, so equal
     pairs are equal rationals, and a caller can test a candidate on the
     ints before it builds a `Fraction`.
 
@@ -75,28 +76,40 @@ def sample_ratio(rng: Random, bound: int) -> tuple[int, int]:
     `rng.randint(-bound, bound)` and `rng.randint(1, bound)` would take:
     `getrandbits` of the range width's bit length, repeated until the value
     falls inside the width.  The stream is therefore the randint stream,
-    draw for draw, and deterministic for a given generator state.
+    draw for draw, and deterministic for a given generator state; n draws
+    in one call take the stream of n single draws, with the setup done
+    once.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     getrandbits = rng.getrandbits
     width = 2 * bound + 1
     p_bits, q_bits = width.bit_length(), bound.bit_length()
-    while True:
-        p = getrandbits(p_bits)
-        while p >= width:
+    pairs = []
+    for _ in range(n):
+        while True:
             p = getrandbits(p_bits)
-        q = getrandbits(q_bits)
-        while q >= bound:
+            while p >= width:
+                p = getrandbits(p_bits)
             q = getrandbits(q_bits)
-        p -= bound
-        q += 1
-        if gcd(p, q) == 1:
-            return p, q
+            while q >= bound:
+                q = getrandbits(q_bits)
+            p -= bound
+            q += 1
+            if gcd(p, q) == 1:
+                break
+        pairs.append((p, q))
+    return pairs
+
+
+def sample_ratio(rng: Random, bound: int) -> tuple[int, int]:
+    """One draw of `sample_ratios`: the same stream."""
+    return sample_ratios(rng, bound, 1)[0]
 
 
 def sample_rational(rng: Random, bound: int) -> Fraction:
-    """The draw of `sample_ratio` as a Fraction: the same stream."""
+    """The draw of `sample_ratio` as a Fraction: the same stream, for
+    callers that want `Fraction`s."""
     return Fraction(*sample_ratio(rng, bound))
 
 

@@ -14,13 +14,15 @@ configurations raise a `DegenerateConfig` subclass, which the trial driver
 `run_trials` counts as a skip.  All builders work unchanged over both
 scalar backends.
 
-The samplers draw each value as its reduced int pair (`scalar.sample_ratio`)
-and test candidates on those ints: the gauge sign conditions on numerators,
-distinctness on the pairs, and the chord side test with `geom.line_side` on
-the points' int tuples.  A `Fraction` is built only for a value that passes
-the pair tests: for the gauge and quadrilateral samplers, only for the
-accepted configuration; the cyclic and chord samplers need their points to
-test a candidate, and `on_unit_circle` takes a scalar.
+The samplers take one batched draw per candidate, each value as its
+reduced int pair (`scalar.sample_ratios`), and test candidates on those
+ints: the gauge sign conditions on numerators, distinctness on the pairs,
+and the chord side test with `geom.line_side` on the points' int tuples.
+A `Fraction` is built only for a value that passes the pair tests: the
+gauge sampler builds its five for the accepted configuration only, the
+quadrilateral sampler none (its vertices come from `projective_point`);
+the cyclic and chord samplers need their points to test a candidate, and
+`on_unit_circle` takes a scalar.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from .geom import (
 )
 from .poly import _exact_point
 from .ratfun import RationalFunction
-from .scalar import derive_rng, format_rational, sample_ratio
+from .scalar import derive_rng, format_rational, sample_ratios
 
 _MAX_REDRAWS = 100000
 _RATIONAL = (int, Fraction)
@@ -449,7 +451,7 @@ def sample_gauge(rng, bound: int) -> GaugeConfig:
     b*d < 0), which already makes a, b, c, d nonzero, a != c and b != d.
     """
     for _ in range(_MAX_REDRAWS):
-        pairs = [sample_ratio(rng, bound) for _ in range(5)]
+        pairs = sample_ratios(rng, bound, 5)
         (a, _), (b, _), (c, _), (d, _), (k, _) = pairs
         # the signs of a*c and b*d are those of their numerators' products
         if k and a * c < 0 and b * d < 0:
@@ -459,7 +461,7 @@ def sample_gauge(rng, bound: int) -> GaugeConfig:
 
 def _half_angles(rng, bound: int) -> list[Fraction] | None:
     """Four distinct half-angle parameters other than +-1, or None."""
-    pairs = [sample_ratio(rng, bound) for _ in range(4)]
+    pairs = sample_ratios(rng, bound, 4)
     # reduced pairs are canonical, so equal pairs are equal rationals, and
     # p/q = +-1 exactly when |p| = q
     if len(set(pairs)) != 4 or any(abs(p) == q for p, q in pairs):
@@ -500,11 +502,9 @@ def sample_chord(rng, bound: int) -> ChordButterflyConfig:
 
 def sample_quad(rng, bound: int) -> QuadConfig:
     """Four unconstrained random vertices; degeneracies surface as checker skips."""
-    vertices = []
-    for _ in range(4):
-        (xn, xd), (yn, yd) = sample_ratio(rng, bound), sample_ratio(rng, bound)
-        vertices.append(projective_point(xn * yd, yn * xd, xd * yd))
-    return QuadConfig(*vertices)
+    pairs = sample_ratios(rng, bound, 8)
+    return QuadConfig(*(projective_point(xn * yd, yn * xd, xd * yd)
+                        for (xn, xd), (yn, yd) in zip(pairs[::2], pairs[1::2])))
 
 
 def sample_lemma2(rng, bound: int) -> Lemma2Config:
@@ -658,14 +658,10 @@ def run_checks(theorem: str, checks) -> VerificationReport:
 
 
 def _ratio_at(objs, key: str):
-    """Power of `objs[key]` with respect to circle_ac over that to circle_bd,
-    kept in `objs["ratios"]` when there is one (`prove_lemma3` adds it)."""
-    ratios = objs.get("ratios", {})
-    if key not in ratios:
-        point = objs[key]
-        ratios[key] = (power_of_point(point, objs["circle_ac"])
-                       / power_of_point(point, objs["circle_bd"]))
-    return ratios[key]
+    """Power of `objs[key]` with respect to circle_ac over that to circle_bd."""
+    point = objs[key]
+    return (power_of_point(point, objs["circle_ac"])
+            / power_of_point(point, objs["circle_bd"]))
 
 
 def _thm1_axis_holds(objs):
@@ -737,12 +733,11 @@ _PLANS = {
         # closed form) is decided as "each of D, P, M and N equals PR".  Exact
         # equality in a field is transitive, so both say the same thing on
         # every input; each comparison is then against PR's 2/1 terms, not
-        # another unreduced ratio of hundreds.  In a proof, P, M and N are
-        # the values the rows above computed (`_ratio_at`).
+        # another unreduced ratio of hundreds.  "P, M and N equal PR" are
+        # the verdicts of the rows above, which `_prove` holds under their ids.
         ("ratio_chain", True,
          lambda o: (_diagonal_ratio(o) == closedforms.POWER_RATIO
-                    and all(_ratio_at(o, key) == closedforms.POWER_RATIO
-                            for key in "PMN"))),
+                    and all(o[f"lemma3.ratio_{key}"] for key in "PMN"))),
         ("pencil", False,
          lambda o: are_coaxial(o["circle_ac"], o["circle_bd"], o["circle_pmn"])),
     ),
@@ -755,10 +750,16 @@ CLOSED_FORM_CHECK_IDS = tuple(f"{theorem}.{step}" for theorem, rows in _PLANS.it
 
 
 def _prove(theorem: str, objs: dict[str, object]) -> VerificationReport:
-    """Run the plan of `theorem` on its built symbolic objects."""
-    checks = ((f"{theorem}.{step}", check) for step, _, check in _PLANS[theorem])
-    return run_checks(theorem, ((check_id, check(objs), check_id)
-                                for check_id, check in checks))
+    """Run the plan of `theorem` on its built symbolic objects, holding
+    each verdict in `objs` under its check id for the rows after it."""
+
+    def checks():
+        for step, _, check in _PLANS[theorem]:
+            check_id = f"{theorem}.{step}"
+            objs[check_id] = verdict = check(objs)
+            yield check_id, verdict, check_id
+
+    return run_checks(theorem, checks())
 
 
 def prove_thm1() -> VerificationReport:
@@ -779,8 +780,8 @@ def prove_thm2(thm1: VerificationReport | None = None) -> VerificationReport:
 
 def prove_lemma3() -> VerificationReport:
     """Symbolic proof of coaxiality via the three equal power ratios, each
-    computed once."""
-    return _prove("lemma3", {**build_lemma3(GaugeConfig.symbolic()), "ratios": {}})
+    computed and compared once."""
+    return _prove("lemma3", build_lemma3(GaugeConfig.symbolic()))
 
 
 # -- suite runner ------------------------------------------------------------------

@@ -28,6 +28,7 @@ from butterfly.dsl import (
     ParamDecl,
     PointLit,
     Unary,
+    _assertion_text,
     _compile_program,
     _run_trial,
     eval_expr,
@@ -35,7 +36,8 @@ from butterfly.dsl import (
     parse,
     to_source,
 )
-from butterfly.scalar import derive_rng, field_div, sample_rational
+from butterfly.scalar import derive_rng, field_div, sample_ratios, sample_rational
+from butterfly.theorems import run_trials
 
 CORPUS = Path(butterfly.__file__).parent / "corpus"
 FIXTURES = CORPUS / "fixtures"
@@ -574,3 +576,145 @@ def test_eval_expr_rejects_non_expressions_like_reference():
     for evaluate in (eval_expr, ref_eval):
         with pytest.raises(TypeError, match="not an expression node: ParamDecl"):
             evaluate(node, {})
+
+
+# -- numeric trials on int pairs against the Fraction-binding reference ----------
+#
+# Numeric trials bind each parameter to its reduced int pair and build point
+# literals over parameters with `projective_point`.  `ref_evaluate_numeric`
+# is the trial loop they replaced: every parameter drawn as a Fraction by
+# `sample_rational` and the program run by the tree-walking `ref_run_trial`.
+# Reports, skips and counterexamples must match byte for byte.
+
+def ref_evaluate_numeric(construction, seed, trials, bound, label):
+    params = construction.params
+
+    def ref_sample(rng, bound):
+        return {name: sample_rational(rng, bound) for name in params}
+
+    def ref_check(env):
+        failed = ref_run_trial(construction, env)
+        if failed is None:
+            return None
+        return (tuple((name, env[name]) for name in params),
+                f"assertion {_assertion_text(failed)} failed")
+
+    return run_trials(label, "trial", ref_sample, ref_check, trials, seed, bound)
+
+
+PAIR_PROGRAMS = {
+    "bare_literal": "param a, b;\n"
+                    "point A = (a, b);\n"
+                    "point B = (b, a);\n"
+                    "assert midpoint(midpoint(A, B), A, B);\n"
+                    "assert perpendicular(line(A, B), line((0, 0), (1, 1)));\n",
+    "gauge_point": "param b, k;\n"
+                   "point B = (b, k*b);\n"
+                   "assert on(B, line((0, 0), (1, k)));\n",
+    "quotient": "param a, c;\n"
+                "point A = (-a, (a + 1)/(c - 2));\n"
+                "point B = (a, (a + 1)/(c - 2));\n"
+                "assert midpoint((0, (a + 1)/(c - 2)), A, B);\n",
+    "vanishing": "param a;\n"
+                 "point A = (a, 1/(a - a));\n"
+                 "assert on(A, line((0, 0), (1, 0)));\n",
+    "literal_and_scalar": "param a;\n"
+                          "point A = (a, 0);\n"
+                          "point U = on_unit_circle(a);\n"
+                          "assert on(U, circumcircle((1, 0), (0, 1), (-1, 0)));\n"
+                          "assert collinear(A, U, (1, 0));\n",
+    "read_once": "param b, k, c;\n"
+                 "point A = (b, k*c);\n"
+                 "assert on(A, line((0, 0), (1, k)));\n",
+}
+
+
+def pair_cases():
+    for path in corpus_sources():
+        yield pytest.param(path.read_text(), 20, id=path.stem)
+    for name, source in PAIR_PROGRAMS.items():
+        for bound in (3, 20):
+            yield pytest.param(source, bound, id=f"{name}-{bound}")
+
+
+@pytest.mark.parametrize("source, bound", pair_cases())
+def test_numeric_reports_match_fraction_reference(source, bound):
+    ast = parse(source)
+    for seed in (0, 5, 11):
+        report = evaluate_construction(ast, seed=seed, trials=60, bound=bound)
+        expected = ref_evaluate_numeric(ast, seed, 60, bound, "construction")
+        assert report.to_text() == expected.to_text()
+
+
+@pytest.mark.parametrize("source, bound", pair_cases())
+def test_pair_trials_bind_what_the_reference_binds(source, bound):
+    # trial by trial: the same verdict, or the same exception and message,
+    # and every definition bound to the same exact value
+    ast = parse(source)
+    params = ast.params
+    keys = {name: key for key, name in enumerate(params)}
+    program = _compile_program(ast, keys)
+    names = [stmt.name for stmt in ast.statements if isinstance(stmt, Definition)]
+
+    def outcome(run, env):
+        try:
+            failed = run(env)
+        except DegenerateConfig as exc:
+            return ("raise", type(exc), str(exc))
+        return (failed, [_exact_fields(env[name]) for name in names])
+
+    outcomes = set()
+    for trial in range(40):
+        pairs = sample_ratios(derive_rng(23, "pairs", trial), bound, len(params))
+        ref_env = {name: F(*pairs[keys[name]]) for name in params}
+        expected = outcome(lambda env: ref_run_trial(ast, env), ref_env)
+        assert outcome(lambda env: _run_trial(program, env),
+                       dict(enumerate(pairs))) == expected
+        outcomes.add(expected[0] if expected[0] == "raise" else "ran")
+    if source == PAIR_PROGRAMS["vanishing"]:
+        assert outcomes == {"raise"}
+
+
+def test_vanishing_literal_skips_every_trial_with_the_scalar_message():
+    ast = parse(PAIR_PROGRAMS["vanishing"])
+    keys = {"a": 0}
+    with pytest.raises(DegenerateConfig,
+                       match="^division by zero in a scalar expression$"):
+        _run_trial(_compile_program(ast, keys), {0: (3, 4)})
+    report = evaluate_construction(ast, trials=20)
+    assert report.skipped == 20 and report.passed == 0
+
+
+def _fraction_reads(source, monkeypatch):
+    """The parameters one pair trial of `source` turns into Fractions."""
+    ast = parse(source)
+    keys = {name: key for key, name in enumerate(ast.params)}
+    program = _compile_program(ast, keys)
+    # consecutive ints, so each parameter's pair is reduced and its own
+    env = {key: (key + 2, key + 3) for key in keys.values()}
+    owner = {env[key]: name for name, key in keys.items()}
+    built = []
+
+    def recording(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(butterfly.dsl, "Fraction", recording)
+    _run_trial(program, env)
+    return sorted({owner[args] for args in built if args in owner})
+
+
+def test_only_parameters_read_as_scalars_get_a_fraction(monkeypatch):
+    def reads(source):
+        return _fraction_reads(source, monkeypatch)
+
+    assert reads(PAIR_PROGRAMS["bare_literal"]) == []
+    # k is read only in the literals (b, k*c) and (1, k)
+    assert reads(PAIR_PROGRAMS["read_once"]) == []
+    assert reads(PAIR_PROGRAMS["literal_and_scalar"]) == ["a"]
+    # a literal with a sum or a quotient is Fraction arithmetic
+    assert reads(PAIR_PROGRAMS["quotient"]) == ["a", "c"]
+    # a scalar definition is read as a Fraction, so a literal over it is not
+    # int-pair arithmetic, and each parameter read outside one is a Fraction
+    assert reads("param a, b;\nscalar s = a * b;\n"
+                 "point P = (s, b);\n") == ["a", "b"]

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from butterfly import (
     DivisionByZero,
@@ -15,6 +15,7 @@ from butterfly import (
     parse_rational,
     rational_from_parts,
     sample_ratio,
+    sample_ratios,
     sample_rational,
 )
 
@@ -181,6 +182,27 @@ def test_sample_stream_matches_randint_reference(bound):
         assert ([sample_ratio(pairs, bound) for _ in range(20)]
                 == [x.as_integer_ratio() for x in drawn])
         assert pairs.getstate() == ref.getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound=st.integers(1, 60), n=st.integers(0, 12),
+       seed=st.integers(0, 2**32))
+def test_sample_ratios_is_n_single_draws(bound, n, seed):
+    # one batched call takes the stream of n single draws, and leaves the
+    # generator where they leave it
+    rng, twin, ref = (derive_rng(seed, "ratios") for _ in range(3))
+    drawn = sample_ratios(rng, bound, n)
+    assert drawn == [sample_ratio(twin, bound) for _ in range(n)]
+    assert drawn == [ref_sample_rational(ref, bound).as_integer_ratio()
+                     for _ in range(n)]
+    assert rng.getstate() == twin.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("bound", [0, -1, -20])
+def test_sample_ratios_rejects_bad_bound(bound):
+    for n in (0, 1, 5):
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            sample_ratios(derive_rng(0), bound, n)
 
 
 def test_derive_rng_label_independence():

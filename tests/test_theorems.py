@@ -678,8 +678,27 @@ def test_axis_matches_thm1_fails_with_thm1s_axis_moved(monkeypatch):
 def test_prove_lemma3_computes_each_power_ratio_once(monkeypatch):
     calls = _count_calls(monkeypatch, theorems, "power_of_point")
     assert prove_lemma3().ok
-    # two powers for each of P, M and N; ratio_chain reads them back
+    # two powers for each of P, M and N; ratio_chain reads the verdicts
     assert len(calls) == 6
+
+
+def test_ratio_chain_reads_the_power_ratio_verdicts(monkeypatch):
+    calls = _count_calls(monkeypatch, theorems, "_ratio_at")
+    report = prove_lemma3()
+    assert report.ok and dict(report.checks)["lemma3.ratio_chain"] is True
+    # rows ratio_P, ratio_M and ratio_N compare one ratio each; the chain
+    # compares only the diagonal ratio
+    assert [key for _, key in calls] == ["P", "M", "N"]
+
+
+def test_ratio_chain_fails_with_a_failed_power_ratio_row():
+    objs = _nudge_m(build_lemma3(GaugeConfig.symbolic()))
+    report = theorems._prove("lemma3", objs)
+    checks = dict(report.checks)
+    assert checks["lemma3.ratio_P"] is True and checks["lemma3.ratio_N"] is True
+    assert checks["lemma3.ratio_M"] is False
+    assert checks["lemma3.ratio_chain"] is False
+    assert report.failure == "SymbolicMismatch: lemma3.ratio_M"
 
 
 def test_prove_paper_keeps_nothing_between_calls(monkeypatch, capsys):
@@ -709,7 +728,9 @@ def _plan_check(theorem, step):
 
 
 def _ratio_chain(objs):
-    return _plan_check("lemma3", "ratio_chain")(objs)
+    """lemma3's chain verdict in a proof of `objs`, after the rows before it."""
+    report = theorems._prove("lemma3", dict(objs))
+    return dict(report.checks)["lemma3.ratio_chain"]
 
 
 def _nudge_m(objs):
