@@ -30,7 +30,9 @@ Evaluation compiles a checked program once per run into a flat tuple of
 steps, one per definition or assertion, each a closure over its expression
 tree with constants built and names resolved up front; every numeric trial
 and the symbolic run execute that tuple, and `eval_expr` compiles and runs
-a single expression the same way.
+a single expression the same way.  A step looks up its function or
+predicate each time it runs.  The built-in results of `theorems` run the
+definition steps of their corpus files, compiled once per process.
 
 A numeric trial draws its parameters in one call (`scalar.sample_ratios`)
 and binds each to its reduced int pair.  A point literal whose coordinates
@@ -649,8 +651,9 @@ def to_source(node) -> str:
 
 
 # Function and predicate names are looked up in _FUNCTION_IMPLS and
-# _PREDICATE_IMPLS when a program is compiled, so a run uses the
-# implementations installed when it starts.
+# _PREDICATE_IMPLS each time a step runs, not when it is compiled, so a
+# program compiled once and kept (as `theorems` keeps the corpus programs of
+# the built-in results) calls the implementations installed at that time.
 #
 # In numeric trials `pairs` maps each parameter name to the env key of its
 # reduced int pair: the parameter's position in `params`, an int, which no
@@ -728,21 +731,21 @@ def _compile_expr(node, pairs=None):
         op = _ARITHMETIC[node.op]
         return lambda env: op(left(env), right(env))
     if isinstance(node, Call):
-        return _compile_call(_FUNCTION_IMPLS[node.func], node.args, pairs)
+        return _compile_call(_FUNCTION_IMPLS, node.func, node.args, pairs)
     raise TypeError(f"not an expression node: {type(node).__name__}")
 
 
-def _compile_call(fn, args, pairs=None):
-    """A closure applying `fn` to the values of the argument expressions."""
+def _compile_call(impls, name, args, pairs=None):
+    """A closure applying `impls[name]` to the argument expressions' values."""
     if all(isinstance(arg, Name) and arg.ident not in (pairs or ())
            for arg in args):
         if len(args) == 1:
             get = itemgetter(args[0].ident)
-            return lambda env: fn(get(env))
+            return lambda env: impls[name](get(env))
         get = itemgetter(*(arg.ident for arg in args))
-        return lambda env: fn(*get(env))
+        return lambda env: impls[name](*get(env))
     compiled = [_compile_expr(arg, pairs) for arg in args]
-    return lambda env: fn(*[arg(env) for arg in compiled])
+    return lambda env: impls[name](*[arg(env) for arg in compiled])
 
 
 def _compile_program(construction: Construction, pairs=None):
@@ -756,7 +759,7 @@ def _compile_program(construction: Construction, pairs=None):
         if isinstance(stmt, Definition):
             steps.append((stmt.name, _compile_expr(stmt.expr, pairs), None))
         elif isinstance(stmt, Assertion):
-            steps.append((None, _compile_call(_PREDICATE_IMPLS[stmt.predicate],
+            steps.append((None, _compile_call(_PREDICATE_IMPLS, stmt.predicate,
                                               stmt.args, pairs), stmt))
     return tuple(steps)
 

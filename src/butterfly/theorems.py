@@ -11,8 +11,10 @@ decided exactly.
 
 A checker is a total function from a configuration to a bool; degenerate
 configurations raise a `DegenerateConfig` subclass, which the trial driver
-`run_trials` counts as a skip.  All builders work unchanged over both
-scalar backends.
+`run_trials` counts as a skip.  The builders of thm1, thm2, lemma3, thm0
+and the chord form run the definitions of their corpus `.geo` files, so
+each construction is stated once, in the file `verify` checks; the same
+steps serve both scalar backends.
 
 The samplers take one batched draw per candidate, each value as its
 reduced int pair (`scalar.sample_ratios`), and test candidates on those
@@ -27,9 +29,12 @@ the cyclic and chord samplers need their points to test a candidate, and
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from operator import attrgetter
+from pathlib import Path
 from typing import Callable, Mapping
 
 from . import closedforms
@@ -39,9 +44,7 @@ from .geom import (
     Line,
     Point,
     are_coaxial,
-    circle_on_diameter,
     circumcenter,
-    circumcircle,
     intersect_lines,
     is_midpoint,
     is_parallel,
@@ -51,10 +54,8 @@ from .geom import (
     midpoint,
     newton_line,
     on_unit_circle,
-    parallelogram_fourth,
     pencil_cross_ratio,
     perp_bisector,
-    perp_through,
     power_of_point,
     projective_point,
     second_intersection,
@@ -120,11 +121,6 @@ class GaugeConfig:
         return dict(self.params())
 
 
-def _unit_circle_corners(cfg) -> tuple[Point, ...]:
-    """A half-angle configuration's points: its fields, in order, on the unit circle."""
-    return tuple(on_unit_circle(value) for _, value in _field_params(cfg))
-
-
 def _point_params(cfg, names: str) -> tuple[tuple[str, object], ...]:
     """The coordinates of the points `names` as parameters "ax", "ay", "bx", ..."""
     return tuple((f"{name.lower()}{axis}", getattr(getattr(cfg, name), axis))
@@ -140,8 +136,10 @@ class CyclicConfig:
     t_c: object
     t_d: object
 
-    corners = _unit_circle_corners
     params = _field_params
+
+    def corners(self) -> tuple[Point, Point, Point, Point]:
+        return tuple(on_unit_circle(value) for _, value in self.params())
 
 
 @dataclass(frozen=True)
@@ -158,7 +156,6 @@ class ChordButterflyConfig:
     t_c: object
     t_e: object
 
-    corners = _unit_circle_corners
     params = _field_params
 
 
@@ -202,97 +199,75 @@ class Lemma2Config:
 
 # -- builders (shared by numeric, symbolic, and bridge paths) -----------------
 
-
-def _circumcenters(A: Point, B: Point, C: Point, D: Point) -> tuple[Point, ...]:
-    """O_a, O_b, O_c, O_d: the circumcenters of BCD, CDA, DAB and ABC, met from
-    the bisectors of BC, BD; of CD, CA; of DA, DB; and of AB, AC."""
-    return (circumcenter(C, B, D), circumcenter(D, C, A),
-            circumcenter(A, D, B), circumcenter(B, A, C))
+_CORPUS = Path(__file__).with_name("corpus")
 
 
+@functools.cache
+def _program(stem: str):
+    """Corpus file `stem`, parsed and compiled once per process: a getter of
+    its parameters from the config fields of the same names, their names,
+    and its definition steps (name, evaluate) compiled twice, with the
+    parameters bound as reduced int pairs keyed by position and by name."""
+    from . import dsl  # dsl imports this module
+
+    construction = dsl.parse((_CORPUS / f"{stem}.geo").read_text(encoding="utf-8"))
+    params = construction.params
+
+    def definitions(pairs):
+        return tuple((name, evaluate) for name, evaluate, assertion
+                     in dsl._compile_program(construction, pairs)
+                     if assertion is None)
+
+    paired = definitions({name: key for key, name in enumerate(params)})
+    return attrgetter(*params), params, paired, definitions(None)
+
+
+def _build(stem: str, cfg) -> dict[str, object]:
+    """The objects the definitions of corpus file `stem` name, in file order.
+    A config of ints and Fractions is bound as reduced int pairs, as a numeric
+    `.geo` trial binds its draw; any other (a symbolic one) is bound by name."""
+    get, params, paired, named = _program(stem)
+    values = get(cfg)
+    if all(isinstance(value, _RATIONAL) for value in values):
+        keys, steps = range(len(values)), paired
+        env = {key: value.as_integer_ratio() for key, value in enumerate(values)}
+    else:
+        keys, steps = params, named
+        env = dict(zip(keys, values))
+    for name, evaluate in steps:
+        env[name] = evaluate(env)
+    for key in keys:  # what is left are the definitions, in file order
+        del env[key]
+    return env
+
+
+# The built-in results run the definitions of their corpus files.
 def build_thm1(cfg: GaugeConfig) -> dict[str, object]:
-    """All intermediate objects of the first generalization, in construction order."""
-    P, A, B, C, D = cfg.corners()
-    O_a, O_b, O_c, O_d = _circumcenters(A, B, C, D)
-    M = midpoint(O_a, O_c)
-    N = midpoint(O_b, O_d)
-    line_MN = line_through(M, N)
-    axis = perp_through(P, line_MN)
-    line_AB = line_through(A, B)
-    line_CD = line_through(C, D)
-    Q = intersect_lines(axis, line_AB)
-    R = intersect_lines(axis, line_CD)
-    return {"P": P, "A": A, "B": B, "C": C, "D": D,
-            "O_a": O_a, "O_b": O_b, "O_c": O_c, "O_d": O_d,
-            "M": M, "N": N, "line_MN": line_MN, "axis": axis,
-            "line_AB": line_AB, "line_CD": line_CD, "Q": Q, "R": R}
+    return _build("thm1", cfg)
 
 
 def build_thm2(cfg: GaugeConfig) -> dict[str, object]:
-    """All intermediate objects of the second generalization."""
-    P, A, B, C, D = cfg.corners()
-    X = intersect_lines(perp_bisector(A, C), perp_bisector(B, D))
-    Y = intersect_lines(perp_bisector(A, B), perp_bisector(C, D))
-    Z = intersect_lines(perp_bisector(A, D), perp_bisector(B, C))
-    W = parallelogram_fourth(X, Y, Z)
-    line_PW = line_through(P, W)
-    axis = perp_through(P, line_PW)
-    line_AD = line_through(A, D)
-    line_BC = line_through(B, C)
-    Q = intersect_lines(axis, line_AD)
-    R = intersect_lines(axis, line_BC)
-    return {"P": P, "A": A, "B": B, "C": C, "D": D,
-            "X": X, "Y": Y, "Z": Z, "W": W, "line_PW": line_PW, "axis": axis,
-            "line_AD": line_AD, "line_BC": line_BC, "Q": Q, "R": R}
+    return _build("thm2", cfg)
 
 
 def build_lemma3(cfg: GaugeConfig) -> dict[str, object]:
-    """Circumcenters, diagonal midpoints, and the three circles of the coaxiality lemma."""
-    P, A, B, C, D = cfg.corners()
-    O_a, O_b, O_c, O_d = _circumcenters(A, B, C, D)
-    M = midpoint(A, C)
-    N = midpoint(B, D)
-    circle_ac = circle_on_diameter(O_a, O_c)
-    circle_bd = circle_on_diameter(O_b, O_d)
-    circle_pmn = circumcircle(P, M, N)
-    return {"P": P, "A": A, "B": B, "C": C, "D": D,
-            "O_a": O_a, "O_b": O_b, "O_c": O_c, "O_d": O_d,
-            "M": M, "N": N,
-            "circle_ac": circle_ac, "circle_bd": circle_bd,
-            "circle_pmn": circle_pmn}
+    return _build("lemma3", cfg)
 
 
 def build_thm0(cfg: CyclicConfig) -> dict[str, object]:
-    """Cyclic quadrilateral on the unit circle with the perpendicular at P to OP."""
-    A, B, C, D = cfg.corners()
-    P = intersect_lines(line_through(A, C), line_through(B, D))
-    zero = cfg.t_a * 0
-    O = Point(zero, zero)
-    axis = perp_through(P, line_through(O, P))  # CoincidentPoints when P = O
-    Q = intersect_lines(axis, line_through(A, B))
-    R = intersect_lines(axis, line_through(C, D))
-    return {"A": A, "B": B, "C": C, "D": D, "P": P, "O": O,
-            "axis": axis, "Q": Q, "R": R}
+    return _build("thm0_cyclic", cfg)
 
 
 def build_chord(cfg: ChordButterflyConfig) -> dict[str, object]:
-    """Chord-form construction: both free chords drawn through the midpoint of AB."""
-    A, B, C, E = cfg.corners()
-    omega = circumcircle(A, B, C)
-    M = midpoint(A, B)
-    D = second_intersection(omega, line_through(C, M), C)
-    F = second_intersection(omega, line_through(E, M), E)
-    line_AB = line_through(A, B)
-    G = intersect_lines(line_through(C, F), line_AB)
-    H = intersect_lines(line_through(D, E), line_AB)
-    return {"A": A, "B": B, "C": C, "E": E, "omega": omega, "M": M,
-            "D": D, "F": F, "line_AB": line_AB, "G": G, "H": H}
+    return _build("butterfly_chord", cfg)
 
 
 def build_lemma2(gauge: GaugeConfig) -> Lemma2Config:
-    """Instance of the doubly-perpendicular quadrilateral pair via circumcenters."""
+    """Instance of the doubly-perpendicular quadrilateral pair via circumcenters:
+    O_a, O_b, O_c, O_d of BCD, CDA, DAB and ABC, built in that order."""
     _, A, B, C, D = gauge.corners()
-    O_a, O_b, O_c, O_d = _circumcenters(A, B, C, D)
+    O_a, O_b, O_c, O_d = (circumcenter(C, B, D), circumcenter(D, C, A),
+                          circumcenter(A, D, B), circumcenter(B, A, C))
     return Lemma2Config(A=A, B=B, C=C, D=D, P=O_c, Q=O_d, R=O_a, S=O_b,
                         gauge=gauge)
 
@@ -716,13 +691,14 @@ _PLANS = {
         # closedforms.AXIS".  Equality of lines is projective, i.e.
         # proportional triples, which is transitive, so both say the same
         # thing on every input; each comparison is then against AXIS's 2/4
-        # terms, not the other axis's hundreds.  The second conjunct is
-        # check "thm1.axis": in `run_suite` its verdict is read from thm1's
-        # report of the same call, whose proof built thm1's axis; a
-        # standalone `prove_thm2()` builds that axis and decides it here
-        # (`_thm1_axis_holds`).
+        # terms, not the other axis's hundreds.  The first conjunct is the
+        # verdict of row "axis" above, which `_prove` holds under its id.
+        # The second is check "thm1.axis": in `run_suite` its verdict is read
+        # from thm1's report of the same call, whose proof built thm1's
+        # axis; a standalone `prove_thm2()` builds that axis and decides it
+        # here (`_thm1_axis_holds`).
         ("axis_matches_thm1", False,
-         lambda o: o["axis"] == closedforms.AXIS and _thm1_axis_holds(o)),
+         lambda o: o["thm2.axis"] and _thm1_axis_holds(o)),
     ),
     "lemma3": (
         *_CIRCUMCENTER_ROWS,

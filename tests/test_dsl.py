@@ -675,6 +675,25 @@ def test_pair_trials_bind_what_the_reference_binds(source, bound):
         assert outcomes == {"raise"}
 
 
+def test_compiled_programs_look_up_predicates_when_they_run(monkeypatch):
+    ast = parse((CORPUS / "thm1.geo").read_text())
+    program = _compile_program(ast)
+    calls = []
+    original = _PREDICATE_IMPLS["midpoint"]
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setitem(_PREDICATE_IMPLS, "midpoint", counted)
+    env = dict(zip(ast.params, (F(2), F(1), F(-3), F(-2), F(1))))
+    assert _run_trial(program, env) is None
+    assert len(calls) == 1
+    # every passing trial reaches the one midpoint assertion
+    report = evaluate_construction(ast, seed=1, trials=20)
+    assert report.ok and len(calls) == 1 + report.passed
+
+
 def test_vanishing_literal_skips_every_trial_with_the_scalar_message():
     ast = parse(PAIR_PROGRAMS["vanishing"])
     keys = {"a": 0}

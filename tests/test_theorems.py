@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from butterfly import cli, closedforms, theorems
+from butterfly import cli, closedforms, dsl, theorems
 from butterfly.dsl import evaluate_construction, parse
 from butterfly.errors import (
     CoincidentPoints,
@@ -23,11 +23,18 @@ from butterfly.geom import (
     Circle,
     Line,
     Point,
+    circle_on_diameter,
+    circumcenter,
+    circumcircle,
+    intersect_lines,
     is_midpoint,
     is_parallel,
     line_through,
     midpoint,
     on_unit_circle,
+    parallelogram_fourth,
+    perp_bisector,
+    perp_through,
     power_of_point,
     second_intersection,
 )
@@ -141,6 +148,144 @@ def test_build_thm0_frozen_instance():
     assert objs["D"] == Point(F(35, 37), F(-12, 37))
     assert objs["P"] == Point(F(-13, 165), F(12, 55))
     assert is_midpoint(objs["P"], objs["Q"], objs["R"])
+
+
+# -- builders against their reference bodies ---------------------------------------
+
+# Reference builders: each construction written out in Python.  The corpus
+# programs the builders run must build the same objects in the same order and
+# meet each degeneracy at the same step, with the same class and message.
+
+def ref_circumcenters(A, B, C, D):
+    return (circumcenter(C, B, D), circumcenter(D, C, A),
+            circumcenter(A, D, B), circumcenter(B, A, C))
+
+
+def ref_build_thm1(cfg):
+    P, A, B, C, D = cfg.corners()
+    O_a, O_b, O_c, O_d = ref_circumcenters(A, B, C, D)
+    M = midpoint(O_a, O_c)
+    N = midpoint(O_b, O_d)
+    line_MN = line_through(M, N)
+    axis = perp_through(P, line_MN)
+    line_AB = line_through(A, B)
+    line_CD = line_through(C, D)
+    Q = intersect_lines(axis, line_AB)
+    R = intersect_lines(axis, line_CD)
+    return {"P": P, "A": A, "B": B, "C": C, "D": D,
+            "O_a": O_a, "O_b": O_b, "O_c": O_c, "O_d": O_d,
+            "M": M, "N": N, "line_MN": line_MN, "axis": axis,
+            "line_AB": line_AB, "line_CD": line_CD, "Q": Q, "R": R}
+
+
+def ref_build_thm2(cfg):
+    P, A, B, C, D = cfg.corners()
+    X = intersect_lines(perp_bisector(A, C), perp_bisector(B, D))
+    Y = intersect_lines(perp_bisector(A, B), perp_bisector(C, D))
+    Z = intersect_lines(perp_bisector(A, D), perp_bisector(B, C))
+    W = parallelogram_fourth(X, Y, Z)
+    line_PW = line_through(P, W)
+    axis = perp_through(P, line_PW)
+    line_AD = line_through(A, D)
+    line_BC = line_through(B, C)
+    Q = intersect_lines(axis, line_AD)
+    R = intersect_lines(axis, line_BC)
+    return {"P": P, "A": A, "B": B, "C": C, "D": D,
+            "X": X, "Y": Y, "Z": Z, "W": W, "line_PW": line_PW, "axis": axis,
+            "line_AD": line_AD, "line_BC": line_BC, "Q": Q, "R": R}
+
+
+def ref_build_lemma3(cfg):
+    P, A, B, C, D = cfg.corners()
+    O_a, O_b, O_c, O_d = ref_circumcenters(A, B, C, D)
+    M = midpoint(A, C)
+    N = midpoint(B, D)
+    circle_ac = circle_on_diameter(O_a, O_c)
+    circle_bd = circle_on_diameter(O_b, O_d)
+    circle_pmn = circumcircle(P, M, N)
+    return {"P": P, "A": A, "B": B, "C": C, "D": D,
+            "O_a": O_a, "O_b": O_b, "O_c": O_c, "O_d": O_d,
+            "M": M, "N": N,
+            "circle_ac": circle_ac, "circle_bd": circle_bd,
+            "circle_pmn": circle_pmn}
+
+
+def ref_build_thm0(cfg):
+    A, B, C, D = cfg.corners()
+    P = intersect_lines(line_through(A, C), line_through(B, D))
+    zero = cfg.t_a * 0
+    O = Point(zero, zero)
+    axis = perp_through(P, line_through(O, P))
+    Q = intersect_lines(axis, line_through(A, B))
+    R = intersect_lines(axis, line_through(C, D))
+    return {"A": A, "B": B, "C": C, "D": D, "P": P, "O": O,
+            "axis": axis, "Q": Q, "R": R}
+
+
+def ref_build_chord(cfg):
+    A, B, C, E = (on_unit_circle(t) for _, t in cfg.params())
+    omega = circumcircle(A, B, C)
+    M = midpoint(A, B)
+    D = second_intersection(omega, line_through(C, M), C)
+    F = second_intersection(omega, line_through(E, M), E)
+    line_AB = line_through(A, B)
+    G = intersect_lines(line_through(C, F), line_AB)
+    H = intersect_lines(line_through(D, E), line_AB)
+    return {"A": A, "B": B, "C": C, "E": E, "omega": omega, "M": M,
+            "D": D, "F": F, "line_AB": line_AB, "G": G, "H": H}
+
+
+def _built(build, cfg):
+    """The objects `build` makes from `cfg`, or the class and message of
+    the degeneracy it meets."""
+    try:
+        return build(cfg)
+    except DegenerateConfig as exc:
+        return type(exc), str(exc)
+
+
+# Bound 2 draws from {-2, ..., 2} and their halves, which makes many gauge
+# and cyclic configurations degenerate; the chord sampler rejects those.  The
+# gauge results are also built symbolically, where the reference's constant
+# coordinates are RationalFunctions and have no int tuple to compare.
+@pytest.mark.parametrize("build, ref, sample, degenerates", [
+    (build_thm1, ref_build_thm1, sample_gauge, True),
+    (build_thm2, ref_build_thm2, sample_gauge, True),
+    (build_lemma3, ref_build_lemma3, sample_gauge, True),
+    (build_thm0, ref_build_thm0, sample_cyclic, True),
+    (build_chord, ref_build_chord, sample_chord, False),
+], ids=["thm1", "thm2", "lemma3", "thm0", "chord"])
+def test_builders_match_their_reference_bodies(build, ref, sample, degenerates):
+    configs = [sample(derive_rng(seed, "ref-build", bound), bound)
+               for bound in (2, 20) for seed in range(150)]
+    if sample is sample_gauge:
+        configs.append(GaugeConfig.symbolic())
+    outcomes = set()
+    for cfg in configs:
+        built, expected = _built(build, cfg), _built(ref, cfg)
+        if isinstance(expected, dict):
+            assert list(built) == list(expected)
+            assert all(built[name] == obj
+                       and obj._ints in (None, built[name]._ints)
+                       for name, obj in expected.items())
+            outcomes.add("built")
+        else:
+            assert built == expected
+            outcomes.add("degenerate")
+    assert outcomes == ({"built", "degenerate"} if degenerates else {"built"})
+
+
+def test_kept_programs_call_the_implementations_installed_later(monkeypatch):
+    # the first builds compile thm1.geo for both bindings and keep it
+    build_thm1(ANCHOR)
+    build_thm1(GaugeConfig.symbolic())
+    # a counting wrapper, installed in dsl's table after the programs are kept
+    calls = _count_calls(monkeypatch, theorems, "circumcenter")
+    monkeypatch.setitem(dsl._FUNCTION_IMPLS, "circumcenter", theorems.circumcenter)
+    build_thm1(ANCHOR)
+    assert len(calls) == 4
+    build_thm1(GaugeConfig.symbolic())
+    assert len(calls) == 8
 
 
 # -- checkers -------------------------------------------------------------------
@@ -376,7 +521,7 @@ def test_sample_chord_keeps_free_chord_endpoints_split_by_ab():
     unit = Circle(F(0), F(0), F(-1))
     for seed in range(25):
         cfg = sample_chord(derive_rng(seed, "ch"), 6)
-        A, B, C, E = cfg.corners()
+        A, B, C, E = (on_unit_circle(t) for _, t in cfg.params())
         ab = line_through(A, B)
         f = second_intersection(unit, line_through(E, midpoint(A, B)), E)
         side_c = ab.u * C.x + ab.v * C.y + ab.w
@@ -721,12 +866,6 @@ def ref_ratio_chain(objs):
             == ratio_at(objs, "N") == diagonal_ratio(objs))
 
 
-def _plan_check(theorem, step):
-    (check,) = [check for name, _, check in theorems._PLANS[theorem]
-                if name == step]
-    return check
-
-
 def _ratio_chain(objs):
     """lemma3's chain verdict in a proof of `objs`, after the rows before it."""
     report = theorems._prove("lemma3", dict(objs))
@@ -780,7 +919,9 @@ def ref_axis_matches_thm1(objs):
 
 
 def _axis_matches_thm1(objs):
-    return _plan_check("thm2", "axis_matches_thm1")(objs)
+    """thm2's shared-axis verdict in a proof of `objs`, after the rows before it."""
+    report = theorems._prove("thm2", dict(objs))
+    return dict(report.checks)["thm2.axis_matches_thm1"]
 
 
 def test_axis_matches_thm1_is_the_reference_proposition():
