@@ -26,28 +26,22 @@ most MAX_NESTING deep (parentheses, unary minus, call arguments, and chains
 of binary operators all count), which keeps the parser and every tree walk
 far below Python's recursion limit.  All diagnostics carry a source span.
 
-Evaluation compiles a checked program once per run into a flat tuple of
-steps, one per definition or assertion, each a closure over its expression
-tree with constants built and names resolved up front; every numeric trial
-and the symbolic run execute that tuple, and `eval_expr` compiles and runs
-a single expression the same way.  A step looks up its function or
-predicate each time it runs.  The built-in results of `theorems` run the
-definition steps of their corpus files, compiled once per process.
-
-A numeric trial draws its parameters in one call (`scalar.sample_ratios`)
-and binds each to its reduced int pair.  A point literal whose coordinates
-are parameters, int literals or products of them, such as `(a, 0)` or
-`(b, k*b)`, compiles to int-pair products ending in one
-`geom.projective_point`; every other read of a parameter builds the
-`Fraction` of its pair, and a counterexample prints the parameters as
-`Fraction`s.
+Evaluation compiles a checked program once per run to one Python function
+(the nesting limit keeps its source under CPython's 200 parentheses): a
+numeric trial returns at its first false assertion, the symbolic run yields
+every verdict, the built-in results of `theorems` run only the definitions
+of their corpus files, and `eval_expr` compiles one expression the same
+way.  A trial binds each parameter to its reduced int pair
+(`scalar.sample_ratios`): a point literal over parameters, int literals and
+their products, such as `(b, k*b)`, is int products and one
+`geom.projective_point`; any other read builds the `Fraction` of its pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, itemgetter, mul, sub
+from functools import lru_cache
 
 from .errors import ButterflyError
 from .geom import (
@@ -650,22 +644,19 @@ def to_source(node) -> str:
 # -- evaluation ----------------------------------------------------------------------
 
 
-# Function and predicate names are looked up in _FUNCTION_IMPLS and
-# _PREDICATE_IMPLS each time a step runs, not when it is compiled, so a
-# program compiled once and kept (as `theorems` keeps the corpus programs of
-# the built-in results) calls the implementations installed at that time.
-#
-# In numeric trials `pairs` maps each parameter name to the env key of its
-# reduced int pair: the parameter's position in `params`, an int, which no
-# name equals.  A parameter read outside a pair literal compiles to the
-# `Fraction` of its pair.
-
-_ARITHMETIC = {"+": add, "-": sub, "*": mul}
+# Generated source holds no .geo text: its identifiers all start with "_",
+# which no .geo identifier can, and names, literals and statements are the
+# defaults `_c0, _c1, ...`, so sources of one shape share a code object.  It
+# reads the tables above and the helpers `Fraction`, `Point`,
+# `projective_point` and `field_div` from this module's globals each time it
+# runs, so a kept program calls the implementations installed then.  `pairs`
+# maps a parameter to the env key of its reduced int pair (a trial keys each
+# by position, an int, which no name equals); any other is read by name.
+_compiled = lru_cache(maxsize=256)(compile)
 
 
 def _is_pair_scalar(node, pairs) -> bool:
-    """Whether int-pair arithmetic computes the scalar `node`: a parameter,
-    an int literal, or a product of such."""
+    """Whether `node` is a paired parameter, an int literal or their product."""
     if isinstance(node, IntLit):
         return True
     if isinstance(node, Name):
@@ -675,108 +666,120 @@ def _is_pair_scalar(node, pairs) -> bool:
             and _is_pair_scalar(node.right, pairs))
 
 
-def _compile_pair(node, pairs):
-    """A closure computing a scalar `_is_pair_scalar` accepts as an int pair
-    (n, d), d positive but not reduced."""
-    if isinstance(node, IntLit):
-        value = (node.value, 1)
-        return lambda env: value
-    if isinstance(node, Name):
-        return itemgetter(pairs[node.ident])
-    left = _compile_pair(node.left, pairs)
-    right = _compile_pair(node.right, pairs)
-
-    def product(env):
-        ln, ld = left(env)
-        rn, rd = right(env)
-        return ln * rn, ld * rd
-    return product
+def _times(left, right):  # the source of an int product; None stands for 1
+    return f"{left} * {right}" if left and right else left or right
 
 
-def _compile_expr(node, pairs=None):
-    """A closure evaluating the checked expression `node` in an environment."""
-    if isinstance(node, IntLit):
-        value = Fraction(node.value)
-        return lambda env: value
-    if isinstance(node, Name):
-        if pairs and node.ident in pairs:
-            key = pairs[node.ident]
-            return lambda env: Fraction(*env[key])
-        return itemgetter(node.ident)
-    if isinstance(node, PointLit):
-        if isinstance(node.x, IntLit) and isinstance(node.y, IntLit):
-            point = Point(Fraction(node.x.value), Fraction(node.y.value))
-            return lambda env: point
-        if pairs and _is_pair_scalar(node.x, pairs) and _is_pair_scalar(node.y, pairs):
-            x = _compile_pair(node.x, pairs)
-            y = _compile_pair(node.y, pairs)
+class _Emitter:
+    """One generated function: its body, constants, and unpacked pairs."""
 
-            def literal(env):
-                xn, xd = x(env)
-                yn, yd = y(env)
-                return projective_point(xn * yd, yn * xd, xd * yd)
-            return literal
-        x = _compile_expr(node.x, pairs)
-        y = _compile_expr(node.y, pairs)
-        return lambda env: Point(x(env), y(env))
-    if isinstance(node, Unary):
-        operand = _compile_expr(node.operand, pairs)
-        return lambda env: -operand(env)
-    if isinstance(node, Binary):
-        left = _compile_expr(node.left, pairs)
-        right = _compile_expr(node.right, pairs)
-        if node.op == "/":
-            return lambda env: field_div(
-                left(env), right(env), "division by zero in a scalar expression")
-        op = _ARITHMETIC[node.op]
-        return lambda env: op(left(env), right(env))
-    if isinstance(node, Call):
-        return _compile_call(_FUNCTION_IMPLS, node.func, node.args, pairs)
-    raise TypeError(f"not an expression node: {type(node).__name__}")
+    def __init__(self, pairs=None):
+        self.pairs = pairs or {}
+        self.locals, self.unpacked, self.constants, self.body = {}, {}, [], []
+
+    def const(self, value) -> str:
+        self.constants.append(value)
+        return f"_c{len(self.constants) - 1}"
+
+    def name(self, ident: str) -> str:
+        if ident in self.locals:
+            return self.locals[ident]
+        read = f"_env[{self.const(self.pairs.get(ident, ident))}]"
+        return f"_g['Fraction'](*{read})" if ident in self.pairs else read
+
+    def pair(self, node):
+        """Sources of the int pair of an `_is_pair_scalar` node; None for 1."""
+        if isinstance(node, IntLit):
+            return self.const(node.value), None
+        if isinstance(node, Name):
+            i = self.unpacked.setdefault(node.ident, len(self.unpacked))
+            return f"_n{i}", f"_d{i}"
+        (ln, ld), (rn, rd) = self.pair(node.left), self.pair(node.right)
+        return f"{ln} * {rn}", _times(ld, rd)
+
+    def expr(self, node) -> str:
+        if isinstance(node, IntLit):
+            return self.const(Fraction(node.value))
+        if isinstance(node, Name):
+            return self.name(node.ident)
+        if isinstance(node, PointLit):
+            if isinstance(node.x, IntLit) and isinstance(node.y, IntLit):
+                return self.const(Point(Fraction(node.x.value), Fraction(node.y.value)))
+            if _is_pair_scalar(node.x, self.pairs) and _is_pair_scalar(node.y, self.pairs):
+                (xn, xd), (yn, yd) = self.pair(node.x), self.pair(node.y)
+                return (f"_g['projective_point']({_times(xn, yd)}, "
+                        f"{_times(yn, xd)}, {_times(xd, yd) or 1})")
+            return f"_g['Point']({self.expr(node.x)}, {self.expr(node.y)})"
+        if isinstance(node, Unary):
+            return f"(-{self.expr(node.operand)})"
+        if isinstance(node, Binary):
+            left, right = self.expr(node.left), self.expr(node.right)
+            if node.op == "/":
+                message = self.const("division by zero in a scalar expression")
+                return f"_g['field_div']({left}, {right}, {message})"
+            return f"({left} {node.op} {right})"
+        if isinstance(node, Call):
+            args = ", ".join(map(self.expr, node.args))
+            return f"_FUNCTION_IMPLS[{node.func!r}]({args})"
+        raise TypeError(f"not an expression node: {type(node).__name__}")
+
+    def program(self, statements, assertions):
+        for stmt in statements:
+            if isinstance(stmt, Definition):
+                value = self.expr(stmt.expr)
+                if assertions == "return":
+                    value = f"_env[{self.const(stmt.name)}] = {value}"
+                local = self.locals[stmt.name] = f"_v{len(self.locals)}"
+                self.body.append(f"{local} = {value}")
+            elif isinstance(stmt, Assertion) and assertions:
+                args = ", ".join(map(self.expr, stmt.args))
+                verdict = f"_PREDICATE_IMPLS[{stmt.predicate!r}]({args})"
+                self.body.append(f"if not {verdict}: return {self.const(stmt)}"
+                                 if assertions == "return"
+                                 else f"yield {self.const(stmt)}, {verdict}")
+        if assertions is None:
+            self.body.append("return {%s}" % ", ".join(
+                f"{self.const(name)}: {local}" for name, local in self.locals.items()))
+        else:  # a generator also when there is no assertion
+            self.body.append("yield from ()" if assertions == "yield" else "return None")
+        return self
+
+    def function(self):
+        """`_program(_env)`: the unpacking, then the body; `_g, _c0, ...` are defaults."""
+        lines = [f"_n{i}, _d{i} = _env[{self.const(self.pairs[name])}]"
+                 for name, i in self.unpacked.items()] + self.body
+        params = "".join(f", _c{i}" for i in range(len(self.constants)))
+        source = "".join(f"\n    {line}" for line in lines)
+        namespace: dict = {}
+        exec(_compiled(f"def _program(_env, _g{params}):{source}\n", "<geo>", "exec"),
+             globals(), namespace)
+        namespace["_program"].__defaults__ = (globals(), *self.constants)
+        return namespace["_program"]
 
 
-def _compile_call(impls, name, args, pairs=None):
-    """A closure applying `impls[name]` to the argument expressions' values."""
-    if all(isinstance(arg, Name) and arg.ident not in (pairs or ())
-           for arg in args):
-        if len(args) == 1:
-            get = itemgetter(args[0].ident)
-            return lambda env: impls[name](get(env))
-        get = itemgetter(*(arg.ident for arg in args))
-        return lambda env: impls[name](*get(env))
-    compiled = [_compile_expr(arg, pairs) for arg in args]
-    return lambda env: impls[name](*[arg(env) for arg in compiled])
+def _compile_program(construction: Construction, pairs=None, assertions="return"):
+    """The program as one generated function of an env: "return" binds each
+    definition into the env and returns the first false assertion or None,
+    "yield" yields each assertion and its verdict, None returns the definitions."""
+    return _Emitter(pairs).program(construction.statements, assertions).function()
 
 
-def _compile_program(construction: Construction, pairs=None):
-    """The definitions and assertions as steps (name, evaluate, assertion).
-
-    A definition step has `assertion` None and binds `name` to the value;
-    an assertion step evaluates the predicate and carries its statement.
-    """
-    steps = []
-    for stmt in construction.statements:
-        if isinstance(stmt, Definition):
-            steps.append((stmt.name, _compile_expr(stmt.expr, pairs), None))
-        elif isinstance(stmt, Assertion):
-            steps.append((None, _compile_call(_PREDICATE_IMPLS, stmt.predicate,
-                                              stmt.args, pairs), stmt))
-    return tuple(steps)
+def _pair_params(construction: Construction) -> set[str]:
+    """The parameters in point literals of int-pair arithmetic."""
+    emit = _Emitter(dict.fromkeys(construction.params))
+    return set(emit.program(construction.statements, None).unpacked)
 
 
 def eval_expr(node, env):
     """Evaluate one checked expression in an environment of named values."""
-    return _compile_expr(node)(env)
+    emit = _Emitter()
+    emit.body.append(f"return {emit.expr(node)}")
+    return emit.function()(env)
 
 
 def _run_trial(program, env: dict) -> Assertion | None:
-    """Run compiled steps in order; return the first false assertion."""
-    for name, evaluate, assertion in program:
-        if assertion is None:
-            env[name] = evaluate(env)
-        elif not evaluate(env):
-            return assertion
-    return None
+    """Run a compiled program; return the first false assertion."""
+    return program(env)
 
 
 def _evaluate_numeric(construction, seed, trials, bound, label):
@@ -809,14 +812,11 @@ def _evaluate_symbolic(construction, label):
                         f"{', '.join(VARIABLES)}; got '{name}'", span)
     env = {name: RationalFunction.variable(name)
            for name in construction.params}
-    program = _compile_program(construction)
+    program = _compile_program(construction, assertions="yield")
 
     def checks():
         seen: set[str] = set()
-        for name, evaluate, stmt in program:
-            if stmt is None:
-                env[name] = evaluate(env)
-                continue
+        for stmt, verdict in program(env):
             text = _assertion_text(stmt)
             check_id = f"assert {text}"
             serial = 2
@@ -824,7 +824,7 @@ def _evaluate_symbolic(construction, label):
                 check_id = f"assert {text} #{serial}"
                 serial += 1
             seen.add(check_id)
-            yield check_id, bool(evaluate(env)), text
+            yield check_id, bool(verdict), text
 
     return run_checks(label, checks())
 

@@ -14,7 +14,7 @@ configurations raise a `DegenerateConfig` subclass, which the trial driver
 `run_trials` counts as a skip.  The builders of thm1, thm2, lemma3, thm0
 and the chord form run the definitions of their corpus `.geo` files, so
 each construction is stated once, in the file `verify` checks; the same
-steps serve both scalar backends.
+definitions serve both scalar backends.
 
 The samplers take one batched draw per candidate, each value as its
 reduced int pair (`scalar.sample_ratios`), and test candidates on those
@@ -203,42 +203,42 @@ _CORPUS = Path(__file__).with_name("corpus")
 
 
 @functools.cache
-def _program(stem: str):
-    """Corpus file `stem`, parsed and compiled once per process: a getter of
-    its parameters from the config fields of the same names, their names,
-    and its definition steps (name, evaluate) compiled twice, with the
-    parameters bound as reduced int pairs keyed by position and by name."""
+def _construction(stem: str):
+    """Corpus file `stem`, parsed once per process, its parameters, and a
+    getter of them from the config fields of the same names."""
     from . import dsl  # dsl imports this module
 
     construction = dsl.parse((_CORPUS / f"{stem}.geo").read_text(encoding="utf-8"))
     params = construction.params
+    return construction, params, attrgetter(*params)
 
-    def definitions(pairs):
-        return tuple((name, evaluate) for name, evaluate, assertion
-                     in dsl._compile_program(construction, pairs)
-                     if assertion is None)
 
-    paired = definitions({name: key for key, name in enumerate(params)})
-    return attrgetter(*params), params, paired, definitions(None)
+@functools.cache
+def _program(stem: str, rational: bool):
+    """The parameters of corpus file `stem` that a rational config binds as
+    int pairs (those in point literals of int-pair arithmetic; none for a
+    symbolic config), and the file's definitions compiled for that binding,
+    once per process and binding."""
+    from . import dsl
+
+    construction = _construction(stem)[0]
+    paired = dsl._pair_params(construction) if rational else ()
+    return paired, dsl._compile_program(
+        construction, {name: name for name in paired}, assertions=None)
 
 
 def _build(stem: str, cfg) -> dict[str, object]:
     """The objects the definitions of corpus file `stem` name, in file order.
-    A config of ints and Fractions is bound as reduced int pairs, as a numeric
-    `.geo` trial binds its draw; any other (a symbolic one) is bound by name."""
-    get, params, paired, named = _program(stem)
+    A config of ints and Fractions binds each parameter of a point literal
+    of int-pair arithmetic, such as `(b, k*b)`, as its reduced int pair, as a
+    numeric `.geo` trial binds its draw, and every other by its own value;
+    any other config (a symbolic one) binds every parameter by its value."""
+    _, params, get = _construction(stem)
     values = get(cfg)
-    if all(isinstance(value, _RATIONAL) for value in values):
-        keys, steps = range(len(values)), paired
-        env = {key: value.as_integer_ratio() for key, value in enumerate(values)}
-    else:
-        keys, steps = params, named
-        env = dict(zip(keys, values))
-    for name, evaluate in steps:
-        env[name] = evaluate(env)
-    for key in keys:  # what is left are the definitions, in file order
-        del env[key]
-    return env
+    paired, build = _program(
+        stem, all(isinstance(value, _RATIONAL) for value in values))
+    return build({name: value.as_integer_ratio() if name in paired else value
+                  for name, value in zip(params, values)})
 
 
 # The built-in results run the definitions of their corpus files.

@@ -29,6 +29,7 @@ from butterfly.dsl import (
     PointLit,
     Unary,
     _assertion_text,
+    _Emitter,
     _compile_program,
     _run_trial,
     eval_expr,
@@ -423,8 +424,8 @@ def test_dsl_error_is_a_package_error():
 
 # -- the compiled evaluator against the tree-walking reference --------------------
 #
-# The evaluator compiles each program once into closures.  `ref_eval` and
-# `ref_run_trial` are the tree-walking interpreter it replaced, kept here as
+# The evaluator compiles each program once to one generated Python function.
+# `ref_eval` and `ref_run_trial` are a tree-walking interpreter, kept here as
 # the reference: on every corpus file and fixture, numerically and
 # symbolically, the two must bind the same values, reach the same verdict,
 # or raise the same exception class with the same message.
@@ -737,3 +738,126 @@ def test_only_parameters_read_as_scalars_get_a_fraction(monkeypatch):
     # int-pair arithmetic, and each parameter read outside one is a Fraction
     assert reads("param a, b;\nscalar s = a * b;\n"
                  "point P = (s, b);\n") == ["a", "b"]
+
+
+# -- generated source ---------------------------------------------------------------
+#
+# Every evaluation runs a function generated from the program.  A .geo name
+# spelled like a generated identifier or a helper the generated code reads
+# must change nothing, and none may reach the code object, and every program
+# `parse` accepts must compile whatever its nesting.
+
+HYGIENE = """
+param c, k;
+point v0 = (c, k*c);
+point env = (k, 0);
+scalar Fraction = c / (k - 1);
+point projective_point = (Fraction, c*k + 1);
+line program = line(v0, env);
+point v1 = midpoint(v0, projective_point);
+line exec = perp_through(v1, program);
+point globals = intersect(exec, program);
+assert on(globals, program);
+assert perpendicular(exec, line(v0, env));
+assert midpoint(v1, v0, projective_point);
+assert on(env, exec);
+"""
+
+
+def _generated_functions(monkeypatch):
+    """Every function generated from now on, as it is generated."""
+    made = []
+    function = _Emitter.function
+
+    def recording(self):
+        made.append(function(self))
+        return made[-1]
+
+    monkeypatch.setattr(_Emitter, "function", recording)
+    return made
+
+
+def test_geo_names_never_reach_the_generated_code(monkeypatch):
+    ast = parse(HYGIENE)
+    defined = {s.name for s in ast.statements if isinstance(s, Definition)}
+    names = {"c", "k", *defined}
+    assert {"env", "v0", "v1", "program", "Fraction", "projective_point",
+            "exec", "globals"} <= names
+    made = _generated_functions(monkeypatch)
+
+    def definitions(run, env):
+        try:
+            failed = run(env)
+        except DegenerateConfig as exc:
+            return ("raise", type(exc), str(exc))
+        return failed, {n: _exact_fields(v) for n, v in env.items() if n in defined}
+
+    program = _compile_program(ast, {"c": 0, "k": 1})
+
+    outcomes = set()
+    for trial in range(40):
+        # named Fraction values, against the reference and through eval_expr
+        rng = derive_rng(29, "hygiene", trial)
+        outcome = assert_evaluators_agree(
+            ast, {name: sample_rational(rng, 3) for name in ast.params})
+        outcomes.add(outcome[0] if outcome[0] == "raise" else outcome[0].predicate)
+        # int pairs keyed by position
+        pairs = sample_ratios(derive_rng(29, "pairs", trial), 3, 2)
+        ref_env = {"c": F(*pairs[0]), "k": F(*pairs[1])}
+        assert (definitions(lambda env: _run_trial(program, env), dict(enumerate(pairs)))
+                == definitions(lambda env: ref_run_trial(ast, env), ref_env))
+    assert outcomes == {"raise", "on"}
+    # symbolically: the same verdict for every assertion as the reference
+    symbols = {name: RationalFunction.variable(name) for name in ast.params}
+    assert_evaluators_agree(ast, symbols)
+    report = evaluate_construction(ast, mode="symbolic")
+    scope = dict(symbols)
+    ref_run_trial(Construction(tuple(
+        s for s in ast.statements if not isinstance(s, Assertion))), scope)
+    assert [ok for _, ok in report.checks] == [
+        bool(_PREDICATE_IMPLS[s.predicate](*(ref_eval(a, scope) for a in s.args)))
+        for s in ast.assertions] == [True, True, True, False]
+    assert len(made) > 100
+    for function in made:
+        code = function.__code__
+        assert not names & set(code.co_names + code.co_varnames), code.co_names
+        assert all(name.startswith("_") for name in code.co_names + code.co_varnames)
+
+
+def _deepest(kind, param):
+    """The deepest program of `kind` that `parse` accepts, and its depth; with
+    `param`, it reads the parameter a where the source has the literal 1."""
+    for depth in range(MAX_NESTING + 1, 0, -1):
+        source = nested(depth)[kind]
+        if param:
+            source = "param a;\n" + source.replace("1", "a")
+        try:
+            return parse(source), depth
+        except DslSyntaxError:
+            continue
+
+
+@pytest.mark.parametrize("param", [False, True], ids=["literals", "parameter"])
+@pytest.mark.parametrize("kind", sorted(nested(1)))
+def test_deepest_programs_compile_and_run_in_every_binding(kind, param):
+    ast, depth = _deepest(kind, param)
+    assert depth >= MAX_NESTING - 2
+    value = F(2, 3)
+    # named values (and eval_expr, statement by statement) against the reference
+    env = {"a": value} if param else {}
+    failed, expected = assert_evaluators_agree(ast, env)
+    assert failed is None
+    expected.pop("a", None)
+    # int pairs, and a definitions-only build
+    trial = {0: value.as_integer_ratio()} if param else {}
+    assert _run_trial(_compile_program(ast, {"a": 0}), trial) is None
+    built = _compile_program(ast, {"a": "a"}, assertions=None)(
+        {"a": value.as_integer_ratio()} if param else {})
+    for bound in (trial, built):
+        assert {name: _exact_fields(v) for name, v in bound.items()
+                if name != 0} == expected
+    report = evaluate_construction(ast, trials=5)
+    assert report.ok and report.passed == 5
+    # symbolic: no assertion to check, and nothing goes wrong building
+    report = evaluate_construction(ast, mode="symbolic")
+    assert report.failure is None and report.attempted == 0

@@ -288,6 +288,23 @@ def test_kept_programs_call_the_implementations_installed_later(monkeypatch):
     assert len(calls) == 8
 
 
+def test_rational_builds_pair_only_the_parameters_of_pair_literals(monkeypatch):
+    assert dsl._pair_params(theorems._construction("thm1")[0]) == set("abcdk")
+    assert dsl._pair_params(theorems._construction("thm0_cyclic")[0]) == set()
+    builds = ((build_chord, ChordButterflyConfig(F(3), F(1, 3), F(-5), F(-1, 5))),
+              (build_thm0, CyclicConfig(F(1, 2), F(3), F(-4), F(-1, 6))),
+              (build_thm1, ANCHOR))
+    for build, cfg in builds:  # compiled before the patch below
+        build(cfg)
+    # on_unit_circle(t_a) reads the config's own Fraction: no int pair is
+    # taken and no Fraction rebuilt from one
+    made = []
+    monkeypatch.setattr(dsl, "Fraction", lambda *args: made.append(args) or F(*args))
+    for build, cfg in builds:
+        build(cfg)
+    assert made == []
+
+
 # -- checkers -------------------------------------------------------------------
 
 def test_checkers_true_at_anchor():
