@@ -63,7 +63,7 @@ from .errors import (
     PointNotOnLine,
 )
 from .poly import _make, _shift_down, common_monomial
-from .ratfun import RationalFunction
+from .ratfun import RationalFunction, _as_rational_function
 from .scalar import field_div
 
 _RATIONAL = (int, Fraction)
@@ -340,29 +340,23 @@ def _circle(d, e, f, s) -> Circle:
     return circle
 
 
-def _as_ratfun(value):
-    if isinstance(value, RationalFunction):
-        return value
-    return RationalFunction.constant(value)
-
-
 def _clear_line(u, v, w):
     """Rescale symbolic line coefficients to a normalized polynomial triple:
     common monomial divided out, integer content 1, first nonzero entry
     with a positive leading coefficient."""
-    u, v, w = _as_ratfun(u), _as_ratfun(v), _as_ratfun(w)
+    u, v, w = map(_as_rational_function, (u, v, w))
     pu = u.num * v.den * w.den
     pv = v.num * u.den * w.den
     pw = w.num * u.den * v.den
     polys = [pu, pv, pw]
-    nonzero = [p for p in polys if not p.is_zero()]
+    nonzero = [p for p in polys if p]
     if not nonzero:
         # invalid either way; let the (u, v) check in Line.__init__ report it
         return (RationalFunction(pu), RationalFunction(pv), RationalFunction(pw))
     mins = common_monomial(*nonzero)
     if any(mins):
         polys = [_shift_down(p, mins) for p in polys]
-        nonzero = [p for p in polys if not p.is_zero()]
+        nonzero = [p for p in polys if p]
     # divide by the gcd of the Fraction contents, g / den for g the gcd of
     # all integer coefficients and den the lcm of the `_den`s, signed as the
     # first nonzero entry's leading coefficient: each entry becomes

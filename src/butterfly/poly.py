@@ -18,6 +18,10 @@ Canonical form makes structural equality coincide with mathematical equality
 and gives every polynomial one stable debug rendering.  `terms` presents the
 same polynomial as (exponent 5-tuple, Fraction) pairs in the same order,
 built on each access.
+
+A polynomial is falsy exactly when it is zero.  A monomial factor is divided
+out only by `common_monomial`, which finds the largest one, and then
+`_shift_down`, which divides by it unchecked.
 """
 
 from __future__ import annotations
@@ -68,6 +72,16 @@ def _coerce_coeff(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"polynomial coefficients must be rational, got {type(value).__name__}")
+
+
+def _as_polynomial(value):
+    """`value` as a Polynomial: a Polynomial as given, an int or Fraction as
+    a constant, and NotImplemented for anything else."""
+    if isinstance(value, Polynomial):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return Polynomial.constant(value)
+    return NotImplemented
 
 
 def _exact_point(values: Mapping[str, Fraction]) -> tuple[Fraction, ...]:
@@ -137,8 +151,8 @@ def _reduced(terms: list[tuple[int, int]], den: int) -> Polynomial:
 
 
 def _shift_down(poly: Polynomial, mono: Monomial) -> Polynomial:
-    """`poly.shift_down(mono)` without its divisibility check, for a `mono`
-    known to divide every term (one that `common_monomial` returned)."""
+    """Exact division of `poly` by the monomial `mono`, unchecked: `mono`
+    must divide every term (`common_monomial` returns one that does)."""
     shift = _pack(mono)
     return _make(tuple([(m - shift, c) for m, c in poly._terms]), poly._den)
 
@@ -198,38 +212,16 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self._terms:
             return -1
         return self._terms[0][0] >> _DEGREE_SHIFT
 
-    def leading_coefficient(self) -> Fraction:
-        """Coefficient of the graded-lex leading term."""
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        return Fraction(self._terms[0][1], self._den)
-
-    def content(self) -> Fraction:
-        """Positive rational c such that self / c has coprime integer coefficients."""
-        if not self._terms:
-            return Fraction(0)
-        return Fraction(gcd(*[c for _, c in self._terms]), self._den)
-
-    def min_exponents(self) -> Monomial | None:
-        """Componentwise minimum exponent vector, i.e. the largest monomial factor."""
-        if not self._terms:
-            return None
-        monos = [m for m, _ in self._terms]
-        return tuple(min([m >> shift & _MASK for m in monos]) for shift in _SHIFTS)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
+        other = _as_polynomial(other)
         if other is NotImplemented:
             return NotImplemented
         if not other._terms:
@@ -251,19 +243,19 @@ class Polynomial:
         return _make(tuple([(m, -c) for m, c in self._terms]), self._den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = _as_polynomial(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
+        other = _as_polynomial(other)
         if other is NotImplemented:
             return NotImplemented
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = _as_polynomial(other)
         if other is NotImplemented:
             return NotImplemented
         if not self._terms or not other._terms:
@@ -307,31 +299,6 @@ class Polynomial:
             n >>= 1
         return result
 
-    def scale(self, factor) -> Polynomial:
-        """self * factor for a rational factor (exact)."""
-        factor = _coerce_coeff(factor)
-        if not factor:
-            return _ZERO
-        num = factor.numerator
-        return _reduced([(m, c * num) for m, c in self._terms],
-                        self._den * factor.denominator)
-
-    def shift_down(self, mono: Monomial) -> Polynomial:
-        """Exact division by the monomial `mono`, which must divide every term
-        (ValueError otherwise)."""
-        mins = self.min_exponents()
-        if mins is not None and any(f > e for f, e in zip(mono, mins)):
-            raise ValueError(f"monomial {mono!r} does not divide {mins!r}, "
-                             f"the largest monomial factor")
-        return _shift_down(self, mono)
-
-    def _coerce(self, other):
-        if isinstance(other, Polynomial):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Polynomial.constant(other)
-        return NotImplemented
-
     # -- evaluation and equality -------------------------------------------
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
@@ -355,9 +322,8 @@ class Polynomial:
         return total / self._den
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other)
-        elif not isinstance(other, Polynomial):
+        other = _as_polynomial(other)
+        if other is NotImplemented:
             return NotImplemented
         return self._den == other._den and self._terms == other._terms
 

@@ -21,7 +21,8 @@ A cheap normal form keeps expression growth in check without full reduction:
     coefficients divided by g over 1, and the numerator is multiplied by
     the denominator's integer denominator and put over g, in one reduction.
 
-Instances are immutable and unhashable (equality is not structural).
+Instances are immutable, unhashable (equality is not structural) and falsy
+exactly when zero.
 """
 
 from __future__ import annotations
@@ -31,15 +32,17 @@ from math import gcd
 from typing import Mapping
 
 from .errors import DenominatorVanishes, ZeroDenominator
-from .poly import Polynomial, _make, _reduced, _shift_down, common_monomial
+from .poly import (Polynomial, _as_polynomial, _make, _reduced, _shift_down,
+                   common_monomial)
 
 
-def _coerce_poly(value):
-    if isinstance(value, Polynomial):
+def _as_rational_function(value):
+    """`value` as a RationalFunction: a RationalFunction as given, what
+    `_as_polynomial` takes over 1, and NotImplemented for anything else."""
+    if isinstance(value, RationalFunction):
         return value
-    if isinstance(value, (int, Fraction)):
-        return Polynomial.constant(value)
-    return None
+    poly = _as_polynomial(value)
+    return NotImplemented if poly is NotImplemented else RationalFunction(poly)
 
 
 class RationalFunction:
@@ -48,13 +51,13 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
-        npoly = _coerce_poly(num)
-        dpoly = _coerce_poly(den)
-        if npoly is None or dpoly is None:
+        npoly = _as_polynomial(num)
+        dpoly = _as_polynomial(den)
+        if npoly is NotImplemented or dpoly is NotImplemented:
             raise TypeError("numerator and denominator must be polynomials or rationals")
-        if dpoly.is_zero():
+        if not dpoly:
             raise ZeroDenominator("rational function with zero denominator")
-        if npoly.is_zero():
+        if not npoly:
             dpoly = Polynomial.one()
         else:
             common = common_monomial(dpoly, npoly)
@@ -95,24 +98,13 @@ class RationalFunction:
 
     # -- predicates ------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def __bool__(self) -> bool:
-        return not self.num.is_zero()
+        return bool(self.num)
 
     # -- arithmetic ------------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            return other
-        poly = _coerce_poly(other)
-        if poly is None:
-            return NotImplemented
-        return RationalFunction(poly)
-
     def __add__(self, other):
-        other = self._coerce(other)
+        other = _as_rational_function(other)
         if other is NotImplemented:
             return NotImplemented
         if self.den == other.den:
@@ -126,7 +118,7 @@ class RationalFunction:
         return RationalFunction(-self.num, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = _as_rational_function(other)
         if other is NotImplemented:
             return NotImplemented
         if self.den == other.den:
@@ -135,7 +127,7 @@ class RationalFunction:
                                 self.den * other.den)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
+        other = _as_rational_function(other)
         if other is NotImplemented:
             return NotImplemented
         return other - self
@@ -143,7 +135,7 @@ class RationalFunction:
     def __mul__(self, other):
         if type(other) is int and other == 1:
             return self
-        other = self._coerce(other)
+        other = _as_rational_function(other)
         if other is NotImplemented:
             return NotImplemented
         return RationalFunction(self.num * other.num, self.den * other.den)
@@ -153,15 +145,15 @@ class RationalFunction:
     def __truediv__(self, other):
         if type(other) is int and other == 1:
             return self
-        other = self._coerce(other)
+        other = _as_rational_function(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.num.is_zero():
+        if not other.num:
             raise ZeroDenominator("division of rational functions by zero")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
+        other = _as_rational_function(other)
         if other is NotImplemented:
             return NotImplemented
         return other / self
@@ -170,7 +162,7 @@ class RationalFunction:
         if not isinstance(exponent, int):
             raise ValueError("rational function exponent must be an integer")
         if exponent < 0:
-            if self.num.is_zero():
+            if not self.num:
                 raise ZeroDenominator("negative power of zero")
             return RationalFunction(self.den ** (-exponent), self.num ** (-exponent))
         return RationalFunction(self.num ** exponent, self.den ** exponent)
@@ -178,7 +170,7 @@ class RationalFunction:
     # -- equality ---------------------------------------------------------------
 
     def __eq__(self, other):
-        other = self._coerce(other)
+        other = _as_rational_function(other)
         if other is NotImplemented:
             return NotImplemented
         return self.num * other.den == other.num * self.den

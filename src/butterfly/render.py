@@ -251,11 +251,16 @@ def scene_from_construction(construction, assignment) -> Scene:
     segment of each midpoint assertion.  Assertion truth is not checked
     here; figures of false claims are legitimate.  A program with no
     assertion (every predicate takes points, lines or circles) and only
-    scalar definitions raises EmptyScene before it is evaluated.
+    scalar definitions raises EmptyScene before it is evaluated.  Every
+    parameter must be bound to an int or Fraction (TypeError otherwise).
     """
     missing = [name for name in construction.params if name not in assignment]
     if missing:
         raise ValueError(f"unbound parameters: {', '.join(missing)}")
+    for name in construction.params:
+        if not isinstance(assignment[name], (int, Fraction)):
+            raise TypeError(f"the value of {name} must be an int or Fraction, "
+                            f"not {type(assignment[name]).__name__}")
     if not any(isinstance(stmt, Assertion)
                or isinstance(stmt, Definition) and stmt.type != "scalar"
                for stmt in construction.statements):

@@ -5,7 +5,8 @@ A "scalar" anywhere in this package is either a `fractions.Fraction`
 work, see `ratfun`).  The two meet a common protocol — the arithmetic
 operators plus truthiness, where ``bool(x)`` is False exactly for the
 zero element — which keeps the kernel generic without a class hierarchy.
-No floats appear anywhere; equality is exact.
+No floats appear anywhere; equality is exact.  `parse_rational` reads the
+"p/q" form `format_rational` writes, and rejects a zero denominator.
 
 Seeded sampling has one rejection loop, `sample_ratios`, which draws n
 values in one call, each as its reduced int pair (p, q); `sample_ratio` is
@@ -23,12 +24,6 @@ from math import gcd
 from random import Random
 
 from .errors import DivisionByZero, ZeroDenominator
-
-def rational_from_parts(num: int, den: int) -> Fraction:
-    """The reduced, denominator-positive rational num/den."""
-    if den == 0:
-        raise ZeroDenominator(f"rational with zero denominator: {num}/0")
-    return Fraction(num, den)
 
 
 def field_div(x, y, context: str = "division by zero"):
@@ -55,12 +50,17 @@ def parse_rational(text: str) -> Fraction:
 
     Accepted: ASCII digits with one optional leading "-", then optionally
     "/" and an ASCII-digit denominator.  Anything else (a sign on the
-    denominator, "+", "_", whitespace, non-ASCII digits) raises ValueError.
+    denominator, "+", "_", whitespace, non-ASCII digits) raises ValueError,
+    and a zero denominator raises ZeroDenominator.  The result is reduced,
+    with a positive denominator.
     """
     if not _RATIONAL_LITERAL.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
     num, _, den = text.partition("/")
-    return rational_from_parts(int(num), int(den or 1))
+    num, den = int(num), int(den or 1)
+    if not den:
+        raise ZeroDenominator(f"rational with zero denominator: {num}/0")
+    return Fraction(num, den)
 
 
 def sample_ratios(rng: Random, bound: int, n: int) -> list[tuple[int, int]]:

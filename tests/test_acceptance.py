@@ -76,10 +76,10 @@ def test_criterion_2_symbolic_theorem_identities():
     sym1 = build_thm1(GaugeConfig.symbolic())
     sym2 = build_thm2(GaugeConfig.symbolic())
     qr_identities = [
-        (sym1["Q"].x + sym1["R"].x).is_zero(),
-        (sym1["Q"].y + sym1["R"].y).is_zero(),
-        (sym2["Q"].x + sym2["R"].x).is_zero(),
-        (sym2["Q"].y + sym2["R"].y).is_zero(),
+        not (sym1["Q"].x + sym1["R"].x),
+        not (sym1["Q"].y + sym1["R"].y),
+        not (sym2["Q"].x + sym2["R"].x),
+        not (sym2["Q"].y + sym2["R"].y),
     ]
 
     lem = build_lemma3(GaugeConfig.symbolic())

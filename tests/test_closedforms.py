@@ -83,14 +83,14 @@ def test_shared_x_coordinate_of_bd_symmetric_centers():
 
 
 def test_both_q_r_pairs_are_symmetric_about_origin():
-    assert (cf.Q_FIRST.x + cf.R_FIRST.x).is_zero()
-    assert (cf.Q_FIRST.y + cf.R_FIRST.y).is_zero()
-    assert (cf.Q_SECOND.x + cf.R_SECOND.x).is_zero()
-    assert (cf.Q_SECOND.y + cf.R_SECOND.y).is_zero()
+    assert not (cf.Q_FIRST.x + cf.R_FIRST.x)
+    assert not (cf.Q_FIRST.y + cf.R_FIRST.y)
+    assert not (cf.Q_SECOND.x + cf.R_SECOND.x)
+    assert not (cf.Q_SECOND.y + cf.R_SECOND.y)
 
 
 def test_axis_passes_through_origin_and_meets_mn_perpendicularly():
-    assert cf.AXIS.w.is_zero()
+    assert not cf.AXIS.w
     assert is_perpendicular(cf.AXIS, line_through(cf.M_CENTERS, cf.N_CENTERS))
 
 

@@ -2,7 +2,8 @@
 
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd, lcm
+from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -53,6 +54,8 @@ from butterfly import (
     projective_point,
     second_intersection,
 )
+from tests.test_poly import (dict_content, dict_leading, dict_min_exponents,
+                             dict_mul, dict_scale, dict_shift_down, read_terms)
 
 
 def P(x, y):
@@ -93,20 +96,19 @@ def test_line_symbolic_coefficients_are_cleared():
 
 
 def ref_clear_line(u, v, w):
-    """The symbolic line normal form on Fraction contents: (u, v, w) over one
-    denominator, the componentwise-minimum monomial divided out, then
-    divided by the gcd of the entries' contents, signed as the first
-    nonzero entry's leading coefficient."""
-    polys = [u.num * v.den * w.den, v.num * u.den * w.den, w.num * u.den * v.den]
-    nonzero = [p for p in polys if p]
-    common = tuple(map(min, zip(*(p.min_exponents() for p in nonzero))))
-    polys = [p.shift_down(common) for p in polys]
-    contents = [p.content() for p in polys if p]
-    scale = Fraction(gcd(*(c.numerator for c in contents)),
-                     lcm(*(c.denominator for c in contents)))
-    if next(p for p in polys if p).leading_coefficient() < 0:
+    """The symbolic line normal form on {monomial: Fraction} dicts, built
+    from `terms` alone: (u, v, w) over one denominator, the
+    componentwise-minimum monomial divided out, then divided by the gcd of
+    all coefficients, signed as the first nonzero entry's graded-lex
+    leading coefficient."""
+    factors = ((u.num, v.den, w.den), (v.num, u.den, w.den), (w.num, u.den, v.den))
+    xs = [reduce(dict_mul, [dict(p.terms) for p in ps]) for ps in factors]
+    common = dict_min_exponents(xs)
+    xs = [dict_shift_down(x, common) for x in xs]
+    scale = dict_content(xs)
+    if dict_leading(next(x for x in xs if x)) < 0:
         scale = -scale
-    return [p.scale(1 / scale) for p in polys]
+    return [dict_scale(x, 1 / scale) for x in xs]
 
 
 small_exponents = st.tuples(*(st.integers(min_value=0, max_value=2)
@@ -133,7 +135,7 @@ def symbolic_triples(draw):
 def test_symbolic_line_normal_form_matches_reference(triple):
     line = Line(*triple)
     for got, want in zip((line.u, line.v, line.w), ref_clear_line(*triple)):
-        assert got.num == want and got.den == Polynomial.one()
+        assert read_terms(got.num) == want and got.den == Polynomial.one()
 
 
 NOT_EXACT = [0.5, Decimal("0.5"), 0.5j, "1/2", None]

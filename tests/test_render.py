@@ -1,6 +1,7 @@
 """Scene staging and deterministic SVG output."""
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -196,3 +197,14 @@ def test_scene_from_construction_rejects_unbound_params():
         scene_from_construction(ast, {"a": F(2), "b": F(1), "c": F(-3),
                                       "d": F(-2)})
     assert "unbound parameters: k" in str(err.value)
+
+
+def test_scene_from_construction_takes_only_ints_and_fractions():
+    ast = parse((CORPUS / "thm1.geo").read_text())
+    # an int binds as the equal Fraction
+    assert (render_svg(scene_from_construction(ast, dict(ANCHOR, b=1)))
+            == render_svg(thm1_scene()))
+    # Point(0.1, 0) and evaluate_object reject these too
+    for bad in (0.1, "1/3", Decimal("0.5"), None):
+        with pytest.raises(TypeError, match="the value of b must be an int or Fraction"):
+            scene_from_construction(ast, dict(ANCHOR, b=bad))
