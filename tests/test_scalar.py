@@ -96,11 +96,25 @@ def test_parse_rational_zero_denominator_is_typed():
             parse_rational(bad)
 
 
-def test_parse_rational_reduces_with_positive_denominator():
-    for text, num, den in (("2/4", 1, 2), ("-6/12", -1, 2), ("0/7", 0, 1),
-                           ("-0", 0, 1), ("0012/0008", 3, 2)):
-        x = parse_rational(text)
-        assert (x.numerator, x.denominator) == (num, den)
+def _parts(text):
+    x = parse_rational(text)
+    return x.numerator, x.denominator
+
+
+def test_from_parts_reduces():
+    assert _parts("2/4") == (1, 2)
+    assert _parts("0012/0008") == (3, 2)
+
+
+def test_from_parts_normalizes_sign():
+    # the sign of a negative rational sits on the numerator
+    assert _parts("-6/12") == (-1, 2)
+    assert parse_rational("-6/12") == Fraction(-1, 2)
+
+
+def test_from_parts_zero():
+    assert _parts("0/7") == (0, 1)
+    assert _parts("-0") == (0, 1)
 
 
 def test_sample_bound_one():
