@@ -302,10 +302,11 @@ def _point(x, y, z) -> Point:
 def projective_point(x: int, y: int, z: int) -> Point:
     """The rational point (x/z, y/z) from int projective coordinates.
 
-    The entry for callers that hold a point as ints already (the samplers
-    and `GaugeConfig.corners` in `theorems`): the triple is reduced as a
-    construction's output is, and no Fraction is built.  z = 0 (a point at
-    infinity) raises ValueError; a non-int entry raises TypeError.
+    The entry for callers that hold a point as ints already (the
+    quadrilateral sampler in `theorems` and the point literals of `dsl`'s
+    int-pair programs): the triple is reduced as a construction's output
+    is, and no Fraction is built.  z = 0 (a point at infinity) raises
+    ValueError; a non-int entry raises TypeError.
     """
     if not (isinstance(x, int) and isinstance(y, int) and isinstance(z, int)):
         raise TypeError("projective_point needs int coordinates")

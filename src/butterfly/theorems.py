@@ -11,10 +11,11 @@ decided exactly.
 
 A checker is a total function from a configuration to a bool; degenerate
 configurations raise a `DegenerateConfig` subclass, which the trial driver
-`run_trials` counts as a skip.  The builders of thm1, thm2, lemma3, thm0
-and the chord form run the definitions of their corpus `.geo` files, so
-each construction is stated once, in the file `verify` checks; the same
-definitions serve both scalar backends.
+`run_trials` counts as a skip.  The six builders (thm1, thm2, lemma2,
+lemma3, thm0 and the chord form) run the definitions of their corpus `.geo`
+files, so each construction is stated once, in the file `verify` checks;
+the same definitions serve both scalar backends.  lemma1 has no builder:
+its checker makes its objects itself.
 
 The samplers take one batched draw per candidate, each value as its
 reduced int pair (`scalar.sample_ratios`), and test candidates on those
@@ -44,7 +45,6 @@ from .geom import (
     Line,
     Point,
     are_coaxial,
-    circumcenter,
     intersect_lines,
     is_midpoint,
     is_parallel,
@@ -97,34 +97,10 @@ class GaugeConfig:
     def symbolic(cls) -> "GaugeConfig":
         return cls(*RationalFunction.variables())
 
-    def corners(self) -> tuple[Point, Point, Point, Point, Point]:
-        values = (self.a, self.b, self.c, self.d, self.k)
-        if all(isinstance(value, _RATIONAL) for value in values):
-            # projective triples: B = (b, kb) is (b_n k_d, k_n b_n, b_d k_d)
-            (an, ad), (bn, bd), (cn, cd), (dn, dd), (kn, kd) = (
-                value.as_integer_ratio() for value in values)
-            return (projective_point(0, 0, 1),
-                    projective_point(an, 0, ad),
-                    projective_point(bn * kd, kn * bn, bd * kd),
-                    projective_point(cn, 0, cd),
-                    projective_point(dn * kd, kn * dn, dd * kd))
-        zero = self.a * 0
-        return (Point(zero, zero),
-                Point(self.a, zero),
-                Point(self.b, self.k * self.b),
-                Point(self.c, zero),
-                Point(self.d, self.k * self.d))
-
     params = _field_params
 
     def as_assignment(self) -> dict[str, Fraction]:
         return dict(self.params())
-
-
-def _point_params(cfg, names: str) -> tuple[tuple[str, object], ...]:
-    """The coordinates of the points `names` as parameters "ax", "ay", "bx", ..."""
-    return tuple((f"{name.lower()}{axis}", getattr(getattr(cfg, name), axis))
-                 for name in names for axis in "xy")
 
 
 @dataclass(frozen=True)
@@ -169,32 +145,9 @@ class QuadConfig:
     D: Point
 
     def params(self) -> tuple[tuple[str, object], ...]:
-        return _point_params(self, "ABCD")
-
-
-@dataclass(frozen=True)
-class Lemma2Config:
-    """Two quadrilaterals ABCD and PQRS with the six side/diagonal perpendicularities.
-
-    Instances are generated from the circumcenter quadrilateral of a gauge
-    quadrilateral (P, Q, R, S = O_c, O_d, O_a, O_b), which satisfies all six
-    constraints exactly; `gauge` keeps the generating scalars for replay.
-    """
-
-    A: Point
-    B: Point
-    C: Point
-    D: Point
-    P: Point
-    Q: Point
-    R: Point
-    S: Point
-    gauge: GaugeConfig | None = None
-
-    def params(self) -> tuple[tuple[str, object], ...]:
-        if self.gauge is not None:
-            return self.gauge.params()
-        return _point_params(self, "ABCDPQRS")
+        """The vertices' coordinates as parameters "ax", "ay", "bx", ..."""
+        return tuple((f"{name.lower()}{axis}", getattr(getattr(self, name), axis))
+                     for name in "ABCD" for axis in "xy")
 
 
 # -- builders (shared by numeric, symbolic, and bridge paths) -----------------
@@ -262,14 +215,8 @@ def build_chord(cfg: ChordButterflyConfig) -> dict[str, object]:
     return _build("butterfly_chord", cfg)
 
 
-def build_lemma2(gauge: GaugeConfig) -> Lemma2Config:
-    """Instance of the doubly-perpendicular quadrilateral pair via circumcenters:
-    O_a, O_b, O_c, O_d of BCD, CDA, DAB and ABC, built in that order."""
-    _, A, B, C, D = gauge.corners()
-    O_a, O_b, O_c, O_d = (circumcenter(C, B, D), circumcenter(D, C, A),
-                          circumcenter(A, D, B), circumcenter(B, A, C))
-    return Lemma2Config(A=A, B=B, C=C, D=D, P=O_c, Q=O_d, R=O_a, S=O_b,
-                        gauge=gauge)
+def build_lemma2(cfg: GaugeConfig) -> dict[str, object]:
+    return _build("lemma2", cfg)
 
 
 # -- checkers ------------------------------------------------------------------
@@ -307,28 +254,23 @@ def check_lemma1(a: Point, b: Point, c: Point, d: Point) -> bool:
     return is_perpendicular(line_through(X, Y), newton_line(a, b, c, d))
 
 
-def check_lemma2(cfg: Lemma2Config) -> bool:
-    """Verify the six perpendicularity constraints, then JK against the Newton line."""
-    pq = line_through(cfg.P, cfg.Q)
-    qr = line_through(cfg.Q, cfg.R)
-    rs = line_through(cfg.R, cfg.S)
-    sp = line_through(cfg.S, cfg.P)
-    pr = line_through(cfg.P, cfg.R)
-    sq = line_through(cfg.S, cfg.Q)
+def check_lemma2(cfg: GaugeConfig) -> bool:
+    """The six perpendicularities of the circumcenter quadrilateral PQRS to
+    the sides and diagonals of ABCD, then JK against the Newton line.  The
+    build meets a degenerate J or K first, which makes the trial a skip."""
+    o = build_lemma2(cfg)
+    A, B, C, D, P, Q, R, S = (o[key] for key in "ABCDPQRS")
     constraints = (
-        is_perpendicular(pq, line_through(cfg.A, cfg.B)),
-        is_perpendicular(qr, line_through(cfg.B, cfg.C)),
-        is_perpendicular(rs, line_through(cfg.C, cfg.D)),
-        is_perpendicular(sp, line_through(cfg.D, cfg.A)),
-        is_perpendicular(pr, line_through(cfg.B, cfg.D)),
-        is_perpendicular(sq, line_through(cfg.A, cfg.C)),
+        is_perpendicular(o["pq"], line_through(A, B)),
+        is_perpendicular(o["qr"], line_through(B, C)),
+        is_perpendicular(o["rs"], line_through(C, D)),
+        is_perpendicular(o["sp"], line_through(D, A)),
+        is_perpendicular(line_through(P, R), line_through(B, D)),
+        is_perpendicular(line_through(S, Q), line_through(A, C)),
     )
     if not all(constraints):
         return False
-    J = intersect_lines(pq, rs)
-    K = intersect_lines(qr, sp)
-    return is_perpendicular(line_through(J, K),
-                            newton_line(cfg.A, cfg.B, cfg.C, cfg.D))
+    return is_perpendicular(line_through(o["J"], o["K"]), newton_line(A, B, C, D))
 
 
 def check_thm1_harmonic(cfg: GaugeConfig) -> bool:
@@ -482,14 +424,13 @@ def sample_quad(rng, bound: int) -> QuadConfig:
                         for (xn, xd), (yn, yd) in zip(pairs[::2], pairs[1::2])))
 
 
-def sample_lemma2(rng, bound: int) -> Lemma2Config:
-    for _ in range(_MAX_REDRAWS):
-        gauge = sample_gauge(rng, bound)
-        try:
-            return build_lemma2(gauge)
-        except DegenerateConfig:
-            continue  # quadrilateral lacked one of the four circumcenters
-    raise SamplerExhausted("lemma2 sampler exhausted its redraw budget")
+def sample_lemma2(rng, bound: int) -> GaugeConfig:
+    """A gauge draw.  Its sign conditions make A and C distinct points of
+    the x-axis and B and D distinct points of y = kx, none of them on both
+    lines (which meet only at P); so each of the triangles BCD, CDA, DAB and
+    ABC has two vertices on one line and its third off it, and all four
+    circumcenters exist."""
+    return sample_gauge(rng, bound)
 
 
 # -- reports ---------------------------------------------------------------------
@@ -792,6 +733,9 @@ SYMBOLIC_ORDER = tuple(_PROVERS)
 def run_numeric(theorem: str, trials: int = 1000, seed: int = 0,
                 bound: int = 20) -> VerificationReport:
     """Randomized trials for one theorem on the rng stream named after it."""
+    if theorem not in _SUITE:
+        raise ValueError(f"unknown result {theorem!r}; known results: "
+                         f"{', '.join(_SUITE)}")
     sampler, checker = _SUITE[theorem]
 
     def check(cfg):

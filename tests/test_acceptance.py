@@ -19,7 +19,6 @@ from butterfly.theorems import (
     ChordButterflyConfig,
     CyclicConfig,
     GaugeConfig,
-    build_lemma2,
     build_lemma3,
     build_thm1,
     build_thm2,
@@ -214,7 +213,7 @@ def _builtin_verdict(stem: str, env: dict) -> str:
             elif stem == "lemma3":
                 passed = check_lemma3(gauge)
             else:
-                passed = check_lemma2(build_lemma2(gauge))
+                passed = check_lemma2(gauge)
         elif stem == "thm0_cyclic":
             passed = check_thm0(CyclicConfig(env["t_a"], env["t_b"],
                                              env["t_c"], env["t_d"]))

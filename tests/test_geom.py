@@ -17,7 +17,6 @@ from butterfly import (
     DegenerateConfig,
     DegenerateNewtonLine,
     DivisionByZero,
-    GaugeConfig,
     Line,
     NotCollinear,
     ParallelLines,
@@ -1033,8 +1032,10 @@ def test_symbolic_objects_are_built_term_for_term_as_the_affine_formulas():
     field operations, so each field's num and den are structurally equal
     (`Polynomial ==` compares canonical forms) to the reference's.  This
     is what keeps the symbolic sizes and their evaluation work unchanged."""
-    P0, A, B, C, D = GaugeConfig.symbolic().corners()
-    a, b = RationalFunction.variables()[:2]
+    a, b, c, d, k = RationalFunction.variables()
+    zero = a * 0
+    P0, A, B, C, D = (Point(zero, zero), Point(a, zero), Point(b, k * b),
+                      Point(c, zero), Point(d, k * d))
     line_ab, line_cd = ref_line_through(A, B), ref_line_through(C, D)
     # points with denominators, where a different order of operations would
     # give another representation of the same value

@@ -9,14 +9,16 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from butterfly import cli, closedforms, dsl, theorems
+from butterfly import cli, closedforms, dsl, geom, theorems
 from butterfly.dsl import evaluate_construction, parse
 from butterfly.errors import (
     CoincidentPoints,
     CollinearPoints,
     DegenerateConfig,
     DenominatorVanishes,
+    ParallelLines,
     SamplerExhausted,
 )
 from butterfly.geom import (
@@ -29,8 +31,10 @@ from butterfly.geom import (
     intersect_lines,
     is_midpoint,
     is_parallel,
+    is_perpendicular,
     line_through,
     midpoint,
+    newton_line,
     on_unit_circle,
     parallelogram_fourth,
     perp_bisector,
@@ -49,7 +53,6 @@ from butterfly.theorems import (
     Counterexample,
     CyclicConfig,
     GaugeConfig,
-    Lemma2Config,
     QuadConfig,
     VerificationReport,
     build_chord,
@@ -156,13 +159,20 @@ def test_build_thm0_frozen_instance():
 # programs the builders run must build the same objects in the same order and
 # meet each degeneracy at the same step, with the same class and message.
 
+def ref_corners(cfg):
+    """P, A, B, C, D of a gauge configuration."""
+    zero = cfg.a * 0
+    return (Point(zero, zero), Point(cfg.a, zero), Point(cfg.b, cfg.k * cfg.b),
+            Point(cfg.c, zero), Point(cfg.d, cfg.k * cfg.d))
+
+
 def ref_circumcenters(A, B, C, D):
     return (circumcenter(C, B, D), circumcenter(D, C, A),
             circumcenter(A, D, B), circumcenter(B, A, C))
 
 
 def ref_build_thm1(cfg):
-    P, A, B, C, D = cfg.corners()
+    P, A, B, C, D = ref_corners(cfg)
     O_a, O_b, O_c, O_d = ref_circumcenters(A, B, C, D)
     M = midpoint(O_a, O_c)
     N = midpoint(O_b, O_d)
@@ -179,7 +189,7 @@ def ref_build_thm1(cfg):
 
 
 def ref_build_thm2(cfg):
-    P, A, B, C, D = cfg.corners()
+    P, A, B, C, D = ref_corners(cfg)
     X = intersect_lines(perp_bisector(A, C), perp_bisector(B, D))
     Y = intersect_lines(perp_bisector(A, B), perp_bisector(C, D))
     Z = intersect_lines(perp_bisector(A, D), perp_bisector(B, C))
@@ -196,7 +206,7 @@ def ref_build_thm2(cfg):
 
 
 def ref_build_lemma3(cfg):
-    P, A, B, C, D = cfg.corners()
+    P, A, B, C, D = ref_corners(cfg)
     O_a, O_b, O_c, O_d = ref_circumcenters(A, B, C, D)
     M = midpoint(A, C)
     N = midpoint(B, D)
@@ -208,6 +218,48 @@ def ref_build_lemma3(cfg):
             "M": M, "N": N,
             "circle_ac": circle_ac, "circle_bd": circle_bd,
             "circle_pmn": circle_pmn}
+
+
+def ref_build_lemma2(cfg):
+    """ABCD and its circumcenter quadrilateral P, Q, R, S = O_c, O_d, O_a, O_b."""
+    _, A, B, C, D = ref_corners(cfg)
+    O_a, O_b, O_c, O_d = ref_circumcenters(A, B, C, D)
+    return {"A": A, "B": B, "C": C, "D": D, "P": O_c, "Q": O_d, "R": O_a, "S": O_b}
+
+
+def ref_lemma2_definitions(cfg):
+    """Every definition of lemma2.geo: `ref_build_lemma2`'s points, the
+    sides of PQRS, and the meets J and K of its opposite sides."""
+    o = ref_build_lemma2(cfg)
+    o.update(pq=line_through(o["P"], o["Q"]), qr=line_through(o["Q"], o["R"]),
+             rs=line_through(o["R"], o["S"]), sp=line_through(o["S"], o["P"]))
+    o.update(J=intersect_lines(o["pq"], o["rs"]), K=intersect_lines(o["qr"], o["sp"]))
+    return o
+
+
+def ref_check_lemma2(o):
+    """The six perpendicularity constraints, then JK against the Newton
+    line, each line made from the points."""
+    pq = line_through(o["P"], o["Q"])
+    qr = line_through(o["Q"], o["R"])
+    rs = line_through(o["R"], o["S"])
+    sp = line_through(o["S"], o["P"])
+    pr = line_through(o["P"], o["R"])
+    sq = line_through(o["S"], o["Q"])
+    constraints = (
+        is_perpendicular(pq, line_through(o["A"], o["B"])),
+        is_perpendicular(qr, line_through(o["B"], o["C"])),
+        is_perpendicular(rs, line_through(o["C"], o["D"])),
+        is_perpendicular(sp, line_through(o["D"], o["A"])),
+        is_perpendicular(pr, line_through(o["B"], o["D"])),
+        is_perpendicular(sq, line_through(o["A"], o["C"])),
+    )
+    if not all(constraints):
+        return False
+    J = intersect_lines(pq, rs)
+    K = intersect_lines(qr, sp)
+    return is_perpendicular(line_through(J, K),
+                            newton_line(o["A"], o["B"], o["C"], o["D"]))
 
 
 def ref_build_thm0(cfg):
@@ -254,7 +306,8 @@ def _built(build, cfg):
     (build_lemma3, ref_build_lemma3, sample_gauge, True),
     (build_thm0, ref_build_thm0, sample_cyclic, True),
     (build_chord, ref_build_chord, sample_chord, False),
-], ids=["thm1", "thm2", "lemma3", "thm0", "chord"])
+    (build_lemma2, ref_lemma2_definitions, sample_gauge, True),
+], ids=["thm1", "thm2", "lemma3", "thm0", "chord", "lemma2"])
 def test_builders_match_their_reference_bodies(build, ref, sample, degenerates):
     configs = [sample(derive_rng(seed, "ref-build", bound), bound)
                for bound in (2, 20) for seed in range(150)]
@@ -275,13 +328,28 @@ def test_builders_match_their_reference_bodies(build, ref, sample, degenerates):
     assert outcomes == ({"built", "degenerate"} if degenerates else {"built"})
 
 
+def test_lemma2_checker_matches_its_reference_body():
+    """The checker on the corpus build decides what the reference checker
+    decides on the reference points, on the draws of the builder test: the
+    same verdict, or the same degeneracy class and message (J or K)."""
+    outcomes = set()
+    for bound in (2, 20):
+        for seed in range(150):
+            cfg = sample_gauge(derive_rng(seed, "ref-build", bound), bound)
+            verdict = _built(check_lemma2, cfg)
+            assert verdict == _built(
+                lambda g: ref_check_lemma2(ref_build_lemma2(g)), cfg)
+            outcomes.add(verdict if isinstance(verdict, bool) else verdict[0])
+    assert outcomes == {True, CoincidentPoints, ParallelLines}
+
+
 def test_kept_programs_call_the_implementations_installed_later(monkeypatch):
     # the first builds compile thm1.geo for both bindings and keep it
     build_thm1(ANCHOR)
     build_thm1(GaugeConfig.symbolic())
     # a counting wrapper, installed in dsl's table after the programs are kept
-    calls = _count_calls(monkeypatch, theorems, "circumcenter")
-    monkeypatch.setitem(dsl._FUNCTION_IMPLS, "circumcenter", theorems.circumcenter)
+    calls = _count_calls(monkeypatch, geom, "circumcenter")
+    monkeypatch.setitem(dsl._FUNCTION_IMPLS, "circumcenter", geom.circumcenter)
     build_thm1(ANCHOR)
     assert len(calls) == 4
     build_thm1(GaugeConfig.symbolic())
@@ -338,14 +406,20 @@ def test_lemma1_kite_and_square():
                      Point(F(1), F(1)), Point(F(0), F(1)))
 
 
-def test_lemma2_from_anchor_and_tampered():
-    cfg = build_lemma2(ANCHOR)
-    assert cfg.P == Point(F(0), F(-1))       # O_c
-    assert cfg.S == Point(F(-1, 2), F(0))    # O_b
-    assert check_lemma2(cfg)
-    bad = Lemma2Config(A=Point(cfg.A.x + 1, cfg.A.y), B=cfg.B, C=cfg.C, D=cfg.D,
-                       P=cfg.P, Q=cfg.Q, R=cfg.R, S=cfg.S)
-    assert not check_lemma2(bad)  # broken constraint is a refutation, not a skip
+def test_lemma2_from_anchor_and_tampered(monkeypatch):
+    objs = build_lemma2(ANCHOR)
+    assert objs["P"] == Point(F(0), F(-1))       # O_c
+    assert objs["S"] == Point(F(-1, 2), F(0))    # O_b
+    assert check_lemma2(ANCHOR) is True
+    # a broken constraint is a refutation, not a skip: A moved after the
+    # build, or line pq turned off PQ (which leaves J, K and the claim on
+    # them as they were)
+    nudges = (("A", lambda o: Point(o["A"].x + 1, o["A"].y)),
+              ("pq", lambda o: line_through(o["P"], Point(o["Q"].x + 1, o["Q"].y))))
+    for key, nudge in nudges:
+        with monkeypatch.context() as patch:
+            patch.setattr(theorems, "build_lemma2", _nudged(build_lemma2, key, nudge))
+            assert check_lemma2(ANCHOR) is False
 
 
 def test_harmonic_and_perpendicularity_on_sampled_configs():
@@ -414,11 +488,6 @@ def test_config_params_shapes():
     quad = sample_quad(derive_rng(0, "quad"), 5)
     assert [name for name, _ in quad.params()] == [
         "ax", "ay", "bx", "by", "cx", "cy", "dx", "dy"]
-    lem2 = build_lemma2(ANCHOR)
-    assert [name for name, _ in lem2.params()] == ["a", "b", "c", "d", "k"]
-    gaugeless = Lemma2Config(A=lem2.A, B=lem2.B, C=lem2.C, D=lem2.D,
-                             P=lem2.P, Q=lem2.Q, R=lem2.R, S=lem2.S)
-    assert len(gaugeless.params()) == 16
 
 
 @pytest.mark.parametrize("cfg, names", [
@@ -441,7 +510,7 @@ def test_gauge_from_cyclic_properties():
     # convex vertex order puts the diagonal crossing strictly inside
     assert g.a * g.c < 0 and g.b * g.d < 0 and g.k != 0
     # the similarity keeps the four vertices on one circle
-    _, A, B, C, D = g.corners()
+    _, A, B, C, D = ref_corners(g)
     assert are_concyclic(A, B, C, D)
     # the second generalization degrades gracefully: X = Y = Z = center
     objs = build_thm2(g)
@@ -595,12 +664,6 @@ def ref_sample_quad(rng, bound):
                       Point(coords[4], coords[5]), Point(coords[6], coords[7]))
 
 
-def ref_corners(cfg):
-    zero = cfg.a * 0
-    return (Point(zero, zero), Point(cfg.a, zero), Point(cfg.b, cfg.k * cfg.b),
-            Point(cfg.c, zero), Point(cfg.d, cfg.k * cfg.d))
-
-
 @pytest.mark.parametrize("bound", (2, 3, 6, 20))
 @pytest.mark.parametrize("sampler, ref", [
     (sample_gauge, ref_sample_gauge), (sample_cyclic, ref_sample_cyclic),
@@ -617,21 +680,38 @@ def test_sampler_matches_its_fraction_reference(sampler, ref, bound):
 
 
 def test_corners_match_the_reference_on_both_backends():
+    # the point literals of lemma2.geo, on int, Fraction, symbolic and mixed
+    # configs: the rational ones bound as int pairs, the others by value
     _, b, _, d, k = RationalFunction.variables()
     configs = [ANCHOR, GaugeConfig(2, 1, -3, -2, 1), GaugeConfig.symbolic(),
                GaugeConfig(F(1, 2), b, F(-3), d, k)]
     configs += [sample_gauge(derive_rng(seed, "corners"), 20) for seed in range(50)]
     for cfg in configs:
-        corners = cfg.corners()
-        assert corners == ref_corners(cfg)
-        assert [p._ints for p in corners] == [p._ints for p in ref_corners(cfg)]
+        objs, expected = build_lemma2(cfg), ref_corners(cfg)[1:]
+        corners = tuple(objs[name] for name in "ABCD")
+        assert corners == expected
+        assert [p._ints for p in corners] == [p._ints for p in expected]
 
 
 def test_sample_lemma2_instances_satisfy_constraints():
     for seed in range(8):
         cfg = sample_lemma2(derive_rng(seed, "l2"), 6)
-        assert cfg.gauge is not None
+        assert type(cfg) is GaugeConfig
         assert check_lemma2(cfg)
+
+
+@given(st.integers(1, 60), st.integers(0, 2**64))
+def test_gauge_draws_admit_all_four_circumcenters(bound, seed):
+    # the fact that lets sample_lemma2 take every gauge draw as it comes
+    _, A, B, C, D = ref_corners(sample_gauge(derive_rng(seed, "l2"), bound))
+    assert all(isinstance(O, Point) for O in ref_circumcenters(A, B, C, D))
+
+
+@given(st.integers(1, 60), st.integers(0, 2**64))
+def test_sample_lemma2_makes_the_draws_of_sample_gauge(bound, seed):
+    rng, twin = derive_rng(seed, "lemma2", bound), derive_rng(seed, "lemma2", bound)
+    assert sample_lemma2(rng, bound) == sample_gauge(twin, bound)
+    assert rng.getstate() == twin.getstate()
 
 
 # -- reports ------------------------------------------------------------------------
@@ -680,6 +760,9 @@ def test_run_numeric_argument_validation():
         run_numeric("thm1", trials=0)
     with pytest.raises(ValueError):
         run_numeric("thm1", trials=5, bound=0)
+    with pytest.raises(ValueError, match=r"unknown result 'thm3'; known results: "
+                                         r"butterfly_chord, .*, lemma3$"):
+        run_numeric("thm3")
 
 
 def _synthetic_report(checker, trials, seed):
@@ -990,8 +1073,8 @@ def test_symbolic_objects_are_byte_identical():
 
 
 def test_symbolic_lemma2_points_are_byte_identical():
-    cfg = build_lemma2(GaugeConfig.symbolic())
-    assert _digest((name, getattr(cfg, name)) for name in "ABCDPQRS"
+    objs = build_lemma2(GaugeConfig.symbolic())
+    assert _digest((name, objs[name]) for name in "ABCDPQRS"
                    ) == LEMMA2_POINTS_SHA256
 
 
