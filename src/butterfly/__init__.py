@@ -80,17 +80,9 @@ from .theorems import (
     build_thm0,
     build_thm1,
     build_thm2,
-    check_butterfly_chord,
-    check_lemma1,
-    check_lemma2,
-    check_lemma3,
-    check_thm0,
-    check_thm1,
     check_thm1_harmonic,
-    check_thm2,
     check_thm2_perpendicularity,
     evaluate_object,
-    gauge_from_cyclic,
     prove_lemma3,
     prove_thm1,
     prove_thm2,

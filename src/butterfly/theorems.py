@@ -1,31 +1,31 @@
-"""The verified results as executable configurations and checkers.
+"""The verified results as executable configurations, trials and proofs.
 
 Seven results are covered: the chord form of the butterfly theorem, its
 cyclic-quadrilateral form, the two generalizations to arbitrary
 quadrilaterals (ids "thm1" and "thm2"), and three supporting lemmas.  Each
-gets a randomized numeric checker over exact rationals; thm1, thm2, and
-lemma3 additionally get symbolic proofs over Q(a, b, c, d, k), where every
+is the corpus `.geo` file of the same name plus a sampler: its randomized
+numeric trials run the whole file, assertions included, over exact
+rationals on the sampled configuration.  thm1, thm2, and lemma3
+additionally get symbolic proofs over Q(a, b, c, d, k), where every
 construction step is compared against the independently keyed-in closed
 forms in `closedforms` and the final midpoint / power-ratio identities are
 decided exactly.
 
-A checker is a total function from a configuration to a bool; degenerate
-configurations raise a `DegenerateConfig` subclass, which the trial driver
-`run_trials` counts as a skip.  The six builders (thm1, thm2, lemma2,
-lemma3, thm0 and the chord form) run the definitions of their corpus `.geo`
-files, so each construction is stated once, in the file `verify` checks;
-the same definitions serve both scalar backends.  lemma1 has no builder:
-its checker makes its objects itself.
+A trial returns None, or the first assertion of the file that fails;
+degenerate configurations raise a `DegenerateConfig` subclass, which the
+trial driver `run_trials` counts as a skip.  The six builders (thm1, thm2,
+lemma2, lemma3, thm0 and the chord form) run the definitions of their
+corpus files, so each construction is stated once, in the file `verify`
+checks; the same definitions serve both scalar backends.
 
 The samplers take one batched draw per candidate, each value as its
 reduced int pair (`scalar.sample_ratios`), and test candidates on those
 ints: the gauge sign conditions on numerators, distinctness on the pairs,
 and the chord side test with `geom.line_side` on the points' int tuples.
 A `Fraction` is built only for a value that passes the pair tests: the
-gauge sampler builds its five for the accepted configuration only, the
-quadrilateral sampler none (its vertices come from `projective_point`);
-the cyclic and chord samplers need their points to test a candidate, and
-`on_unit_circle` takes a scalar.
+gauge and quadrilateral samplers build theirs for the accepted
+configuration only; the cyclic and chord samplers need their points to
+test a candidate, and `on_unit_circle` takes a scalar.
 """
 
 from __future__ import annotations
@@ -52,12 +52,9 @@ from .geom import (
     line_side,
     line_through,
     midpoint,
-    newton_line,
     on_unit_circle,
     pencil_cross_ratio,
-    perp_bisector,
     power_of_point,
-    projective_point,
     second_intersection,
 )
 from .poly import _exact_point
@@ -114,9 +111,6 @@ class CyclicConfig:
 
     params = _field_params
 
-    def corners(self) -> tuple[Point, Point, Point, Point]:
-        return tuple(on_unit_circle(value) for _, value in self.params())
-
 
 @dataclass(frozen=True)
 class ChordButterflyConfig:
@@ -137,20 +131,22 @@ class ChordButterflyConfig:
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Four free vertices for the Newton-line lemma."""
+    """Four free vertices A(ax, ay), B(bx, by), C(cx, cy), D(dx, dy) for the
+    Newton-line lemma."""
 
-    A: Point
-    B: Point
-    C: Point
-    D: Point
+    ax: object
+    ay: object
+    bx: object
+    by: object
+    cx: object
+    cy: object
+    dx: object
+    dy: object
 
-    def params(self) -> tuple[tuple[str, object], ...]:
-        """The vertices' coordinates as parameters "ax", "ay", "bx", ..."""
-        return tuple((f"{name.lower()}{axis}", getattr(getattr(self, name), axis))
-                     for name in "ABCD" for axis in "xy")
+    params = _field_params
 
 
-# -- builders (shared by numeric, symbolic, and bridge paths) -----------------
+# -- corpus programs (builders and numeric trials) ----------------------------
 
 _CORPUS = Path(__file__).with_name("corpus")
 
@@ -167,110 +163,63 @@ def _construction(stem: str):
 
 
 @functools.cache
-def _program(stem: str, rational: bool):
+def _program(stem: str, rational: bool, assertions):
     """The parameters of corpus file `stem` that a rational config binds as
     int pairs (those in point literals of int-pair arithmetic; none for a
-    symbolic config), and the file's definitions compiled for that binding,
-    once per process and binding."""
+    symbolic config), and the file compiled for that binding, with
+    `assertions` as `dsl._compile_program` takes it, once per process and
+    key."""
     from . import dsl
 
     construction = _construction(stem)[0]
     paired = dsl._pair_params(construction) if rational else ()
     return paired, dsl._compile_program(
-        construction, {name: name for name in paired}, assertions=None)
+        construction, {name: name for name in paired}, assertions=assertions)
 
 
-def _build(stem: str, cfg) -> dict[str, object]:
-    """The objects the definitions of corpus file `stem` name, in file order.
-    A config of ints and Fractions binds each parameter of a point literal
-    of int-pair arithmetic, such as `(b, k*b)`, as its reduced int pair, as a
-    numeric `.geo` trial binds its draw, and every other by its own value;
-    any other config (a symbolic one) binds every parameter by its value."""
+def _run(stem: str, cfg, assertions=None):
+    """Corpus file `stem` run on `cfg`: with `assertions=None` the objects
+    its definitions name, in file order; with "return" its first false
+    assertion, or None.  A config of ints and Fractions binds each parameter
+    of a point literal of int-pair arithmetic, such as `(b, k*b)`, as its
+    reduced int pair, as a numeric `.geo` trial binds its draw, and every
+    other by its own value; any other config (a symbolic one) binds every
+    parameter by its value."""
     _, params, get = _construction(stem)
     values = get(cfg)
-    paired, build = _program(
-        stem, all(isinstance(value, _RATIONAL) for value in values))
-    return build({name: value.as_integer_ratio() if name in paired else value
-                  for name, value in zip(params, values)})
+    paired, program = _program(
+        stem, all(isinstance(value, _RATIONAL) for value in values), assertions)
+    return program({name: value.as_integer_ratio() if name in paired else value
+                    for name, value in zip(params, values)})
 
 
-# The built-in results run the definitions of their corpus files.
+# The builders run the definitions of their corpus files, for the provers,
+# the projective-route checkers and the bridge.
 def build_thm1(cfg: GaugeConfig) -> dict[str, object]:
-    return _build("thm1", cfg)
+    return _run("thm1", cfg)
 
 
 def build_thm2(cfg: GaugeConfig) -> dict[str, object]:
-    return _build("thm2", cfg)
+    return _run("thm2", cfg)
 
 
 def build_lemma3(cfg: GaugeConfig) -> dict[str, object]:
-    return _build("lemma3", cfg)
+    return _run("lemma3", cfg)
 
 
 def build_thm0(cfg: CyclicConfig) -> dict[str, object]:
-    return _build("thm0_cyclic", cfg)
+    return _run("thm0_cyclic", cfg)
 
 
 def build_chord(cfg: ChordButterflyConfig) -> dict[str, object]:
-    return _build("butterfly_chord", cfg)
+    return _run("butterfly_chord", cfg)
 
 
 def build_lemma2(cfg: GaugeConfig) -> dict[str, object]:
-    return _build("lemma2", cfg)
+    return _run("lemma2", cfg)
 
 
-# -- checkers ------------------------------------------------------------------
-
-
-def check_thm1(cfg: GaugeConfig) -> bool:
-    objs = build_thm1(cfg)
-    return is_midpoint(objs["P"], objs["Q"], objs["R"])
-
-
-def check_thm2(cfg: GaugeConfig) -> bool:
-    objs = build_thm2(cfg)
-    return is_midpoint(objs["P"], objs["Q"], objs["R"])
-
-
-def check_lemma3(cfg: GaugeConfig) -> bool:
-    objs = build_lemma3(cfg)
-    return are_coaxial(objs["circle_ac"], objs["circle_bd"], objs["circle_pmn"])
-
-
-def check_thm0(cfg: CyclicConfig) -> bool:
-    objs = build_thm0(cfg)
-    return is_midpoint(objs["P"], objs["Q"], objs["R"])
-
-
-def check_butterfly_chord(cfg: ChordButterflyConfig) -> bool:
-    objs = build_chord(cfg)
-    return is_midpoint(objs["M"], objs["G"], objs["H"])
-
-
-def check_lemma1(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """Perpendicular-bisector meets X (of AB, CD) and Y (of BC, DA) against the Newton line."""
-    X = intersect_lines(perp_bisector(a, b), perp_bisector(c, d))
-    Y = intersect_lines(perp_bisector(b, c), perp_bisector(d, a))
-    return is_perpendicular(line_through(X, Y), newton_line(a, b, c, d))
-
-
-def check_lemma2(cfg: GaugeConfig) -> bool:
-    """The six perpendicularities of the circumcenter quadrilateral PQRS to
-    the sides and diagonals of ABCD, then JK against the Newton line.  The
-    build meets a degenerate J or K first, which makes the trial a skip."""
-    o = build_lemma2(cfg)
-    A, B, C, D, P, Q, R, S = (o[key] for key in "ABCDPQRS")
-    constraints = (
-        is_perpendicular(o["pq"], line_through(A, B)),
-        is_perpendicular(o["qr"], line_through(B, C)),
-        is_perpendicular(o["rs"], line_through(C, D)),
-        is_perpendicular(o["sp"], line_through(D, A)),
-        is_perpendicular(line_through(P, R), line_through(B, D)),
-        is_perpendicular(line_through(S, Q), line_through(A, C)),
-    )
-    if not all(constraints):
-        return False
-    return is_perpendicular(line_through(o["J"], o["K"]), newton_line(A, B, C, D))
+# -- checkers of the projective route ---------------------------------------------
 
 
 def check_thm1_harmonic(cfg: GaugeConfig) -> bool:
@@ -299,34 +248,6 @@ def check_thm2_perpendicularity(cfg: GaugeConfig) -> bool:
     V = intersect_lines(line_through(objs["A"], objs["B"]),
                         line_through(objs["C"], objs["D"]))
     return is_perpendicular(objs["line_PW"], line_through(U, V))
-
-
-# -- gauge conversion ----------------------------------------------------------
-
-
-def gauge_from_cyclic(cfg: CyclicConfig) -> GaugeConfig:
-    """Map a concyclic quadrilateral into the diagonal gauge by a rational similarity.
-
-    Translate the diagonal intersection to the origin, then multiply by the
-    complex conjugate of the AC direction: AC lands on the x-axis and BD on
-    a line through the origin, all with rational coordinates.  Perpendicular
-    diagonals have no finite slope k and raise DegenerateConfig.
-    """
-    A, B, C, D = cfg.corners()
-    P = intersect_lines(line_through(A, C), line_through(B, D))
-    ux = C.x - A.x
-    uy = C.y - A.y
-
-    def transform(z: Point) -> Point:
-        zx = z.x - P.x
-        zy = z.y - P.y
-        return Point(zx * ux + zy * uy, zy * ux - zx * uy)
-
-    A2, B2, C2, D2 = (transform(z) for z in (A, B, C, D))
-    if not B2.x:
-        raise DegenerateConfig("perpendicular diagonals have no finite gauge slope")
-    k = B2.y / B2.x
-    return GaugeConfig(A2.x, B2.x, C2.x, D2.x, k)
 
 
 # -- symbolic <-> numeric bridge -----------------------------------------------
@@ -418,10 +339,8 @@ def sample_chord(rng, bound: int) -> ChordButterflyConfig:
 
 
 def sample_quad(rng, bound: int) -> QuadConfig:
-    """Four unconstrained random vertices; degeneracies surface as checker skips."""
-    pairs = sample_ratios(rng, bound, 8)
-    return QuadConfig(*(projective_point(xn * yd, yn * xd, xd * yd)
-                        for (xn, xd), (yn, yd) in zip(pairs[::2], pairs[1::2])))
+    """Four unconstrained random vertices; degeneracies surface as trial skips."""
+    return QuadConfig(*(Fraction(p, q) for p, q in sample_ratios(rng, bound, 8)))
 
 
 def sample_lemma2(rng, bound: int) -> GaugeConfig:
@@ -704,25 +623,15 @@ def prove_lemma3() -> VerificationReport:
 # -- suite runner ------------------------------------------------------------------
 
 
-# result id -> (sampler, checker, claim named in a counterexample), in run order
-_RESULTS = {
-    "butterfly_chord": (sample_chord, check_butterfly_chord, "midpoint(M, G, H)"),
-    "thm0_cyclic": (sample_cyclic, check_thm0, "midpoint(P, Q, R)"),
-    "thm1": (sample_gauge, check_thm1, "midpoint(P, Q, R)"),
-    "thm2": (sample_gauge, check_thm2, "midpoint(P, Q, R)"),
-    "lemma1": (sample_quad, lambda cfg: check_lemma1(cfg.A, cfg.B, cfg.C, cfg.D),
-               "perpendicular(line(X, Y), newton_line(A, B, C, D))"),
-    "lemma2": (sample_lemma2, check_lemma2,
-               "six perpendicularities and perpendicular(line(J, K), "
-               "newton_line(A, B, C, D))"),
-    "lemma3": (sample_gauge, check_lemma3,
-               "coaxial(circle_on_diameter(O_a, O_c), circle_on_diameter(O_b, O_d), "
-               "circumcircle(P, M, N))"),
-}
-# the views `run_numeric` reads
+# result id, which is its corpus stem -> (sampler, trial), in run order.  A
+# trial runs the whole file on the sampled config: None, or the first false
+# assertion.
 _SUITE: dict[str, tuple[Callable, Callable]] = {
-    theorem: row[:2] for theorem, row in _RESULTS.items()}
-_CLAIMS = {theorem: row[2] for theorem, row in _RESULTS.items()}
+    stem: (sampler, functools.partial(_run, stem, assertions="return"))
+    for stem, sampler in (
+        ("butterfly_chord", sample_chord), ("thm0_cyclic", sample_cyclic),
+        ("thm1", sample_gauge), ("thm2", sample_gauge), ("lemma1", sample_quad),
+        ("lemma2", sample_lemma2), ("lemma3", sample_gauge))}
 
 _PROVERS = {"thm1": prove_thm1, "thm2": prove_thm2, "lemma3": prove_lemma3}
 
@@ -736,19 +645,22 @@ def run_numeric(theorem: str, trials: int = 1000, seed: int = 0,
     if theorem not in _SUITE:
         raise ValueError(f"unknown result {theorem!r}; known results: "
                          f"{', '.join(_SUITE)}")
-    sampler, checker = _SUITE[theorem]
+    from . import dsl
+
+    sampler, trial = _SUITE[theorem]
 
     def check(cfg):
-        if checker(cfg):
+        failed = trial(cfg)
+        if failed is None:
             return None
-        return cfg.params(), f"assertion {_CLAIMS[theorem]} failed"
+        return cfg.params(), f"assertion {dsl._assertion_text(failed)} failed"
 
     return run_trials(theorem, theorem, sampler, check, trials, seed, bound)
 
 
 def run_suite(mode: str = "both", trials: int = 1000, seed: int = 0,
               bound: int = 20) -> list[VerificationReport]:
-    """Every checker in canonical order: symbolic proofs first, then numeric trials."""
+    """Every result in canonical order: symbolic proofs first, then numeric trials."""
     if mode not in ("numeric", "symbolic", "both"):
         raise ValueError(f"unknown mode {mode!r}")
     reports = []

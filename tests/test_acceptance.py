@@ -19,17 +19,11 @@ from butterfly.theorems import (
     ChordButterflyConfig,
     CyclicConfig,
     GaugeConfig,
+    QuadConfig,
     build_lemma3,
     build_thm1,
     build_thm2,
-    check_butterfly_chord,
-    check_lemma1,
-    check_lemma2,
-    check_lemma3,
-    check_thm0,
-    check_thm1,
     check_thm1_harmonic,
-    check_thm2,
     check_thm2_perpendicularity,
     evaluate_object,
     prove_lemma3,
@@ -39,7 +33,6 @@ from butterfly.theorems import (
     sample_gauge,
 )
 from butterfly.geom import (
-    Point,
     cross_ratio,
     intersect_lines,
     line_through,
@@ -47,6 +40,7 @@ from butterfly.geom import (
     power_of_point,
 )
 from tests.test_dsl import CORPUS, FIXTURES
+from tests.test_theorems import REF_CHECKS
 
 
 def _emit(criterion: int, ok: bool, detail: str) -> None:
@@ -201,32 +195,18 @@ def test_criterion_6_perturbed_fixtures_are_refuted():
     assert not shortfalls, shortfalls
 
 
+# The configuration type of each result; its fields are the file's parameters.
+_CONFIGS = {"butterfly_chord": ChordButterflyConfig, "thm0_cyclic": CyclicConfig,
+            "thm1": GaugeConfig, "thm2": GaugeConfig, "lemma1": QuadConfig,
+            "lemma2": GaugeConfig, "lemma3": GaugeConfig}
+
+
 def _builtin_verdict(stem: str, env: dict) -> str:
-    """Run the built-in checker on the exact parameter draw a .geo trial uses."""
+    """Decide the exact parameter draw a .geo trial uses with the result's
+    reference checker: its construction and claim written in Python, which
+    runs no .geo program."""
     try:
-        if stem in ("thm1", "thm2", "lemma3", "lemma2"):
-            gauge = GaugeConfig(env["a"], env["b"], env["c"], env["d"], env["k"])
-            if stem == "thm1":
-                passed = check_thm1(gauge)
-            elif stem == "thm2":
-                passed = check_thm2(gauge)
-            elif stem == "lemma3":
-                passed = check_lemma3(gauge)
-            else:
-                passed = check_lemma2(gauge)
-        elif stem == "thm0_cyclic":
-            passed = check_thm0(CyclicConfig(env["t_a"], env["t_b"],
-                                             env["t_c"], env["t_d"]))
-        elif stem == "butterfly_chord":
-            passed = check_butterfly_chord(
-                ChordButterflyConfig(env["t_a"], env["t_b"],
-                                     env["t_c"], env["t_e"]))
-        else:
-            assert stem == "lemma1"
-            passed = check_lemma1(Point(env["ax"], env["ay"]),
-                                  Point(env["bx"], env["by"]),
-                                  Point(env["cx"], env["cy"]),
-                                  Point(env["dx"], env["dy"]))
+        passed = REF_CHECKS[stem](_CONFIGS[stem](**env))
     except DegenerateConfig:
         return "skip"
     return "pass" if passed else "fail"
@@ -257,7 +237,7 @@ def test_criterion_7_dsl_equivalence_and_roundtrip():
             if dsl != builtin:
                 disagreements.append((path.name, seed, dsl, builtin))
     ok = not disagreements and roundtrip_ok
-    _emit(7, ok, "7 .geo programs match the built-in checkers on 100 shared "
+    _emit(7, ok, "7 .geo programs match the reference checkers on 100 shared "
                  "seeds each; parse/print round-trips are structurally exact")
     assert roundtrip_ok
     assert not disagreements, disagreements[:5]

@@ -1,4 +1,4 @@
-"""Builders, checkers, samplers, provers, and the suite runner.
+"""Builders, trials, checkers, samplers, provers, and the suite runner.
 
 Anchor-instance coordinates (a=2, b=1, c=-3, d=-2, k=1) and the cyclic/chord
 instances were computed by hand and frozen here as independent oracles.
@@ -25,6 +25,8 @@ from butterfly.geom import (
     Circle,
     Line,
     Point,
+    are_coaxial,
+    are_concyclic,
     circle_on_diameter,
     circumcenter,
     circumcircle,
@@ -61,17 +63,9 @@ from butterfly.theorems import (
     build_thm0,
     build_thm1,
     build_thm2,
-    check_butterfly_chord,
-    check_lemma1,
-    check_lemma2,
-    check_lemma3,
-    check_thm0,
-    check_thm1,
     check_thm1_harmonic,
-    check_thm2,
     check_thm2_perpendicularity,
     evaluate_object,
-    gauge_from_cyclic,
     prove_lemma3,
     prove_thm1,
     prove_thm2,
@@ -83,9 +77,16 @@ from butterfly.theorems import (
     sample_lemma2,
     sample_quad,
 )
+from tests.test_dsl import FIXTURES
 
 F = Fraction
 ANCHOR = GaugeConfig(F(2), F(1), F(-3), F(-2), F(1))
+
+
+def trial(stem, cfg):
+    """The built-in numeric trial of result `stem` on `cfg`: None, or the
+    first false assertion of its corpus file."""
+    return theorems._SUITE[stem][1](cfg)
 
 
 # -- builders against frozen anchor coordinates --------------------------------
@@ -129,6 +130,12 @@ def test_build_lemma3_at_anchor():
     p = objs["P"]
     ratio = power_of_point(p, objs["circle_ac"]) / power_of_point(p, objs["circle_bd"])
     assert ratio == F(2, 3)
+
+
+def test_build_lemma2_at_anchor():
+    objs = build_lemma2(ANCHOR)
+    assert objs["P"] == Point(F(0), F(-1))       # O_c
+    assert objs["S"] == Point(F(-1, 2), F(0))    # O_b
 
 
 def test_build_chord_frozen_instance():
@@ -263,7 +270,7 @@ def ref_check_lemma2(o):
 
 
 def ref_build_thm0(cfg):
-    A, B, C, D = cfg.corners()
+    A, B, C, D = (on_unit_circle(t) for _, t in cfg.params())
     P = intersect_lines(line_through(A, C), line_through(B, D))
     zero = cfg.t_a * 0
     O = Point(zero, zero)
@@ -287,9 +294,61 @@ def ref_build_chord(cfg):
             "D": D, "F": F, "line_AB": line_AB, "G": G, "H": H}
 
 
+# Reference checkers: each result's claim decided in Python on its reference
+# build.  A trial of the corpus file must pass exactly where its reference
+# holds, and meet each degeneracy at the same step, with the same class and
+# message.
+
+def ref_check_thm1(cfg):
+    o = ref_build_thm1(cfg)
+    return is_midpoint(o["P"], o["Q"], o["R"])
+
+
+def ref_check_thm2(cfg):
+    o = ref_build_thm2(cfg)
+    return is_midpoint(o["P"], o["Q"], o["R"])
+
+
+def ref_check_lemma3(cfg):
+    o = ref_build_lemma3(cfg)
+    return are_coaxial(o["circle_ac"], o["circle_bd"], o["circle_pmn"])
+
+
+def ref_check_thm0(cfg):
+    o = ref_build_thm0(cfg)
+    return is_midpoint(o["P"], o["Q"], o["R"])
+
+
+def ref_check_chord(cfg):
+    o = ref_build_chord(cfg)
+    return is_midpoint(o["M"], o["G"], o["H"])
+
+
+def ref_check_lemma1(cfg):
+    """Perpendicular-bisector meets X (of AB, CD) and Y (of BC, DA) against
+    the Newton line."""
+    a, b, c, d = (Point(getattr(cfg, f"{v}x"), getattr(cfg, f"{v}y"))
+                  for v in "abcd")
+    X = intersect_lines(perp_bisector(a, b), perp_bisector(c, d))
+    Y = intersect_lines(perp_bisector(b, c), perp_bisector(d, a))
+    return is_perpendicular(line_through(X, Y), newton_line(a, b, c, d))
+
+
+# result id -> its reference checker
+REF_CHECKS = {
+    "butterfly_chord": ref_check_chord,
+    "thm0_cyclic": ref_check_thm0,
+    "thm1": ref_check_thm1,
+    "thm2": ref_check_thm2,
+    "lemma1": ref_check_lemma1,
+    "lemma2": lambda cfg: ref_check_lemma2(ref_build_lemma2(cfg)),
+    "lemma3": ref_check_lemma3,
+}
+
+
 def _built(build, cfg):
-    """The objects `build` makes from `cfg`, or the class and message of
-    the degeneracy it meets."""
+    """What `build` returns for `cfg`, or the class and message of the
+    degeneracy it meets."""
     try:
         return build(cfg)
     except DegenerateConfig as exc:
@@ -328,19 +387,54 @@ def test_builders_match_their_reference_bodies(build, ref, sample, degenerates):
     assert outcomes == ({"built", "degenerate"} if degenerates else {"built"})
 
 
-def test_lemma2_checker_matches_its_reference_body():
-    """The checker on the corpus build decides what the reference checker
-    decides on the reference points, on the draws of the builder test: the
-    same verdict, or the same degeneracy class and message (J or K)."""
+@pytest.mark.parametrize("stem", NUMERIC_ORDER)
+def test_trials_match_their_reference_checkers(stem):
+    """On the draws of the builder test: None where the reference checker
+    holds, a failing assertion where it fails, and the reference's
+    degeneracy class and message where it raises."""
+    sample = theorems._SUITE[stem][0]
     outcomes = set()
     for bound in (2, 20):
         for seed in range(150):
-            cfg = sample_gauge(derive_rng(seed, "ref-build", bound), bound)
-            verdict = _built(check_lemma2, cfg)
-            assert verdict == _built(
-                lambda g: ref_check_lemma2(ref_build_lemma2(g)), cfg)
-            outcomes.add(verdict if isinstance(verdict, bool) else verdict[0])
-    assert outcomes == {True, CoincidentPoints, ParallelLines}
+            cfg = sample(derive_rng(seed, "ref-build", bound), bound)
+            expected = _built(REF_CHECKS[stem], cfg)
+            got = _built(lambda c: trial(stem, c), cfg)
+            if expected is True:
+                assert got is None
+            elif expected is False:
+                assert isinstance(got, dsl.Assertion)
+            else:
+                assert got == expected
+            outcomes.add(expected if isinstance(expected, bool) else expected[0])
+    assert True in outcomes
+    # every result meets a degeneracy on these draws but the chord form,
+    # whose sampler rejects those
+    assert (len(outcomes) > 1) == (stem != "butterfly_chord")
+    if stem == "lemma2":  # J or K degenerates after the six constraints hold
+        assert outcomes == {True, CoincidentPoints, ParallelLines}
+
+
+@pytest.mark.parametrize("stem", NUMERIC_ORDER)
+def test_run_numeric_refutes_each_perturbed_fixture(monkeypatch, tmp_path, stem):
+    """With the perturbed fixture's construction in place of the corpus
+    file, run_numeric reports a counterexample, not a skip: the fixture's
+    failing assertion, at the sampled config's parameters."""
+    fixture = FIXTURES / f"{stem}_perturbed.geo"
+    (tmp_path / f"{stem}.geo").write_bytes(fixture.read_bytes())
+    monkeypatch.setattr(theorems, "_CORPUS", tmp_path)
+    for cache in (theorems._construction, theorems._program):
+        cache.cache_clear()
+    try:
+        report = run_numeric(stem, trials=200, seed=3)
+    finally:
+        for cache in (theorems._construction, theorems._program):
+            cache.cache_clear()
+    ce = report.counterexample
+    assert ce is not None and report.failure == f"counterexample at trial {ce.trial}"
+    failed = parse(fixture.read_text()).assertions[-1]
+    assert ce.detail == f"assertion {dsl._assertion_text(failed)} failed"
+    cfg = theorems._SUITE[stem][0](derive_rng(3, stem, ce.trial), 20)
+    assert ce.params == cfg.params()
 
 
 def test_kept_programs_call_the_implementations_installed_later(monkeypatch):
@@ -373,53 +467,40 @@ def test_rational_builds_pair_only_the_parameters_of_pair_literals(monkeypatch):
     assert made == []
 
 
-# -- checkers -------------------------------------------------------------------
+# -- trials and checkers --------------------------------------------------------
 
 def test_checkers_true_at_anchor():
-    assert check_thm1(ANCHOR)
-    assert check_thm2(ANCHOR)
-    assert check_lemma3(ANCHOR)
+    for stem in ("thm1", "thm2", "lemma2", "lemma3"):
+        assert trial(stem, ANCHOR) is None
     assert check_thm1_harmonic(ANCHOR)
     assert check_thm2_perpendicularity(ANCHOR)
 
 
 def test_chord_and_cyclic_checkers():
-    assert check_butterfly_chord(ChordButterflyConfig(F(3), F(1, 3), F(-5), F(-1, 5)))
-    assert check_thm0(CyclicConfig(F(1, 2), F(3), F(-4), F(-1, 6)))
+    assert trial("butterfly_chord",
+                 ChordButterflyConfig(F(3), F(1, 3), F(-5), F(-1, 5))) is None
+    assert trial("thm0_cyclic", CyclicConfig(F(1, 2), F(3), F(-4), F(-1, 6))) is None
 
 
 def test_thm0_degeneracies_raise_skips():
     # antipodal pairs: both diagonals are diameters, P coincides with the center
     with pytest.raises(DegenerateConfig):
-        check_thm0(CyclicConfig(F(2), F(3), F(-1, 2), F(-1, 3)))
+        trial("thm0_cyclic", CyclicConfig(F(2), F(3), F(-1, 2), F(-1, 3)))
     # mirror-symmetric quadrilateral: P sits on the y-axis, so the
     # perpendicular at P to OP comes out parallel to the horizontal chord AB
     with pytest.raises(DegenerateConfig):
-        check_thm0(CyclicConfig(F(1, 2), F(2), F(-5), F(-1, 5)))
+        trial("thm0_cyclic", CyclicConfig(F(1, 2), F(2), F(-5), F(-1, 5)))
 
 
 def test_lemma1_kite_and_square():
-    assert check_lemma1(Point(F(0), F(3)), Point(F(-2), F(0)),
-                        Point(F(0), F(-1)), Point(F(2), F(0)))
+    kite = QuadConfig(F(0), F(3), F(-2), F(0), F(0), F(-1), F(2), F(0))
+    assert trial("lemma1", kite) is None and ref_check_lemma1(kite)
+    # the square's opposite sides share their perpendicular bisector
+    square = QuadConfig(F(0), F(0), F(1), F(0), F(1), F(1), F(0), F(1))
+    assert _built(lambda cfg: trial("lemma1", cfg), square) == _built(
+        ref_check_lemma1, square)
     with pytest.raises(DegenerateConfig):
-        check_lemma1(Point(F(0), F(0)), Point(F(1), F(0)),
-                     Point(F(1), F(1)), Point(F(0), F(1)))
-
-
-def test_lemma2_from_anchor_and_tampered(monkeypatch):
-    objs = build_lemma2(ANCHOR)
-    assert objs["P"] == Point(F(0), F(-1))       # O_c
-    assert objs["S"] == Point(F(-1, 2), F(0))    # O_b
-    assert check_lemma2(ANCHOR) is True
-    # a broken constraint is a refutation, not a skip: A moved after the
-    # build, or line pq turned off PQ (which leaves J, K and the claim on
-    # them as they were)
-    nudges = (("A", lambda o: Point(o["A"].x + 1, o["A"].y)),
-              ("pq", lambda o: line_through(o["P"], Point(o["Q"].x + 1, o["Q"].y))))
-    for key, nudge in nudges:
-        with monkeypatch.context() as patch:
-            patch.setattr(theorems, "build_lemma2", _nudged(build_lemma2, key, nudge))
-            assert check_lemma2(ANCHOR) is False
+        trial("lemma1", square)
 
 
 def test_harmonic_and_perpendicularity_on_sampled_configs():
@@ -496,17 +577,24 @@ def test_config_params_shapes():
      ("t_a", "t_b", "t_c", "t_d")),
     (ChordButterflyConfig(F(1, 3), F(-3), F(3, 2), F(-1, 4)),
      ("t_a", "t_b", "t_c", "t_e")),
-], ids=["gauge", "cyclic", "chord"])
+    (QuadConfig(*(F(n, 7) for n in range(8))),
+     ("ax", "ay", "bx", "by", "cx", "cy", "dx", "dy")),
+], ids=["gauge", "cyclic", "chord", "quad"])
 def test_scalar_config_params_are_its_fields(cfg, names):
     assert tuple(name for name, _ in cfg.params()) == names
     assert names == tuple(f.name for f in fields(cfg))
     assert all(value is getattr(cfg, name) for name, value in cfg.params())
 
 
+# The concyclic quadrilateral with half-angle parameters 1/2, 3, -4, -1/6
+# in the diagonal gauge: moved by a rational similarity that puts its
+# diagonal crossing at the origin and AC on the x-axis.
+CONCYCLIC_GAUGE = GaugeConfig(F(-96, 55), F(546, 935), F(1932, 935),
+                              F(-28704, 34595), F(-33, 13))
+
+
 def test_gauge_from_cyclic_properties():
-    from butterfly.geom import are_concyclic
-    cfg = CyclicConfig(F(1, 2), F(3), F(-4), F(-1, 6))
-    g = gauge_from_cyclic(cfg)
+    g = CONCYCLIC_GAUGE
     # convex vertex order puts the diagonal crossing strictly inside
     assert g.a * g.c < 0 and g.b * g.d < 0 and g.k != 0
     # the similarity keeps the four vertices on one circle
@@ -515,16 +603,10 @@ def test_gauge_from_cyclic_properties():
     # the second generalization degrades gracefully: X = Y = Z = center
     objs = build_thm2(g)
     assert objs["X"] == objs["Y"] == objs["Z"] == objs["W"]
-    assert check_thm2(g)
+    assert trial("thm2", g) is None
     # the first one cannot apply: all four circumcenters coincide, so M = N
     with pytest.raises(DegenerateConfig):
-        check_thm1(g)
-
-
-def test_gauge_from_cyclic_perpendicular_diagonals():
-    # AC along (-2, 1) and BD along (1, 2): no finite slope for the gauge
-    with pytest.raises(DegenerateConfig):
-        gauge_from_cyclic(CyclicConfig(F(0), F(1, 2), F(2), F(-4, 3)))
+        trial("thm1", g)
 
 
 # -- symbolic <-> numeric bridge ---------------------------------------------------
@@ -659,9 +741,7 @@ def ref_sample_chord(rng, bound):
 
 
 def ref_sample_quad(rng, bound):
-    coords = [sample_rational(rng, bound) for _ in range(8)]
-    return QuadConfig(Point(coords[0], coords[1]), Point(coords[2], coords[3]),
-                      Point(coords[4], coords[5]), Point(coords[6], coords[7]))
+    return QuadConfig(*(sample_rational(rng, bound) for _ in range(8)))
 
 
 @pytest.mark.parametrize("bound", (2, 3, 6, 20))
@@ -697,7 +777,7 @@ def test_sample_lemma2_instances_satisfy_constraints():
     for seed in range(8):
         cfg = sample_lemma2(derive_rng(seed, "l2"), 6)
         assert type(cfg) is GaugeConfig
-        assert check_lemma2(cfg)
+        assert trial("lemma2", cfg) is None
 
 
 @given(st.integers(1, 60), st.integers(0, 2**64))
@@ -765,15 +845,17 @@ def test_run_numeric_argument_validation():
         run_numeric("thm3")
 
 
-def _synthetic_report(checker, trials, seed):
+# a false claim for synthetic trials to return as their failed assertion
+SYNTHETIC_CLAIM = parse("assert midpoint((0, 0), (1, 0), (2, 0));\n").assertions[0]
+
+
+def _synthetic_report(synthetic_trial, trials, seed):
     """run_numeric on a registered result that always samples ANCHOR."""
-    theorems._SUITE["_synthetic"] = (lambda rng, bound: ANCHOR, checker)
-    theorems._CLAIMS["_synthetic"] = "synthetic claim"
+    theorems._SUITE["_synthetic"] = (lambda rng, bound: ANCHOR, synthetic_trial)
     try:
         return run_numeric("_synthetic", trials=trials, seed=seed)
     finally:
         del theorems._SUITE["_synthetic"]
-        del theorems._CLAIMS["_synthetic"]
 
 
 def _geo_report(source, trials, seed, bound=20):
@@ -788,13 +870,13 @@ def _always_skips(cfg):
 def _skips_first_call():
     calls = {"n": 0}
 
-    def checker(cfg):
+    def synthetic_trial(cfg):
         calls["n"] += 1
         if calls["n"] == 1:
             raise CollinearPoints("one synthetic skip")
-        return True
+        return None
 
-    return checker
+    return synthetic_trial
 
 
 # Each contract of the shared trial driver, through both of its callers.
@@ -811,8 +893,9 @@ RUNS_ONE_SKIP_IN_FIVE = {
                                5, 4, bound=1),
 }
 RUNS_REFUTED = {
-    "run_numeric": (lambda: _synthetic_report(lambda cfg: False, 50, 3),
-                    ANCHOR.params(), "assertion synthetic claim failed"),
+    "run_numeric": (lambda: _synthetic_report(lambda cfg: SYNTHETIC_CLAIM, 50, 3),
+                    ANCHOR.params(),
+                    "assertion midpoint((0, 0), (1, 0), (2, 0)) failed"),
     "geo": (lambda: _geo_report("param a;\n"
                                 "assert midpoint((0, 0), (a, 0), (1, 0));\n",
                                 50, 3),
@@ -1119,7 +1202,9 @@ def test_run_checks_reports_the_first_mismatch():
 # -- suite runner -----------------------------------------------------------------------
 
 def test_result_orders_are_the_registries():
-    assert tuple(theorems._CLAIMS) == tuple(theorems._SUITE) == NUMERIC_ORDER
+    assert tuple(theorems._SUITE) == NUMERIC_ORDER
+    # each result id names its corpus file
+    assert all((theorems._CORPUS / f"{stem}.geo").is_file() for stem in NUMERIC_ORDER)
     assert NUMERIC_ORDER == ("butterfly_chord", "thm0_cyclic", "thm1", "thm2",
                              "lemma1", "lemma2", "lemma3")
     assert SYMBOLIC_ORDER == tuple(theorems._PROVERS) == ("thm1", "thm2", "lemma3")
