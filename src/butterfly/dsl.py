@@ -39,9 +39,9 @@ their products, such as `(b, k*b)`, is int products and one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import ButterflyError
 from .geom import (
@@ -73,7 +73,7 @@ from .geom import (
 from .poly import VARIABLES
 from .ratfun import RationalFunction
 from .scalar import field_div, sample_ratios
-from .theorems import VerificationReport, run_checks, run_trials
+from .theorems import VerificationReport, _Record, run_checks, run_trials
 
 MAX_NESTING = 64
 
@@ -81,8 +81,7 @@ MAX_NESTING = 64
 # -- diagnostics -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """Location of a token or node: 1-based line/column plus offset+length."""
 
     line: int
@@ -128,8 +127,7 @@ class DslTypeError(DslError):
 # -- tokens ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -204,77 +202,84 @@ def _join_spans(start: Span, end: Span) -> Span:
 
 # -- AST -------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class IntLit:
-    value: int
-    span: Span = field(compare=False, repr=False)
+# Nodes are immutable records (`theorems._Record`): two nodes are equal, and
+# hash alike, when their classes and every field but their spans are equal,
+# and their reprs leave the spans out.
 
 
-@dataclass(frozen=True)
-class Name:
-    ident: str
-    span: Span = field(compare=False, repr=False)
+class IntLit(_Record):
+    _compared = ("value",)
+
+    def __init__(self, value: int, span: Span):
+        self.__dict__.update(value=value, span=span)
 
 
-@dataclass(frozen=True)
-class PointLit:
-    x: object
-    y: object
-    span: Span = field(compare=False, repr=False)
+class Name(_Record):
+    _compared = ("ident",)
+
+    def __init__(self, ident: str, span: Span):
+        self.__dict__.update(ident=ident, span=span)
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str
-    operand: object
-    span: Span = field(compare=False, repr=False)
+class PointLit(_Record):
+    _compared = ("x", "y")
+
+    def __init__(self, x, y, span: Span):
+        self.__dict__.update(x=x, y=y, span=span)
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    left: object
-    right: object
-    span: Span = field(compare=False, repr=False)
+class Unary(_Record):
+    _compared = ("op", "operand")
+
+    def __init__(self, op: str, operand, span: Span):
+        self.__dict__.update(op=op, operand=operand, span=span)
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    args: tuple
-    span: Span = field(compare=False, repr=False)
+class Binary(_Record):
+    _compared = ("op", "left", "right")
+
+    def __init__(self, op: str, left, right, span: Span):
+        self.__dict__.update(op=op, left=left, right=right, span=span)
 
 
-@dataclass(frozen=True)
-class ParamDecl:
-    names: tuple[str, ...]
-    span: Span = field(compare=False, repr=False)
-    name_spans: tuple[Span, ...] = field(compare=False, repr=False)
+class Call(_Record):
+    _compared = ("func", "args")
+
+    def __init__(self, func: str, args: tuple, span: Span):
+        self.__dict__.update(func=func, args=args, span=span)
 
 
-@dataclass(frozen=True)
-class Definition:
-    type: str
-    name: str
-    expr: object
-    span: Span = field(compare=False, repr=False)
-    name_span: Span = field(compare=False, repr=False)
+class ParamDecl(_Record):
+    _compared = ("names",)
+
+    def __init__(self, names: tuple[str, ...], span: Span,
+                 name_spans: tuple[Span, ...]):
+        self.__dict__.update(names=names, span=span, name_spans=name_spans)
 
 
-@dataclass(frozen=True)
-class Assertion:
-    predicate: str
-    args: tuple
-    span: Span = field(compare=False, repr=False)
-    pred_span: Span = field(compare=False, repr=False)
+class Definition(_Record):
+    _compared = ("type", "name", "expr")
+
+    def __init__(self, type: str, name: str, expr, span: Span, name_span: Span):
+        self.__dict__.update(type=type, name=name, expr=expr, span=span,
+                             name_span=name_span)
 
 
-@dataclass(frozen=True)
-class Construction:
+class Assertion(_Record):
+    _compared = ("predicate", "args")
+
+    def __init__(self, predicate: str, args: tuple, span: Span, pred_span: Span):
+        self.__dict__.update(predicate=predicate, args=args, span=span,
+                             pred_span=pred_span)
+
+
+class Construction(_Record):
     """A checked .geo program; two parses are equal iff structurally identical."""
 
-    statements: tuple
+    _compared = ("statements",)
+
+    def __init__(self, statements: tuple):
+        self.__dict__.update(statements=statements)
 
     @property
     def params(self) -> tuple[str, ...]:

@@ -3,15 +3,15 @@
 Layout happens in exact rational arithmetic: the viewport is the content
 bounding box plus a 10% margin, infinite lines are clipped to it exactly,
 and only the final attribute strings are rounded (shortest decimal within
-1e-6 of the true value, which is cosmetic; nothing ever reads coordinates
-back out of an SVG).  Identical scenes therefore render to identical
-bytes.  The y-axis is flipped to mathematical orientation.  Exact values
-are preserved in a metadata comment.
+1e-6 of the true value, decided on the value's numerator and denominator;
+it is cosmetic, as nothing ever reads coordinates back out of an SVG).
+Identical scenes therefore render to identical bytes.  The y-axis is
+flipped to mathematical orientation.  Exact values are preserved in a
+metadata comment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
@@ -32,20 +32,31 @@ _STYLE = """\
     .label { font-family: sans-serif; font-size: 12px; fill: #1a1a1a; stroke: none; }"""
 
 
-@dataclass
 class Scene:
     """Points, segments, lines, and circles to draw, each with a style class.
 
     Classes are "construction" (default), "result" (objects an assertion
     talks about), and "assertion" (objects that exist only inside an
     assertion).  Adding an object that is already present just upgrades
-    its class.
+    its class.  Each of the four lists starts empty unless given; two
+    scenes are equal when their lists are.
     """
 
-    points: list = field(default_factory=list)    # [label, Point, cls]
-    segments: list = field(default_factory=list)  # [Point, Point, cls]
-    lines: list = field(default_factory=list)     # [Line, cls]
-    circles: list = field(default_factory=list)   # [Circle, cls]
+    def __init__(self, points: list | None = None, segments: list | None = None,
+                 lines: list | None = None, circles: list | None = None):
+        self.points = [] if points is None else points          # [label, Point, cls]
+        self.segments = [] if segments is None else segments    # [Point, Point, cls]
+        self.lines = [] if lines is None else lines             # [Line, cls]
+        self.circles = [] if circles is None else circles       # [Circle, cls]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{self.__class__.__qualname__}({fields})"
 
     def add_point(self, label: str, point: Point,
                   cls: str = "construction") -> None:
@@ -88,11 +99,19 @@ def _merge(entries: list, matches, cls: str):
 
 
 def _round_decimal(x: Fraction) -> str:
-    """Shortest decimal with at most six places that sits within 1e-6 of x."""
+    """Shortest decimal with at most six places that sits within 1e-6 of x.
+
+    Decided on ints: with x = n/d and s = 10**places, q is n*s/d rounded
+    half to even, as `round` rounds a Fraction, and q/s is within 1e-6 of
+    x exactly when |q*d - n*s| * 10**6 <= s*d.
+    """
+    n, d = x.numerator, x.denominator
     for places in range(7):
         scale = 10 ** places
-        q = round(x * scale)  # banker's rounding on Fractions is exact
-        if abs(Fraction(q, scale) - x) <= _MICRO:
+        q, r = divmod(n * scale, d)
+        if 2 * r > d or 2 * r == d and q & 1:
+            q += 1
+        if abs(q * d - n * scale) * 10 ** 6 <= scale * d:
             if places == 0:
                 return str(q)
             sign = "-" if q < 0 else ""

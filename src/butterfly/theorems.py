@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from . import closedforms
 from .errors import DegenerateConfig, DenominatorVanishes, SamplerExhausted
@@ -66,16 +65,59 @@ _RATIONAL = (int, Fraction)
 _UNIT_CIRCLE = Circle(0, 0, -1)
 
 
+# -- records ---------------------------------------------------------------------
+
+
+class _Record:
+    """Base of the immutable records whose equality skips a field.
+
+    A subclass's `__init__` stores its fields in `__dict__`.  `_compared`
+    names, in declared order, the fields that equality and hashing read,
+    and `_shown` those the repr shows (the compared ones unless a subclass
+    names others).  Records of different classes are never equal, and
+    setting or deleting an attribute raises AttributeError.
+    """
+
+    _compared: tuple[str, ...] = ()
+
+    @property
+    def _shown(self) -> tuple[str, ...]:
+        return self._compared
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._compared))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._shown)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 # -- configurations -----------------------------------------------------------
+
+# Configurations are named tuples: immutable, built once per trial at the
+# cost of a tuple, and equal to any tuple of the same values.
 
 
 def _field_params(cfg) -> tuple[tuple[str, object], ...]:
-    """A scalar configuration's parameters: its dataclass fields, in order."""
-    return tuple((f.name, getattr(cfg, f.name)) for f in fields(cfg))
+    """A scalar configuration's parameters: its fields, in declared order."""
+    return tuple(zip(cfg._fields, cfg))
 
 
-@dataclass(frozen=True)
-class GaugeConfig:
+class GaugeConfig(NamedTuple):
     """Quadrilateral in the diagonal gauge: P(0,0), A(a,0), B(b,kb), C(c,0), D(d,kd).
 
     The diagonal intersection sits at the origin by construction.  Proper
@@ -100,8 +142,7 @@ class GaugeConfig:
         return dict(self.params())
 
 
-@dataclass(frozen=True)
-class CyclicConfig:
+class CyclicConfig(NamedTuple):
     """Four tangent-half-angle parameters placing A, B, C, D on the unit circle."""
 
     t_a: object
@@ -112,8 +153,7 @@ class CyclicConfig:
     params = _field_params
 
 
-@dataclass(frozen=True)
-class ChordButterflyConfig:
+class ChordButterflyConfig(NamedTuple):
     """Chord endpoints A, B and free chord endpoints C, E on the unit circle.
 
     The two free chords are drawn through the midpoint M of AB; sampling
@@ -129,8 +169,7 @@ class ChordButterflyConfig:
     params = _field_params
 
 
-@dataclass(frozen=True)
-class QuadConfig:
+class QuadConfig(NamedTuple):
     """Four free vertices A(ax, ay), B(bx, by), C(cx, cy), D(dx, dy) for the
     Newton-line lemma."""
 
@@ -355,34 +394,36 @@ def sample_lemma2(rng, bound: int) -> GaugeConfig:
 # -- reports ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
+    """The first failing trial: its index, its config's parameters and what failed."""
+
     trial: int
     params: tuple[tuple[str, object], ...]
     detail: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """Outcome of one verification run (one theorem, one mode).
 
     Serializes to stable key:value text and a flat dict; wall-clock time is
-    carried in memory only, so serialized reports are deterministic.
-    `passed + skipped = attempted` whenever there is no counterexample.
+    carried in memory only, so serialized reports are deterministic and
+    equality ignores `elapsed`.  `passed + skipped = attempted` whenever
+    there is no counterexample.
     """
 
-    theorem: str
-    mode: str
-    attempted: int
-    passed: int
-    skipped: int
-    trials: int | None = None
-    seed: int | None = None
-    bound: int | None = None
-    checks: tuple[tuple[str, bool], ...] = ()
-    counterexample: Counterexample | None = None
-    failure: str | None = None
-    elapsed: float | None = field(default=None, compare=False)
+    _compared = ("theorem", "mode", "attempted", "passed", "skipped", "trials",
+                 "seed", "bound", "checks", "counterexample", "failure")
+    _shown = (*_compared, "elapsed")
+
+    def __init__(self, theorem: str, mode: str, attempted: int, passed: int,
+                 skipped: int, trials: int | None = None, seed: int | None = None,
+                 bound: int | None = None, checks: tuple[tuple[str, bool], ...] = (),
+                 counterexample: Counterexample | None = None,
+                 failure: str | None = None, elapsed: float | None = None):
+        self.__dict__.update(
+            theorem=theorem, mode=mode, attempted=attempted, passed=passed,
+            skipped=skipped, trials=trials, seed=seed, bound=bound, checks=checks,
+            counterexample=counterexample, failure=failure, elapsed=elapsed)
 
     @property
     def ok(self) -> bool:

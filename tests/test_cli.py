@@ -148,6 +148,19 @@ def test_python_dash_m_runs_the_cli():
     assert "result: pass" in done.stdout
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # pytest has imported both already, so the import runs in a fresh
+    # interpreter; every CLI call pays for what it loads
+    src = str(Path(butterfly.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys; before = set(sys.modules); import butterfly, butterfly.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 # -- prove-paper ------------------------------------------------------------------
 
 def test_prove_paper_symbolic_summary_and_determinism(capsys):

@@ -5,6 +5,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from butterfly.dsl import parse
 from butterfly.errors import EmptyScene
@@ -39,6 +40,33 @@ def test_round_decimal_shortest_within_tolerance():
     assert _round_decimal(F(123, 10)) == "12.3"
 
 
+def ref_round_decimal(x: Fraction) -> str:
+    """The rounding as it was written on Fractions, kept as the reference."""
+    for places in range(7):
+        scale = 10 ** places
+        q = round(x * scale)  # banker's rounding on Fractions is exact
+        if abs(Fraction(q, scale) - x) <= F(1, 10 ** 6):
+            if places == 0:
+                return str(q)
+            sign = "-" if q < 0 else ""
+            q = abs(q)
+            return f"{sign}{q // scale}.{q % scale:0{places}d}"
+    raise AssertionError("six decimal places always reach 1e-6")
+
+
+@given(st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 12))
+def test_round_decimal_matches_fraction_rounding(n, d):
+    assert _round_decimal(F(n, d)) == ref_round_decimal(F(n, d))
+
+
+@pytest.mark.parametrize("places", range(7))
+@given(k=st.integers(-10 ** 9, 10 ** 9))
+def test_round_decimal_matches_fraction_rounding_on_ties(places, k):
+    # k/(2*10^p) with k odd sits halfway between two p-place decimals
+    x = F(k, 2 * 10 ** places)
+    assert _round_decimal(x) == ref_round_decimal(x)
+
+
 def test_radius_approx_is_floor_on_micro_grid():
     for rsq in (F(2), F(3, 7), F(25), F(1, 10 ** 6)):
         r = _radius_approx(rsq)
@@ -49,6 +77,17 @@ def test_radius_approx_is_floor_on_micro_grid():
 
 
 # -- scene bookkeeping ---------------------------------------------------------------
+
+def test_scene_is_four_mutable_lists_compared_by_value():
+    scene = Scene()
+    assert repr(scene) == "Scene(points=[], segments=[], lines=[], circles=[])"
+    scene.add_point("A", Point(F(1), F(2)))
+    assert scene != Scene()
+    assert scene == Scene(points=[["A", Point(F(1), F(2)), "construction"]])
+    scene.lines = [[Line(F(1), F(0), F(0)), "result"]]
+    assert scene.lines[0][1] == "result"
+    assert Scene.__hash__ is None
+
 
 def test_scene_class_upgrades_and_label_fill():
     scene = Scene()

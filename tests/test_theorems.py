@@ -5,7 +5,6 @@ instances were computed by hand and frozen here as independent oracles.
 """
 
 import hashlib
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -582,7 +581,7 @@ def test_config_params_shapes():
 ], ids=["gauge", "cyclic", "chord", "quad"])
 def test_scalar_config_params_are_its_fields(cfg, names):
     assert tuple(name for name, _ in cfg.params()) == names
-    assert names == tuple(f.name for f in fields(cfg))
+    assert names == type(cfg)._fields
     assert all(value is getattr(cfg, name) for name, value in cfg.params())
 
 
@@ -819,6 +818,84 @@ def test_report_with_counterexample_serializes_params():
     assert flat["counterexample.params.b"] == "-2"
     assert flat["counterexample.detail"] == "assertion X failed"
     assert flat["result"] == "fail"
+
+
+# -- record contracts ----------------------------------------------------------------
+
+S1, S2 = dsl.Span(1, 1, 0, 1), dsl.Span(2, 5, 9, 3)
+_A, _B = dsl.Name("A", S1), dsl.Name("B", S1)
+# spans the AST nodes leave out of equality, hashing and the repr
+_SPAN_FIELDS = {"span", "name_span", "name_spans", "pred_span"}
+
+# Every immutable record: keyword arguments in declared order, the changes to
+# fields that equality ignores, and a change to a field it reads.
+RECORDS = [
+    (dsl.Span, dict(line=1, col=2, offset=3, length=4), {}, dict(col=5)),
+    (dsl.Token, dict(kind="IDENT", text="a", line=1, col=1, offset=0), {},
+     dict(text="b")),
+    (dsl.IntLit, dict(value=3, span=S1), dict(span=S2), dict(value=4)),
+    (dsl.Name, dict(ident="a", span=S1), dict(span=S2), dict(ident="b")),
+    (dsl.PointLit, dict(x=_A, y=_B, span=S1), dict(span=S2), dict(y=_A)),
+    (dsl.Unary, dict(op="-", operand=_A, span=S1), dict(span=S2),
+     dict(operand=_B)),
+    (dsl.Binary, dict(op="*", left=_A, right=_B, span=S1), dict(span=S2),
+     dict(op="/")),
+    (dsl.Call, dict(func="midpoint", args=(_A, _B), span=S1), dict(span=S2),
+     dict(args=(_B, _A))),
+    (dsl.ParamDecl, dict(names=("a", "b"), span=S1, name_spans=(S1, S1)),
+     dict(span=S2, name_spans=(S2, S2)), dict(names=("a",))),
+    (dsl.Definition, dict(type="point", name="P", expr=_A, span=S1, name_span=S1),
+     dict(span=S2, name_span=S2), dict(name="Q")),
+    (dsl.Assertion, dict(predicate="collinear", args=(_A, _B, _A), span=S1,
+                         pred_span=S1),
+     dict(span=S2, pred_span=S2), dict(predicate="concyclic")),
+    (dsl.Construction, dict(statements=(dsl.ParamDecl(("a",), S1, (S1,)),)), {},
+     dict(statements=())),
+    (GaugeConfig, dict(a=F(1), b=F(2), c=F(-1), d=F(-2), k=F(3)), {}, dict(k=F(4))),
+    (CyclicConfig, dict(t_a=F(1, 2), t_b=F(3), t_c=F(-1, 3), t_d=F(-3, 2)), {},
+     dict(t_d=F(5))),
+    (ChordButterflyConfig, dict(t_a=F(1, 3), t_b=F(-3), t_c=F(3, 2), t_e=F(-1, 4)),
+     {}, dict(t_a=F(2))),
+    (QuadConfig, dict(zip(("ax", "ay", "bx", "by", "cx", "cy", "dx", "dy"),
+                          (F(n, 7) for n in range(8)))), {}, dict(dy=F(9))),
+    (Counterexample, dict(trial=7, params=(("a", F(1, 3)),), detail="X failed"), {},
+     dict(trial=8)),
+    (VerificationReport, dict(theorem="thm1", mode="numeric", attempted=3, passed=2,
+                              skipped=1, trials=3, seed=9, bound=4, checks=(),
+                              counterexample=None, failure=None, elapsed=0.25),
+     dict(elapsed=1.5), dict(skipped=0)),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, ignored, changed", RECORDS,
+                         ids=[row[0].__name__ for row in RECORDS])
+def test_record_contracts(cls, kwargs, ignored, changed):
+    record = cls(**kwargs)
+    assert cls(*kwargs.values()) == record
+    name = next(iter(changed))
+    with pytest.raises(AttributeError):
+        setattr(record, name, changed[name])
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert all(getattr(record, key) is value for key, value in kwargs.items())
+
+    twin = cls(**{**kwargs, **ignored})
+    assert twin == record and hash(twin) == hash(record)
+    assert cls(**{**kwargs, **changed}) != record
+    shown = ", ".join(f"{key}={value!r}" for key, value in kwargs.items()
+                      if key not in _SPAN_FIELDS)
+    assert repr(record) == f"{cls.__name__}({shown})"
+
+    other = type("Other", (cls,), {})(*kwargs.values())
+    if isinstance(record, tuple):
+        # a named tuple equals every tuple of its values
+        assert other == record == tuple(kwargs.values())
+    else:
+        assert other != record and record != tuple(kwargs.values())
+    if cls in (GaugeConfig, CyclicConfig, ChordButterflyConfig, QuadConfig):
+        assert record.params() == tuple(kwargs.items())
 
 
 # -- numeric runner -------------------------------------------------------------------
