@@ -39,6 +39,7 @@ their products, such as `(b, k*b)`, is int products and one
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -107,7 +108,9 @@ class DslError(ButterflyError):
         if not 1 <= self.span.line <= len(lines):
             return head
         text = lines[self.span.line - 1]
-        caret = " " * (self.span.col - 1) + "^" * max(1, min(
+        # the text before the column, tabs kept, so a terminal aligns the caret
+        pad = "".join(ch if ch == "\t" else " " for ch in text[:self.span.col - 1])
+        caret = pad + "^" * max(1, min(
             self.span.length, len(text) - self.span.col + 1))
         return f"{head}\n    {text}\n    {caret}"
 
@@ -140,54 +143,36 @@ _SYMBOLS = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", ";": "SEMI",
             "/": "SLASH"}
 
 
-def _is_digit(ch: str) -> bool:
-    return "0" <= ch <= "9"
-
-
-def _is_ident_start(ch: str) -> bool:
-    return ("a" <= ch <= "z") or ("A" <= ch <= "Z")
-
-
-def _is_ident_part(ch: str) -> bool:
-    return _is_ident_start(ch) or _is_digit(ch) or ch == "_"
+# Every character starts a match, so the matches tile the source: a newline
+# (group 1), blanks or a comment (no group), a token (its named group), or
+# any other character (BAD).  The classes are ASCII only, so a superscript
+# or Arabic-Indic digit is an unexpected character.
+_TOKEN = re.compile(r"(\n)|[ \t\r]+|#[^\n]*|(?P<INT>[0-9]+)"
+                    r"|(?P<IDENT>[A-Za-z][A-Za-z0-9_]*)|(?P<SYMBOL>[(),;=+*/-])"
+                    r"|(?P<BAD>.)")
 
 
 def _tokenize(source: str) -> list[Token]:
+    """The tokens of `source`, then EOF.  Lines break at newlines alone; a
+    column is one plus the number of characters since the line began."""
     tokens = []
-    i, line, col = 0, 1, 1
+    line, line_start = 1, 0
+    new = tuple.__new__  # a Token, skipping the named tuple's Python __new__
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind is None:
+            if m.lastindex:
+                line += 1
+                line_start = m.end()
+            continue
+        text, i = m[0], m.start()
+        if kind == "BAD":
+            raise DslSyntaxError(f"unexpected character {text!r}",
+                                 Span(line, i - line_start + 1, i, 1))
+        tokens.append(new(Token, (_SYMBOLS.get(text, kind), text, line,
+                                  i - line_start + 1, i)))
     n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-        elif _is_digit(ch):
-            start = i
-            while i < n and _is_digit(source[i]):
-                i += 1
-            tokens.append(Token("INT", source[start:i], line, col, start))
-            col += i - start
-        elif _is_ident_start(ch):
-            start = i
-            while i < n and _is_ident_part(source[i]):
-                i += 1
-            tokens.append(Token("IDENT", source[start:i], line, col, start))
-            col += i - start
-        elif ch in _SYMBOLS:
-            tokens.append(Token(_SYMBOLS[ch], ch, line, col, i))
-            i += 1
-            col += 1
-        else:
-            raise DslSyntaxError(f"unexpected character {ch!r}",
-                                 Span(line, col, i, 1))
-    tokens.append(Token("EOF", "", line, col, n))
+    tokens.append(Token("EOF", "", line, n - line_start + 1, n))
     return tokens
 
 

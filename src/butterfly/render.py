@@ -1,26 +1,26 @@
 """Deterministic SVG figures for evaluated constructions.
 
-Layout happens in exact rational arithmetic: the viewport is the content
-bounding box plus a 10% margin, infinite lines are clipped to it exactly,
-and only the final attribute strings are rounded (shortest decimal within
-1e-6 of the true value, decided on the value's numerator and denominator;
-it is cosmetic, as nothing ever reads coordinates back out of an SVG).
-Identical scenes therefore render to identical bytes.  The y-axis is
-flipped to mathematical orientation.  Exact values are preserved in a
-metadata comment.
+Layout happens in exact integer arithmetic: the viewport is the content
+bounding box plus a 10% margin, held as four ints over one common
+denominator, and infinite lines are clipped to it exactly.  Points are
+read from their int tuples, each pixel coordinate is one int numerator
+over one positive int denominator, and only the final attribute strings
+are rounded (shortest decimal within 1e-6 of the true value, decided on
+that pair; it is cosmetic, as nothing ever reads coordinates back out of
+an SVG).  Identical scenes therefore render to identical bytes.  The
+y-axis is flipped to mathematical orientation.  Exact values are
+preserved in a metadata comment, the one part that builds `Fraction`s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .dsl import Assertion, Definition, Name, ParamDecl, eval_expr
 from .errors import EmptyScene
 from .geom import Circle, Line, Point
 from .scalar import format_rational
-
-_MICRO = Fraction(1, 10 ** 6)
 
 _STYLE = """\
     .construction { stroke: #8a8a8a; stroke-width: 1; fill: none; }
@@ -98,14 +98,14 @@ def _merge(entries: list, matches, cls: str):
     return None
 
 
-def _round_decimal(x: Fraction) -> str:
-    """Shortest decimal with at most six places that sits within 1e-6 of x.
+def _round_decimal(n: int, d: int) -> str:
+    """Shortest decimal with at most six places that sits within 1e-6 of n/d.
 
-    Decided on ints: with x = n/d and s = 10**places, q is n*s/d rounded
-    half to even, as `round` rounds a Fraction, and q/s is within 1e-6 of
-    x exactly when |q*d - n*s| * 10**6 <= s*d.
+    The denominator d is positive; n/d need not be reduced, as every test
+    below scales with a common factor of n and d.  With s = 10**places, q
+    is n*s/d rounded half to even, as `round` rounds a Fraction, and q/s
+    is within 1e-6 of n/d exactly when |q*d - n*s| * 10**6 <= s*d.
     """
-    n, d = x.numerator, x.denominator
     for places in range(7):
         scale = 10 ** places
         q, r = divmod(n * scale, d)
@@ -120,37 +120,63 @@ def _round_decimal(x: Fraction) -> str:
     raise AssertionError("six decimal places always reach 1e-6")
 
 
-def _radius_approx(radius_squared: Fraction) -> Fraction:
-    """Floor square root on the 1e-6 grid; exact integer arithmetic only."""
-    return Fraction(isqrt((radius_squared.numerator * 10 ** 12)
-                          // radius_squared.denominator), 10 ** 6)
+def _radius_approx(n: int, d: int) -> int:
+    """The square root of n/d >= 0 floored to the 1e-6 grid, in millionths;
+    exact integer arithmetic only."""
+    return isqrt(n * 10 ** 12 // d)
 
 
 def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _clip_line(line: Line, xmin, xmax, ymin, ymax):
+def _extremes(ratios: list, at: int = 0) -> tuple:
+    """The first least and the first greatest of `ratios` by the value of
+    entries `at`, `at + 1` of each: a numerator over a positive denominator."""
+    lo = hi = ratios[0]
+    for ratio in ratios:
+        n, d = ratio[at], ratio[at + 1]
+        if n * lo[at + 1] < lo[at] * d:
+            lo = ratio
+        elif n * hi[at + 1] > hi[at] * d:
+            hi = ratio
+    return lo, hi
+
+
+def _clip_line(line: Line, left: int, right: int, bottom: int, top: int,
+               unit: int):
     """Intersect a line with the viewport rectangle, exactly.
 
-    Returns the two extreme boundary points, or None when the line misses
-    the rectangle (or only touches a corner).
+    The rectangle is [left, right] x [bottom, top] in units of 1/unit, and
+    so are the two boundary points returned, each as (x numerator, x
+    denominator, y numerator, y denominator) with positive denominators:
+    the extreme points in (x, y) order, or None when the line misses the
+    rectangle (or only touches a corner).  All of them lie on the line, so
+    x orders them, or y when the line is vertical.
     """
+    u, v, w, _ = line._ints  # u*x + v*y + w = 0, scaled by a positive int
     candidates = []
-    if line.v:
-        for x in (xmin, xmax):
-            y = -(line.w + line.u * x) / line.v
-            if ymin <= y <= ymax:
-                candidates.append((x, y))
-    if line.u:
-        for y in (ymin, ymax):
-            x = -(line.w + line.v * y) / line.u
-            if xmin <= x <= xmax:
-                candidates.append((x, y))
-    distinct = sorted(set(candidates))
-    if len(distinct) < 2:
+    if v:
+        for x in (left, right):
+            y, q = -(w * unit + u * x), v
+            if q < 0:
+                y, q = -y, -q
+            if bottom * q <= y <= top * q:
+                candidates.append((x, 1, y, q))
+    if u:
+        for y in (bottom, top):
+            x, q = -(w * unit + v * y), u
+            if q < 0:
+                x, q = -x, -q
+            if left * q <= x <= right * q:
+                candidates.append((x, q, y, 1))
+    if not candidates:
         return None
-    return distinct[0], distinct[-1]
+    at = 0 if v else 2
+    lo, hi = _extremes(candidates, at)
+    if lo[at] * hi[at + 1] == hi[at] * lo[at + 1]:
+        return None
+    return lo, hi
 
 
 def render_svg(scene: Scene, width_px: int = 640) -> str:
@@ -160,50 +186,75 @@ def render_svg(scene: Scene, width_px: int = 640) -> str:
     if width_px < 64:
         raise ValueError("width_px must be at least 64")
 
-    drawable_circles = [(circle, cls) for circle, cls in scene.circles
-                        if circle.radius_squared() > 0]
+    # a drawable circle as its center, projective (x, y, z), and its radius
+    # in millionths: S(x^2 + y^2) + Dx + Ey + F = 0 has center (-D, -E, 2S)
+    # and radius^2 (D^2 + E^2 - 4FS) / 4S^2
+    discs = []
+    for circle, cls in scene.circles:
+        d, e, f, s = circle._ints
+        radius_squared = d * d + e * e - 4 * f * s
+        if radius_squared > 0:
+            discs.append(((-d, -e, 2 * s),
+                          _radius_approx(radius_squared, 4 * s * s), cls))
 
+    # the content's coordinates as (numerator, positive denominator) pairs
     xs, ys = [], []
     for _, point, _ in scene.points:
-        xs.append(Fraction(point.x))
-        ys.append(Fraction(point.y))
+        x, y, z = point._ints
+        xs.append((x, z))
+        ys.append((y, z))
     for p, q, _ in scene.segments:
-        xs.extend((Fraction(p.x), Fraction(q.x)))
-        ys.extend((Fraction(p.y), Fraction(q.y)))
-    for circle, _ in drawable_circles:
-        center = circle.center()
-        r = _radius_approx(circle.radius_squared()) + _MICRO
-        xs.extend((Fraction(center.x) - r, Fraction(center.x) + r))
-        ys.extend((Fraction(center.y) - r, Fraction(center.y) + r))
+        for x, y, z in (p._ints, q._ints):
+            xs.append((x, z))
+            ys.append((y, z))
+    for (x, y, z), r, _ in discs:
+        # the center plus and minus one millionth more than the radius drawn
+        x, y, reach, den = x * 10 ** 6, y * 10 ** 6, (r + 1) * z, z * 10 ** 6
+        xs.extend(((x - reach, den), (x + reach, den)))
+        ys.extend(((y - reach, den), (y + reach, den)))
 
+    # the viewport: the bounds over one denominator, unit, a multiple of 10
+    # so that the margin of a tenth of the larger side is an int too
     if xs:
-        xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
+        (x0, d0), (x1, d1) = _extremes(xs)
+        (y0, d2), (y1, d3) = _extremes(ys)
+        unit = 10 * lcm(d0, d1, d2, d3)
+        left, right = x0 * (unit // d0), x1 * (unit // d1)
+        bottom, top = y0 * (unit // d2), y1 * (unit // d3)
     else:
-        xmin, xmax, ymin, ymax = (Fraction(-1), Fraction(1),
-                                  Fraction(-1), Fraction(1))
-    if xmin == xmax:
-        xmin -= 1
-        xmax += 1
-    if ymin == ymax:
-        ymin -= 1
-        ymax += 1
-    margin = max(xmax - xmin, ymax - ymin) / 10
-    xmin -= margin
-    xmax += margin
-    ymin -= margin
-    ymax += margin
+        unit = 10
+        left, right, bottom, top = -unit, unit, -unit, unit
+    if left == right:
+        left -= unit
+        right += unit
+    if bottom == top:
+        bottom -= unit
+        top += unit
+    margin = max(right - left, top - bottom) // 10
+    left -= margin
+    right += margin
+    bottom -= margin
+    top += margin
 
-    scale = Fraction(width_px) / (xmax - xmin)
-    height = (ymax - ymin) * scale
+    # x pixels are (x - left) * width_px / (right - left), y pixels run down
+    # from top; each as one int numerator over one positive int denominator
+    span = right - left
 
-    def to_px(x: Fraction, y: Fraction) -> tuple[Fraction, Fraction]:
-        return (Fraction(x) - xmin) * scale, (ymax - Fraction(y)) * scale
+    def to_px(x: int, xq: int, y: int, yq: int) -> tuple[int, int, int, int]:
+        """Pixel pairs of the point (x/xq, y/yq) in units of 1/unit."""
+        return ((x - left * xq) * width_px, xq * span,
+                (top * yq - y) * width_px, yq * span)
+
+    def point_px(point: Point) -> tuple:
+        x, y, z = point._ints
+        return to_px(x * unit, z, y * unit, z)
 
     out = []
+    height = _round_decimal((top - bottom) * width_px, span)
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width_px}" height="{_round_decimal(height)}" '
-        f'viewBox="0 0 {width_px} {_round_decimal(height)}">')
+        f'width="{width_px}" height="{height}" '
+        f'viewBox="0 0 {width_px} {height}">')
     out.append("  <style>")
     out.append(_STYLE)
     out.append("  </style>")
@@ -225,37 +276,34 @@ def render_svg(scene: Scene, width_px: int = 640) -> str:
     meta.append("  -->")
     out.extend(meta)
 
-    for circle, cls in drawable_circles:
-        center = circle.center()
-        cx, cy = to_px(center.x, center.y)
-        r = _radius_approx(circle.radius_squared()) * scale
-        out.append(f'  <circle class="circle {cls}" cx="{_round_decimal(cx)}" '
-                   f'cy="{_round_decimal(cy)}" r="{_round_decimal(r)}"/>')
+    for (x, y, z), r, cls in discs:
+        cx, cxq, cy, cyq = to_px(x * unit, z, y * unit, z)
+        out.append(f'  <circle class="circle {cls}" cx="{_round_decimal(cx, cxq)}" '
+                   f'cy="{_round_decimal(cy, cyq)}" '
+                   f'r="{_round_decimal(r * width_px * unit, span * 10 ** 6)}"/>')
 
     strokes = []
     for line, cls in scene.lines:
-        clipped = _clip_line(line, xmin, xmax, ymin, ymax)
+        clipped = _clip_line(line, left, right, bottom, top, unit)
         if clipped is not None:
-            strokes.append((*clipped, cls))
-    strokes.extend(((p.x, p.y), (q.x, q.y), cls) for p, q, cls in scene.segments)
-    for (x1, y1), (x2, y2), cls in strokes:
-        px1, py1 = to_px(x1, y1)
-        px2, py2 = to_px(x2, y2)
-        out.append(f'  <line class="{cls}" x1="{_round_decimal(px1)}" '
-                   f'y1="{_round_decimal(py1)}" x2="{_round_decimal(px2)}" '
-                   f'y2="{_round_decimal(py2)}"/>')
+            strokes.append((to_px(*clipped[0]), to_px(*clipped[1]), cls))
+    strokes.extend((point_px(p), point_px(q), cls) for p, q, cls in scene.segments)
+    for (x1, x1q, y1, y1q), (x2, x2q, y2, y2q), cls in strokes:
+        out.append(f'  <line class="{cls}" x1="{_round_decimal(x1, x1q)}" '
+                   f'y1="{_round_decimal(y1, y1q)}" x2="{_round_decimal(x2, x2q)}" '
+                   f'y2="{_round_decimal(y2, y2q)}"/>')
 
     for label, point, cls in scene.points:
-        px, py = to_px(point.x, point.y)
-        d = (f"M {_round_decimal(px - 3)} {_round_decimal(py)} "
+        x, xq, y, yq = point_px(point)
+        d = (f"M {_round_decimal(x - 3 * xq, xq)} {_round_decimal(y, yq)} "
              f"a 3 3 0 1 0 6 0 a 3 3 0 1 0 -6 0 z")
         out.append(f'  <path class="point {cls}" d="{d}"/>')
     for label, point, _ in scene.points:
         if not label:
             continue
-        px, py = to_px(point.x, point.y)
-        out.append(f'  <text class="label" x="{_round_decimal(px + 5)}" '
-                   f'y="{_round_decimal(py - 5)}">{_escape(label)}</text>')
+        x, xq, y, yq = point_px(point)
+        out.append(f'  <text class="label" x="{_round_decimal(x + 5 * xq, xq)}" '
+                   f'y="{_round_decimal(y - 5 * yq, yq)}">{_escape(label)}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

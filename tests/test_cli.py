@@ -148,17 +148,45 @@ def test_python_dash_m_runs_the_cli():
     assert "result: pass" in done.stdout
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # pytest has imported both already, so the import runs in a fresh
-    # interpreter; every CLI call pays for what it loads
+def run_fresh(code: str) -> str:
+    """The stdout of `code` run in a fresh interpreter that imports this package."""
     src = str(Path(butterfly.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = ("import sys; before = set(sys.modules); import butterfly, butterfly.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # pytest has imported both already, so the import runs in a fresh
+    # interpreter; every CLI call pays for what it loads
+    code = ("import sys; before = set(sys.modules); import butterfly, butterfly.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    assert run_fresh(code) == "[]"
+
+
+def test_closed_forms_are_built_only_when_read(tmp_path):
+    # the import keeps the module loaded (the benchmark's probe re-imports
+    # it), but only a symbolic proof reads, and so builds, the forms
+    svg = str(tmp_path / "thm1.svg")
+    code = f"""
+import contextlib, io, sys
+import butterfly
+print("butterfly.closedforms" in sys.modules)
+from butterfly import cli, closedforms
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(list(argv))
+print(run("verify", {THM1!r}, "--trials", "20"),
+      run("render", {THM1!r}, "--set", {ANCHOR_SET!r}, "-o", {svg!r}),
+      run("prove-paper", "--mode", "numeric", "--trials", "20"),
+      closedforms._forms.cache_info().misses)
+print(run("prove-paper", "--mode", "symbolic"), closedforms._forms.cache_info().misses)
+from butterfly.closedforms import AXIS, a
+print(AXIS is closedforms.AXIS, a == closedforms.a, closedforms._forms.cache_info().misses)
+"""
+    assert run_fresh(code).split("\n") == ["True", "0 0 0 0", "0 1", "True True 1"]
 
 
 # -- prove-paper ------------------------------------------------------------------

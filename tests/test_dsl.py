@@ -27,11 +27,15 @@ from butterfly.dsl import (
     Name,
     ParamDecl,
     PointLit,
+    Span,
+    Token,
     Unary,
+    _SYMBOLS,
     _assertion_text,
     _Emitter,
     _compile_program,
     _run_trial,
+    _tokenize,
     eval_expr,
     evaluate_construction,
     parse,
@@ -141,6 +145,9 @@ def test_syntax_errors():
     expect_error("param a\npoint P = (a, 0);", DslSyntaxError, "expected ';'")
     expect_error("scalar s = ;", DslSyntaxError, "expected an expression")
     expect_error("scalar s = 1 +", DslSyntaxError, "end of input")
+    # the end of input after a trailing comment is at the comment's end
+    assert expect_error("param a;\npoint A = (a, 0)  # no semicolon", DslSyntaxError,
+                        "expected ';'").span == Span(2, 33, 41, 1)
 
 
 def test_only_ascii_digits_are_digits():
@@ -188,8 +195,11 @@ GEO_FRAGMENTS = ["param", "point", "line", "circle", "scalar", "assert", "a",
                  "\u0663", "\r"]
 
 
+ANY_SOURCE = st.text() | st.lists(st.sampled_from(GEO_FRAGMENTS)).map("".join)
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.text() | st.lists(st.sampled_from(GEO_FRAGMENTS)).map("".join))
+@given(ANY_SOURCE)
 def test_any_text_parses_or_raises_a_spanned_dsl_error(source):
     try:
         parse(source)
@@ -197,7 +207,66 @@ def test_any_text_parses_or_raises_a_spanned_dsl_error(source):
         span = err.span
         assert span.line >= 1 and span.col >= 1 and span.length >= 1
         assert 0 <= span.offset <= len(source)
+        # the column counts the characters since the line's "\n"
+        assert span.col - 1 == span.offset - (source.rfind("\n", 0, span.offset) + 1)
         err.diagnostic(source, "fuzz.geo")
+
+
+def ref_tokenize(source: str) -> list[Token]:
+    """The tokenizer as it was written per character, kept as the reference
+    (with a comment advancing the column)."""
+    tokens = []
+    i, line, col = 0, 1, 1
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+        elif ch in " \t\r":
+            i += 1
+            col += 1
+        elif ch == "#":
+            start = i
+            while i < n and source[i] != "\n":
+                i += 1
+            col += i - start
+        elif "0" <= ch <= "9":
+            start = i
+            while i < n and "0" <= source[i] <= "9":
+                i += 1
+            tokens.append(Token("INT", source[start:i], line, col, start))
+            col += i - start
+        elif "a" <= ch <= "z" or "A" <= ch <= "Z":
+            start = i
+            while i < n and (source[i] == "_" or "0" <= source[i] <= "9"
+                             or "a" <= source[i] <= "z" or "A" <= source[i] <= "Z"):
+                i += 1
+            tokens.append(Token("IDENT", source[start:i], line, col, start))
+            col += i - start
+        elif ch in _SYMBOLS:
+            tokens.append(Token(_SYMBOLS[ch], ch, line, col, i))
+            i += 1
+            col += 1
+        else:
+            raise DslSyntaxError(f"unexpected character {ch!r}",
+                                 Span(line, col, i, 1))
+    tokens.append(Token("EOF", "", line, col, n))
+    return tokens
+
+
+def _tokens_or_error(tokenize, source):
+    try:
+        return tokenize(source)
+    except DslSyntaxError as err:
+        return err.message, err.span
+
+
+@settings(max_examples=400, deadline=None)
+@given(ANY_SOURCE)
+def test_tokenizer_matches_reference(source):
+    assert _tokens_or_error(_tokenize, source) == _tokens_or_error(ref_tokenize, source)
 
 
 def test_diagnostic_carries_file_line_col_and_caret():
@@ -208,6 +277,14 @@ def test_diagnostic_carries_file_line_col_and_caret():
                     "    point P = (a, );\n"
                     "                  ^")
     assert err.diagnostic() == "<geo>:2:15: expected an expression, found ')'"
+
+    # a tab before the column stays a tab under it, so the caret lines up
+    # with the token wherever the terminal puts its tab stops
+    source = "param a;\n\tpoint A = (a, b);\n"
+    err = expect_error(source, DslNameError, "'b'", 2, 16)
+    assert err.diagnostic(source) == ("<geo>:2:16: " + err.message + "\n"
+                                      "    \tpoint A = (a, b);\n"
+                                      "    \t              ^")
 
 
 # Every character str.splitlines() breaks a line at, other than "\n".  The

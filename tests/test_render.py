@@ -3,21 +3,25 @@
 import re
 from decimal import Decimal
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
 from butterfly.dsl import parse
-from butterfly.errors import EmptyScene
+from butterfly.errors import DegenerateConfig, EmptyScene
 from butterfly.geom import Circle, Line, Point
 from butterfly.render import (
+    _STYLE,
     Scene,
+    _escape,
     _radius_approx,
     _round_decimal,
     render_svg,
     scene_from_construction,
 )
-from tests.test_dsl import CORPUS
+from butterfly.scalar import derive_rng, format_rational, sample_rational
+from tests.test_dsl import CORPUS, FIXTURES
 
 F = Fraction
 ANCHOR = {"a": F(2), "b": F(1), "c": F(-3), "d": F(-2), "k": F(1)}
@@ -30,14 +34,19 @@ def thm1_scene():
 
 # -- decimal and radius helpers ----------------------------------------------------
 
+def round_fraction(x: Fraction, factor: int = 1) -> str:
+    """`_round_decimal` on x's numerator and denominator, both times `factor`."""
+    return _round_decimal(x.numerator * factor, x.denominator * factor)
+
+
 def test_round_decimal_shortest_within_tolerance():
-    assert _round_decimal(F(5)) == "5"
-    assert _round_decimal(F(1, 2)) == "0.5"
-    assert _round_decimal(F(-1, 8)) == "-0.125"
-    assert _round_decimal(F(1, 3)) == "0.333333"
-    assert _round_decimal(F(-1, 3)) == "-0.333333"
-    assert _round_decimal(F(1, 10 ** 7)) == "0"  # below the 1e-6 grid
-    assert _round_decimal(F(123, 10)) == "12.3"
+    assert round_fraction(F(5)) == "5"
+    assert round_fraction(F(1, 2)) == "0.5"
+    assert round_fraction(F(-1, 8)) == "-0.125"
+    assert round_fraction(F(1, 3)) == "0.333333"
+    assert round_fraction(F(-1, 3)) == "-0.333333"
+    assert round_fraction(F(1, 10 ** 7)) == "0"  # below the 1e-6 grid
+    assert round_fraction(F(123, 10)) == "12.3"
 
 
 def ref_round_decimal(x: Fraction) -> str:
@@ -54,26 +63,30 @@ def ref_round_decimal(x: Fraction) -> str:
     raise AssertionError("six decimal places always reach 1e-6")
 
 
-@given(st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 12))
-def test_round_decimal_matches_fraction_rounding(n, d):
-    assert _round_decimal(F(n, d)) == ref_round_decimal(F(n, d))
+# an unreduced pair n*g/(d*g) rounds as n/d does
+@given(st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 12),
+       st.integers(1, 10 ** 6))
+def test_round_decimal_matches_fraction_rounding(n, d, g):
+    assert round_fraction(F(n, d), g) == ref_round_decimal(F(n, d))
 
 
 @pytest.mark.parametrize("places", range(7))
-@given(k=st.integers(-10 ** 9, 10 ** 9))
-def test_round_decimal_matches_fraction_rounding_on_ties(places, k):
+@given(k=st.integers(-10 ** 9, 10 ** 9), g=st.integers(1, 10 ** 6))
+def test_round_decimal_matches_fraction_rounding_on_ties(places, k, g):
     # k/(2*10^p) with k odd sits halfway between two p-place decimals
     x = F(k, 2 * 10 ** places)
-    assert _round_decimal(x) == ref_round_decimal(x)
+    assert round_fraction(x, g) == ref_round_decimal(x)
 
 
 def test_radius_approx_is_floor_on_micro_grid():
     for rsq in (F(2), F(3, 7), F(25), F(1, 10 ** 6)):
-        r = _radius_approx(rsq)
-        assert r * r <= rsq
-        step = F(1, 10 ** 6)
-        assert (r + step) * (r + step) > rsq
-    assert _radius_approx(F(25)) == 5
+        for factor in (1, 12):  # the pair need not be reduced
+            r = F(_radius_approx(rsq.numerator * factor,
+                                 rsq.denominator * factor), 10 ** 6)
+            assert r * r <= rsq
+            step = F(1, 10 ** 6)
+            assert (r + step) * (r + step) > rsq
+    assert _radius_approx(25, 1) == 5 * 10 ** 6
 
 
 # -- scene bookkeeping ---------------------------------------------------------------
@@ -247,3 +260,210 @@ def test_scene_from_construction_takes_only_ints_and_fractions():
     for bad in (0.1, "1/3", Decimal("0.5"), None):
         with pytest.raises(TypeError, match="the value of b must be an int or Fraction"):
             scene_from_construction(ast, dict(ANCHOR, b=bad))
+
+
+# -- the int layout against the layout on Fractions ----------------------------------
+
+
+def ref_radius_approx(radius_squared: Fraction) -> Fraction:
+    return Fraction(isqrt((radius_squared.numerator * 10 ** 12)
+                          // radius_squared.denominator), 10 ** 6)
+
+
+def ref_clip_line(line: Line, xmin, xmax, ymin, ymax):
+    candidates = []
+    if line.v:
+        for x in (xmin, xmax):
+            y = -(line.w + line.u * x) / line.v
+            if ymin <= y <= ymax:
+                candidates.append((x, y))
+    if line.u:
+        for y in (ymin, ymax):
+            x = -(line.w + line.v * y) / line.u
+            if xmin <= x <= xmax:
+                candidates.append((x, y))
+    distinct = sorted(set(candidates))
+    if len(distinct) < 2:
+        return None
+    return distinct[0], distinct[-1]
+
+
+def ref_render_svg(scene: Scene, width_px: int = 640) -> str:
+    """`render_svg` as it was written on Fractions, kept as the reference."""
+    if scene.is_empty():
+        raise EmptyScene("nothing to draw")
+    if width_px < 64:
+        raise ValueError("width_px must be at least 64")
+
+    drawable_circles = [(circle, cls) for circle, cls in scene.circles
+                        if circle.radius_squared() > 0]
+
+    xs, ys = [], []
+    for _, point, _ in scene.points:
+        xs.append(Fraction(point.x))
+        ys.append(Fraction(point.y))
+    for p, q, _ in scene.segments:
+        xs.extend((Fraction(p.x), Fraction(q.x)))
+        ys.extend((Fraction(p.y), Fraction(q.y)))
+    for circle, _ in drawable_circles:
+        center = circle.center()
+        r = ref_radius_approx(circle.radius_squared()) + F(1, 10 ** 6)
+        xs.extend((Fraction(center.x) - r, Fraction(center.x) + r))
+        ys.extend((Fraction(center.y) - r, Fraction(center.y) + r))
+
+    if xs:
+        xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
+    else:
+        xmin, xmax, ymin, ymax = (Fraction(-1), Fraction(1),
+                                  Fraction(-1), Fraction(1))
+    if xmin == xmax:
+        xmin -= 1
+        xmax += 1
+    if ymin == ymax:
+        ymin -= 1
+        ymax += 1
+    margin = max(xmax - xmin, ymax - ymin) / 10
+    xmin -= margin
+    xmax += margin
+    ymin -= margin
+    ymax += margin
+
+    scale = Fraction(width_px) / (xmax - xmin)
+    height = (ymax - ymin) * scale
+
+    def to_px(x: Fraction, y: Fraction) -> tuple[Fraction, Fraction]:
+        return (Fraction(x) - xmin) * scale, (ymax - Fraction(y)) * scale
+
+    out = []
+    out.append(
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width_px}" height="{ref_round_decimal(height)}" '
+        f'viewBox="0 0 {width_px} {ref_round_decimal(height)}">')
+    out.append("  <style>")
+    out.append(_STYLE)
+    out.append("  </style>")
+
+    meta = ["  <!-- exact coordinates"]
+    for label, point, _ in scene.points:
+        shown = label or "(unlabeled)"
+        meta.append(f"  point {shown} = ({format_rational(point.x)}, "
+                    f"{format_rational(point.y)})")
+    for p, q, _ in scene.segments:
+        meta.append(f"  segment ({format_rational(p.x)}, {format_rational(p.y)})"
+                    f" to ({format_rational(q.x)}, {format_rational(q.y)})")
+    for line, _ in scene.lines:
+        meta.append(f"  line [{format_rational(line.u)}, "
+                    f"{format_rational(line.v)}, {format_rational(line.w)}]")
+    for circle, _ in scene.circles:
+        meta.append(f"  circle [{format_rational(circle.d)}, "
+                    f"{format_rational(circle.e)}, {format_rational(circle.f)}]")
+    meta.append("  -->")
+    out.extend(meta)
+
+    for circle, cls in drawable_circles:
+        center = circle.center()
+        cx, cy = to_px(center.x, center.y)
+        r = ref_radius_approx(circle.radius_squared()) * scale
+        out.append(f'  <circle class="circle {cls}" cx="{ref_round_decimal(cx)}" '
+                   f'cy="{ref_round_decimal(cy)}" r="{ref_round_decimal(r)}"/>')
+
+    strokes = []
+    for line, cls in scene.lines:
+        clipped = ref_clip_line(line, xmin, xmax, ymin, ymax)
+        if clipped is not None:
+            strokes.append((*clipped, cls))
+    strokes.extend(((p.x, p.y), (q.x, q.y), cls) for p, q, cls in scene.segments)
+    for (x1, y1), (x2, y2), cls in strokes:
+        px1, py1 = to_px(x1, y1)
+        px2, py2 = to_px(x2, y2)
+        out.append(f'  <line class="{cls}" x1="{ref_round_decimal(px1)}" '
+                   f'y1="{ref_round_decimal(py1)}" x2="{ref_round_decimal(px2)}" '
+                   f'y2="{ref_round_decimal(py2)}"/>')
+
+    for label, point, cls in scene.points:
+        px, py = to_px(point.x, point.y)
+        d = (f"M {ref_round_decimal(px - 3)} {ref_round_decimal(py)} "
+             f"a 3 3 0 1 0 6 0 a 3 3 0 1 0 -6 0 z")
+        out.append(f'  <path class="point {cls}" d="{d}"/>')
+    for label, point, _ in scene.points:
+        if not label:
+            continue
+        px, py = to_px(point.x, point.y)
+        out.append(f'  <text class="label" x="{ref_round_decimal(px + 5)}" '
+                   f'y="{ref_round_decimal(py - 5)}">{_escape(label)}</text>')
+
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+WIDTHS = (64, 640, 1001)
+
+
+def assert_renders_as_reference(scene):
+    for width in WIDTHS:
+        assert render_svg(scene, width) == ref_render_svg(scene, width)
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.geo"))
+                         + sorted(FIXTURES.glob("*.geo")), ids=lambda p: p.stem)
+def test_render_matches_reference_on_corpus(path):
+    ast = parse(path.read_text())
+    drawn = 0
+    for draw in range(500):
+        rng = derive_rng(23, "render", path.stem, draw)
+        env = {name: sample_rational(rng, 20) for name in ast.params}
+        try:
+            scene = scene_from_construction(ast, env)
+        except (DegenerateConfig, ZeroDivisionError):
+            continue
+        assert_renders_as_reference(scene)
+        drawn += 1
+        if drawn == 50:
+            return
+    raise AssertionError(f"only {drawn} non-degenerate draws of {path.name}")
+
+
+def _scene(points=(), lines=(), circles=(), segments=()):
+    scene = Scene()
+    for index, xy in enumerate(points):
+        scene.add_point(f"P{index}", Point(*xy))
+    for uvw in lines:
+        scene.add_line(Line(*uvw))
+    for def_coefficients in circles:
+        scene.add_circle(Circle(*def_coefficients))
+    for p, q in segments:
+        scene.add_segment(Point(*p), Point(*q), "assertion")
+    return scene
+
+
+SYNTHETIC_SCENES = {
+    "lines only": _scene(lines=[(1, -1, 0), (2, 3, F(1, 3)), (1, 1, 5)]),
+    "vertical line": _scene(lines=[(3, 0, F(-1, 2))]),
+    "horizontal line": _scene(lines=[(0, 7, 2)]),
+    "vertical and horizontal lines with points": _scene(
+        points=[(F(1, 3), F(-2, 7)), (F(5, 2), 4)],
+        lines=[(1, 0, F(-1, 3)), (0, 1, -4), (0, 2, F(1, 9))]),
+    # the viewport of P0 and P1 is [-1/10, 11/10]^2: the first line is its
+    # diagonal, the second only touches the corner (-1/10, -1/10), the
+    # third runs along the side x = -1/10
+    "lines through a viewport corner": _scene(
+        points=[(0, 0), (1, 1)],
+        lines=[(1, -1, 0), (1, 1, F(1, 5)), (10, 0, 1), (1, -1, F(6, 5))]),
+    "circles with radius squared at most zero": _scene(
+        points=[(F(3, 4), F(1, 6))],
+        circles=[(0, 0, 1), (0, 0, 0), (2, -4, 5), (F(1, 3), 1, F(-1, 9))]),
+    "only imaginary and point circles": _scene(circles=[(0, 0, 1), (2, 0, 1)]),
+    "circles, lines and a segment": _scene(
+        points=[(0, 0), (F(3, 2), F(-7, 4))], circles=[(1, F(1, 2), -3)],
+        lines=[(3, 5, F(1, 7)), (0, 2, 1), (5, 0, -1)],
+        segments=[((0, 0), (F(3, 2), F(-7, 4)))]),
+    "two coincident points": Scene(points=[
+        ["A", Point(F(2, 3), F(-5, 8)), "construction"],
+        ["B", Point(F(4, 6), F(-10, 16)), "result"]]),
+    "a zero-length segment": _scene(segments=[((F(1, 7), 2), (F(1, 7), 2))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYNTHETIC_SCENES))
+def test_render_matches_reference_on_synthetic_scenes(name):
+    assert_renders_as_reference(SYNTHETIC_SCENES[name])
