@@ -27,14 +27,16 @@ of binary operators all count), which keeps the parser and every tree walk
 far below Python's recursion limit.  All diagnostics carry a source span.
 
 Evaluation compiles a checked program once per run to one Python function
-(the nesting limit keeps its source under CPython's 200 parentheses): a
-numeric trial returns at its first false assertion, the symbolic run yields
-every verdict, the built-in results of `theorems` run only the definitions
-of their corpus files, and `eval_expr` compiles one expression the same
-way.  A trial binds each parameter to its reduced int pair
-(`scalar.sample_ratios`): a point literal over parameters, int literals and
-their products, such as `(b, k*b)`, is int products and one
-`geom.projective_point`; any other read builds the `Fraction` of its pair.
+(the nesting limit keeps its source under CPython's 200 parentheses) of an
+env that binds each parameter by name and is only read: a numeric trial
+returns at its first false assertion, a stepping program yields each
+definition's value and each assertion's argument values in file order (for
+the symbolic run and for `render`), and the builders of `theorems` get the
+definitions of their corpus files.  A numeric run binds every parameter to
+its reduced int pair (`scalar.sample_ratios`): a point literal over
+parameters, int literals and their products, such as `(b, k*b)`, is int
+products and one `geom.projective_point`; any other read builds the
+`Fraction` of its pair.
 """
 
 from __future__ import annotations
@@ -639,21 +641,10 @@ def to_source(node) -> str:
 # defaults `_c0, _c1, ...`, so sources of one shape share a code object.  It
 # reads the tables above and the helpers `Fraction`, `Point`,
 # `projective_point` and `field_div` from this module's globals each time it
-# runs, so a kept program calls the implementations installed then.  `pairs`
-# maps a parameter to the env key of its reduced int pair (a trial keys each
-# by position, an int, which no name equals); any other is read by name.
+# runs, so a kept program calls the implementations installed then.  The env
+# binds each parameter by name: to its reduced int pair in a paired program,
+# to its value otherwise.
 _compiled = lru_cache(maxsize=256)(compile)
-
-
-def _is_pair_scalar(node, pairs) -> bool:
-    """Whether `node` is a paired parameter, an int literal or their product."""
-    if isinstance(node, IntLit):
-        return True
-    if isinstance(node, Name):
-        return node.ident in pairs
-    return (isinstance(node, Binary) and node.op == "*"
-            and _is_pair_scalar(node.left, pairs)
-            and _is_pair_scalar(node.right, pairs))
 
 
 def _times(left, right):  # the source of an int product; None stands for 1
@@ -663,8 +654,8 @@ def _times(left, right):  # the source of an int product; None stands for 1
 class _Emitter:
     """One generated function: its body, constants, and unpacked pairs."""
 
-    def __init__(self, pairs=None):
-        self.pairs = pairs or {}
+    def __init__(self, paired=False):
+        self.paired = paired
         self.locals, self.unpacked, self.constants, self.body = {}, {}, [], []
 
     def const(self, value) -> str:
@@ -674,11 +665,22 @@ class _Emitter:
     def name(self, ident: str) -> str:
         if ident in self.locals:
             return self.locals[ident]
-        read = f"_env[{self.const(self.pairs.get(ident, ident))}]"
-        return f"_g['Fraction'](*{read})" if ident in self.pairs else read
+        read = f"_env[{self.const(ident)}]"
+        return f"_g['Fraction'](*{read})" if self.paired else read
+
+    def is_pair_scalar(self, node) -> bool:
+        """Whether `node` is an int literal, a parameter of a paired program
+        (a name that is not a definition), or their product."""
+        if isinstance(node, IntLit):
+            return True
+        if isinstance(node, Name):
+            return self.paired and node.ident not in self.locals
+        return (isinstance(node, Binary) and node.op == "*"
+                and self.is_pair_scalar(node.left)
+                and self.is_pair_scalar(node.right))
 
     def pair(self, node):
-        """Sources of the int pair of an `_is_pair_scalar` node; None for 1."""
+        """Sources of the int pair of an `is_pair_scalar` node; None for 1."""
         if isinstance(node, IntLit):
             return self.const(node.value), None
         if isinstance(node, Name):
@@ -695,7 +697,7 @@ class _Emitter:
         if isinstance(node, PointLit):
             if isinstance(node.x, IntLit) and isinstance(node.y, IntLit):
                 return self.const(Point(Fraction(node.x.value), Fraction(node.y.value)))
-            if _is_pair_scalar(node.x, self.pairs) and _is_pair_scalar(node.y, self.pairs):
+            if self.is_pair_scalar(node.x) and self.is_pair_scalar(node.y):
                 (xn, xd), (yn, yd) = self.pair(node.x), self.pair(node.y)
                 return (f"_g['projective_point']({_times(xn, yd)}, "
                         f"{_times(yn, xd)}, {_times(xd, yd) or 1})")
@@ -717,26 +719,26 @@ class _Emitter:
         for stmt in statements:
             if isinstance(stmt, Definition):
                 value = self.expr(stmt.expr)
-                if assertions == "return":
-                    value = f"_env[{self.const(stmt.name)}] = {value}"
                 local = self.locals[stmt.name] = f"_v{len(self.locals)}"
                 self.body.append(f"{local} = {value}")
+                if assertions == "yield":
+                    self.body.append(f"yield {self.const(stmt)}, {local}")
             elif isinstance(stmt, Assertion) and assertions:
                 args = ", ".join(map(self.expr, stmt.args))
-                verdict = f"_PREDICATE_IMPLS[{stmt.predicate!r}]({args})"
-                self.body.append(f"if not {verdict}: return {self.const(stmt)}"
-                                 if assertions == "return"
-                                 else f"yield {self.const(stmt)}, {verdict}")
+                self.body.append(
+                    f"if not _PREDICATE_IMPLS[{stmt.predicate!r}]({args}): "
+                    f"return {self.const(stmt)}" if assertions == "return"
+                    else f"yield {self.const(stmt)}, ({args},)")
         if assertions is None:
             self.body.append("return {%s}" % ", ".join(
                 f"{self.const(name)}: {local}" for name, local in self.locals.items()))
-        else:  # a generator also when there is no assertion
+        else:  # a generator also when there is no statement
             self.body.append("yield from ()" if assertions == "yield" else "return None")
         return self
 
     def function(self):
         """`_program(_env)`: the unpacking, then the body; `_g, _c0, ...` are defaults."""
-        lines = [f"_n{i}, _d{i} = _env[{self.const(self.pairs[name])}]"
+        lines = [f"_n{i}, _d{i} = _env[{self.const(name)}]"
                  for name, i in self.unpacked.items()] + self.body
         params = "".join(f", _c{i}" for i in range(len(self.constants)))
         source = "".join(f"\n    {line}" for line in lines)
@@ -747,17 +749,14 @@ class _Emitter:
         return namespace["_program"]
 
 
-def _compile_program(construction: Construction, pairs=None, assertions="return"):
-    """The program as one generated function of an env: "return" binds each
-    definition into the env and returns the first false assertion or None,
-    "yield" yields each assertion and its verdict, None returns the definitions."""
-    return _Emitter(pairs).program(construction.statements, assertions).function()
-
-
-def _pair_params(construction: Construction) -> set[str]:
-    """The parameters in point literals of int-pair arithmetic."""
-    emit = _Emitter(dict.fromkeys(construction.params))
-    return set(emit.program(construction.statements, None).unpacked)
+def _compile_program(construction: Construction, paired=False, assertions="return"):
+    """The program as one generated function of an env that binds each
+    parameter by name, to its reduced int pair when `paired` and to its
+    value otherwise; the env is only read.  "return" returns the first false
+    assertion or None; "yield" steps through the file, yielding each
+    definition and its value and each assertion and its argument values;
+    None returns the definitions."""
+    return _Emitter(paired).program(construction.statements, assertions).function()
 
 
 def eval_expr(node, env):
@@ -774,19 +773,16 @@ def _run_trial(program, env: dict) -> Assertion | None:
 
 def _evaluate_numeric(construction, seed, trials, bound, label):
     params = construction.params
-    pairs = {name: key for key, name in enumerate(params)}
-    program = _compile_program(construction, pairs)
-    count = len(params)
+    program = _compile_program(construction, paired=True)
 
     def sample(rng, bound):
-        return dict(enumerate(sample_ratios(rng, bound, count)))
+        return dict(zip(params, sample_ratios(rng, bound, len(params))))
 
     def check(env):
         failed = _run_trial(program, env)
         if failed is None:
             return None
-        # the draw's pairs are never rebound
-        return (tuple((name, Fraction(*env[key])) for name, key in pairs.items()),
+        return (tuple((name, Fraction(*env[name])) for name in params),
                 f"assertion {_assertion_text(failed)} failed")
 
     return run_trials(label, "trial", sample, check, trials, seed, bound)
@@ -806,7 +802,10 @@ def _evaluate_symbolic(construction, label):
 
     def checks():
         seen: set[str] = set()
-        for stmt, verdict in program(env):
+        for stmt, values in program(env):
+            if not isinstance(stmt, Assertion):
+                continue
+            verdict = _PREDICATE_IMPLS[stmt.predicate](*values)
             text = _assertion_text(stmt)
             check_id = f"assert {text}"
             serial = 2

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .dsl import Assertion, Definition, Name, ParamDecl, eval_expr
+from .dsl import Assertion, Definition, Name, _compile_program
 from .errors import EmptyScene
 from .geom import Circle, Line, Point
 from .scalar import format_rational
@@ -310,7 +310,7 @@ def render_svg(scene: Scene, width_px: int = 640) -> str:
 
 
 def scene_from_construction(construction, assignment) -> Scene:
-    """Evaluate a parsed .geo program at a rational assignment and stage it.
+    """Step a parsed .geo program at a rational assignment and stage it.
 
     Definitions enter as "construction" objects labeled by name; an object
     an assertion mentions by name is upgraded to "result"; objects built
@@ -335,31 +335,25 @@ def scene_from_construction(construction, assignment) -> Scene:
     env = {name: Fraction(assignment[name]) for name in construction.params}
 
     scene = Scene()
-    for stmt in construction.statements:
-        if isinstance(stmt, ParamDecl):
-            continue
+    for stmt, value in _compile_program(construction, assertions="yield")(env):
         if isinstance(stmt, Definition):
-            value = eval_expr(stmt.expr, env)
-            env[stmt.name] = value
-            if isinstance(value, Point):
-                scene.add_point(stmt.name, value)
-            elif isinstance(value, Line):
-                scene.add_line(value)
-            elif isinstance(value, Circle):
-                scene.add_circle(value)
+            _stage(scene, stmt.name, value, "construction")
             continue
-        arg_values = []
-        for arg in stmt.args:
-            value = eval_expr(arg, env)
-            arg_values.append(value)
-            named = isinstance(arg, Name)
-            cls = "result" if named else "assertion"
-            if isinstance(value, Point):
-                scene.add_point(arg.ident if named else "", value, cls)
-            elif isinstance(value, Line):
-                scene.add_line(value, cls)
-            elif isinstance(value, Circle):
-                scene.add_circle(value, cls)
+        for arg, arg_value in zip(stmt.args, value):
+            if isinstance(arg, Name):
+                _stage(scene, arg.ident, arg_value, "result")
+            else:
+                _stage(scene, "", arg_value, "assertion")
         if stmt.predicate == "midpoint":
-            scene.add_segment(arg_values[1], arg_values[2], "assertion")
+            scene.add_segment(value[1], value[2], "assertion")
     return scene
+
+
+def _stage(scene: Scene, label: str, value, cls: str) -> None:
+    """Add a point, line or circle to `scene`; a scalar draws nothing."""
+    if isinstance(value, Point):
+        scene.add_point(label, value, cls)
+    elif isinstance(value, Line):
+        scene.add_line(value, cls)
+    elif isinstance(value, Circle):
+        scene.add_circle(value, cls)

@@ -202,34 +202,26 @@ def _construction(stem: str):
 
 
 @functools.cache
-def _program(stem: str, rational: bool, assertions):
-    """The parameters of corpus file `stem` that a rational config binds as
-    int pairs (those in point literals of int-pair arithmetic; none for a
-    symbolic config), and the file compiled for that binding, with
-    `assertions` as `dsl._compile_program` takes it, once per process and
-    key."""
+def _program(stem: str, paired: bool, assertions):
+    """Corpus file `stem` compiled with `paired` and `assertions` as
+    `dsl._compile_program` takes them, once per process and key."""
     from . import dsl
 
-    construction = _construction(stem)[0]
-    paired = dsl._pair_params(construction) if rational else ()
-    return paired, dsl._compile_program(
-        construction, {name: name for name in paired}, assertions=assertions)
+    return dsl._compile_program(_construction(stem)[0], paired, assertions)
 
 
 def _run(stem: str, cfg, assertions=None):
     """Corpus file `stem` run on `cfg`: with `assertions=None` the objects
     its definitions name, in file order; with "return" its first false
     assertion, or None.  A config of ints and Fractions binds each parameter
-    of a point literal of int-pair arithmetic, such as `(b, k*b)`, as its
-    reduced int pair, as a numeric `.geo` trial binds its draw, and every
-    other by its own value; any other config (a symbolic one) binds every
-    parameter by its value."""
+    as its reduced int pair, as a numeric `.geo` trial binds its draw; any
+    other config (a symbolic one) binds each parameter by its value."""
     _, params, get = _construction(stem)
     values = get(cfg)
-    paired, program = _program(
-        stem, all(isinstance(value, _RATIONAL) for value in values), assertions)
-    return program({name: value.as_integer_ratio() if name in paired else value
-                    for name, value in zip(params, values)})
+    paired = all(isinstance(value, _RATIONAL) for value in values)
+    if paired:
+        values = [value.as_integer_ratio() for value in values]
+    return _program(stem, paired, assertions)(dict(zip(params, values)))
 
 
 # The builders run the definitions of their corpus files, for the provers,

@@ -504,8 +504,9 @@ def test_dsl_error_is_a_package_error():
 # The evaluator compiles each program once to one generated Python function.
 # `ref_eval` and `ref_run_trial` are a tree-walking interpreter, kept here as
 # the reference: on every corpus file and fixture, numerically and
-# symbolically, the two must bind the same values, reach the same verdict,
-# or raise the same exception class with the same message.
+# symbolically, the trial program must reach the reference's verdict, or
+# raise the same exception class with the same message, and the stepping
+# program must yield the values the reference binds.
 
 def ref_eval(node, env):
     if isinstance(node, IntLit):
@@ -565,9 +566,19 @@ def _trial_outcome(run, construction, env):
     return (failed, {name: _exact_fields(value) for name, value in env.items()})
 
 
-def compiled_run_trial(construction, env):
-    program = _compile_program(construction)
-    return _run_trial(program, env)
+def compiled_run_trial(construction, env, paired=False):
+    """The trial program's verdict; `env` then gains each definition the
+    stepping program yields before that verdict's assertion, as the
+    reference binds them."""
+    failed = _run_trial(_compile_program(construction, paired), env)
+    bound = {}
+    for stmt, value in _compile_program(construction, paired, "yield")(env):
+        if stmt is failed:
+            break
+        if isinstance(stmt, Definition):
+            bound[stmt.name] = value
+    env.update(bound)
+    return failed
 
 
 def assert_evaluators_agree(construction, env):
@@ -730,8 +741,6 @@ def test_pair_trials_bind_what_the_reference_binds(source, bound):
     # and every definition bound to the same exact value
     ast = parse(source)
     params = ast.params
-    keys = {name: key for key, name in enumerate(params)}
-    program = _compile_program(ast, keys)
     names = [stmt.name for stmt in ast.statements if isinstance(stmt, Definition)]
 
     def outcome(run, env):
@@ -744,10 +753,10 @@ def test_pair_trials_bind_what_the_reference_binds(source, bound):
     outcomes = set()
     for trial in range(40):
         pairs = sample_ratios(derive_rng(23, "pairs", trial), bound, len(params))
-        ref_env = {name: F(*pairs[keys[name]]) for name in params}
+        ref_env = {name: F(*pair) for name, pair in zip(params, pairs)}
         expected = outcome(lambda env: ref_run_trial(ast, env), ref_env)
-        assert outcome(lambda env: _run_trial(program, env),
-                       dict(enumerate(pairs))) == expected
+        assert outcome(lambda env: compiled_run_trial(ast, env, paired=True),
+                       dict(zip(params, pairs))) == expected
         outcomes.add(expected[0] if expected[0] == "raise" else "ran")
     if source == PAIR_PROGRAMS["vanishing"]:
         assert outcomes == {"raise"}
@@ -774,22 +783,36 @@ def test_compiled_programs_look_up_predicates_when_they_run(monkeypatch):
 
 def test_vanishing_literal_skips_every_trial_with_the_scalar_message():
     ast = parse(PAIR_PROGRAMS["vanishing"])
-    keys = {"a": 0}
     with pytest.raises(DegenerateConfig,
                        match="^division by zero in a scalar expression$"):
-        _run_trial(_compile_program(ast, keys), {0: (3, 4)})
+        _run_trial(_compile_program(ast, paired=True), {"a": (3, 4)})
     report = evaluate_construction(ast, trials=20)
     assert report.skipped == 20 and report.passed == 0
+
+
+@pytest.mark.parametrize("path", corpus_sources(), ids=lambda p: p.stem)
+def test_a_trial_leaves_its_env_as_given(path):
+    # passing, failing and degenerate trials alike only read their draw
+    ast = parse(path.read_text())
+    program = _compile_program(ast, paired=True)
+    for trial in range(30):
+        pairs = sample_ratios(derive_rng(31, "env", trial), 3, len(ast.params))
+        env = dict(zip(ast.params, pairs))
+        before = dict(env)
+        try:
+            _run_trial(program, env)
+        except DegenerateConfig:
+            pass
+        assert env == before
 
 
 def _fraction_reads(source, monkeypatch):
     """The parameters one pair trial of `source` turns into Fractions."""
     ast = parse(source)
-    keys = {name: key for key, name in enumerate(ast.params)}
-    program = _compile_program(ast, keys)
+    program = _compile_program(ast, paired=True)
     # consecutive ints, so each parameter's pair is reduced and its own
-    env = {key: (key + 2, key + 3) for key in keys.values()}
-    owner = {env[key]: name for name, key in keys.items()}
+    env = {name: (key + 2, key + 3) for key, name in enumerate(ast.params)}
+    owner = {pair: name for name, pair in env.items()}
     built = []
 
     def recording(*args):
@@ -869,8 +892,6 @@ def test_geo_names_never_reach_the_generated_code(monkeypatch):
             return ("raise", type(exc), str(exc))
         return failed, {n: _exact_fields(v) for n, v in env.items() if n in defined}
 
-    program = _compile_program(ast, {"c": 0, "k": 1})
-
     outcomes = set()
     for trial in range(40):
         # named Fraction values, against the reference and through eval_expr
@@ -878,10 +899,10 @@ def test_geo_names_never_reach_the_generated_code(monkeypatch):
         outcome = assert_evaluators_agree(
             ast, {name: sample_rational(rng, 3) for name in ast.params})
         outcomes.add(outcome[0] if outcome[0] == "raise" else outcome[0].predicate)
-        # int pairs keyed by position
-        pairs = sample_ratios(derive_rng(29, "pairs", trial), 3, 2)
-        ref_env = {"c": F(*pairs[0]), "k": F(*pairs[1])}
-        assert (definitions(lambda env: _run_trial(program, env), dict(enumerate(pairs)))
+        # int pairs bound by name
+        pairs = dict(zip("ck", sample_ratios(derive_rng(29, "pairs", trial), 3, 2)))
+        ref_env = {name: F(*pair) for name, pair in pairs.items()}
+        assert (definitions(lambda env: compiled_run_trial(ast, env, paired=True), pairs)
                 == definitions(lambda env: ref_run_trial(ast, env), ref_env))
     assert outcomes == {"raise", "on"}
     # symbolically: the same verdict for every assertion as the reference
@@ -926,13 +947,13 @@ def test_deepest_programs_compile_and_run_in_every_binding(kind, param):
     assert failed is None
     expected.pop("a", None)
     # int pairs, and a definitions-only build
-    trial = {0: value.as_integer_ratio()} if param else {}
-    assert _run_trial(_compile_program(ast, {"a": 0}), trial) is None
-    built = _compile_program(ast, {"a": "a"}, assertions=None)(
-        {"a": value.as_integer_ratio()} if param else {})
+    pairs = {"a": value.as_integer_ratio()} if param else {}
+    trial = dict(pairs)
+    assert compiled_run_trial(ast, trial, paired=True) is None
+    built = _compile_program(ast, True, assertions=None)(pairs)
     for bound in (trial, built):
         assert {name: _exact_fields(v) for name, v in bound.items()
-                if name != 0} == expected
+                if name != "a"} == expected
     report = evaluate_construction(ast, trials=5)
     assert report.ok and report.passed == 5
     # symbolic: no assertion to check, and nothing goes wrong building

@@ -8,7 +8,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, strategies as st
 
-from butterfly.dsl import parse
+from butterfly.dsl import Assertion, Definition, Name, ParamDecl, eval_expr, parse
 from butterfly.errors import DegenerateConfig, EmptyScene
 from butterfly.geom import Circle, Line, Point
 from butterfly.render import (
@@ -21,7 +21,7 @@ from butterfly.render import (
     scene_from_construction,
 )
 from butterfly.scalar import derive_rng, format_rational, sample_rational
-from tests.test_dsl import CORPUS, FIXTURES
+from tests.test_dsl import CORPUS, FIXTURES, HYGIENE
 
 F = Fraction
 ANCHOR = {"a": F(2), "b": F(1), "c": F(-3), "d": F(-2), "k": F(1)}
@@ -467,3 +467,103 @@ SYNTHETIC_SCENES = {
 @pytest.mark.parametrize("name", sorted(SYNTHETIC_SCENES))
 def test_render_matches_reference_on_synthetic_scenes(name):
     assert_renders_as_reference(SYNTHETIC_SCENES[name])
+
+
+# -- staging against the per-statement reference -------------------------------------
+
+
+def ref_scene_from_construction(construction, assignment) -> Scene:
+    """`scene_from_construction` as it was written on `eval_expr`, one
+    statement at a time, kept as the reference."""
+    missing = [name for name in construction.params if name not in assignment]
+    if missing:
+        raise ValueError(f"unbound parameters: {', '.join(missing)}")
+    for name in construction.params:
+        if not isinstance(assignment[name], (int, Fraction)):
+            raise TypeError(f"the value of {name} must be an int or Fraction, "
+                            f"not {type(assignment[name]).__name__}")
+    if not any(isinstance(stmt, Assertion)
+               or isinstance(stmt, Definition) and stmt.type != "scalar"
+               for stmt in construction.statements):
+        raise EmptyScene("nothing to draw")
+    env = {name: Fraction(assignment[name]) for name in construction.params}
+
+    scene = Scene()
+    for stmt in construction.statements:
+        if isinstance(stmt, ParamDecl):
+            continue
+        if isinstance(stmt, Definition):
+            value = eval_expr(stmt.expr, env)
+            env[stmt.name] = value
+            if isinstance(value, Point):
+                scene.add_point(stmt.name, value)
+            elif isinstance(value, Line):
+                scene.add_line(value)
+            elif isinstance(value, Circle):
+                scene.add_circle(value)
+            continue
+        arg_values = []
+        for arg in stmt.args:
+            value = eval_expr(arg, env)
+            arg_values.append(value)
+            named = isinstance(arg, Name)
+            cls = "result" if named else "assertion"
+            if isinstance(value, Point):
+                scene.add_point(arg.ident if named else "", value, cls)
+            elif isinstance(value, Line):
+                scene.add_line(value, cls)
+            elif isinstance(value, Circle):
+                scene.add_circle(value, cls)
+        if stmt.predicate == "midpoint":
+            scene.add_segment(arg_values[1], arg_values[2], "assertion")
+    return scene
+
+
+def _staged(stage, ast, env):
+    """The scene `stage` makes, or the class and message of what it raises."""
+    try:
+        return stage(ast, env)
+    except (DegenerateConfig, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def staged_kinds(ast, seed, bounds, draws=50):
+    """Stage `draws` seeded draws at each bound with both functions, require
+    equal outcomes, and return the kinds of outcome seen."""
+    kinds = set()
+    for bound in bounds:
+        for draw in range(draws):
+            rng = derive_rng(seed, "stage", bound, draw)
+            env = {name: sample_rational(rng, bound) for name in ast.params}
+            expected = _staged(ref_scene_from_construction, ast, env)
+            assert _staged(scene_from_construction, ast, env) == expected
+            kinds.add("scene" if isinstance(expected, Scene) else expected[0])
+    return kinds
+
+
+# assertions before later definitions, as in lemma2.geo, one of them false
+# on most draws: staging goes on past it
+EARLY_ASSERTIONS = """
+param a, b;
+point A = (a, b);
+point B = (b, a);
+assert collinear(A, B, (1, 2));
+line l = line(A, B);
+assert midpoint(midpoint(A, B), A, B);
+point C = intersect(l, line((0, 0), (1, 0)));
+circle w = circumcircle(A, B, (0, 0));
+assert on(C, l);
+scalar p = power(C, w);
+"""
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.geo"))
+                         + sorted(FIXTURES.glob("*.geo")), ids=lambda p: p.stem)
+def test_staging_matches_the_per_statement_reference(path):
+    # bound 3 makes degenerate draws of every file
+    assert staged_kinds(parse(path.read_text()), 41, (20, 3)) > {"scene"}
+
+
+def test_staging_matches_the_reference_on_hygiene_and_early_assertions():
+    assert staged_kinds(parse(HYGIENE), 43, (20, 3)) > {"scene"}
+    assert staged_kinds(parse(EARLY_ASSERTIONS), 47, (20, 3)) > {"scene"}

@@ -449,21 +449,35 @@ def test_kept_programs_call_the_implementations_installed_later(monkeypatch):
     assert len(calls) == 8
 
 
-def test_rational_builds_pair_only_the_parameters_of_pair_literals(monkeypatch):
-    assert dsl._pair_params(theorems._construction("thm1")[0]) == set("abcdk")
-    assert dsl._pair_params(theorems._construction("thm0_cyclic")[0]) == set()
-    builds = ((build_chord, ChordButterflyConfig(F(3), F(1, 3), F(-5), F(-1, 5))),
-              (build_thm0, CyclicConfig(F(1, 2), F(3), F(-4), F(-1, 6))),
-              (build_thm1, ANCHOR))
-    for build, cfg in builds:  # compiled before the patch below
+def test_rational_builds_make_the_fractions_of_the_geo_trial(monkeypatch):
+    # a rational build binds every parameter as its int pair, as `verify`
+    # binds its draw: a parameter read as a scalar, such as t_a in
+    # on_unit_circle(t_a), is one Fraction of its pair, and thm1 reads its
+    # parameters only in int-pair point literals
+    builds = ((build_chord, "butterfly_chord",
+               ChordButterflyConfig(F(3), F(1, 3), F(-5), F(-1, 5))),
+              (build_thm0, "thm0_cyclic", CyclicConfig(F(1, 2), F(3), F(-4), F(-1, 6))),
+              (build_thm1, "thm1", ANCHOR))
+    trials = {}
+    for build, stem, cfg in builds:  # compiled before the patch below
         build(cfg)
-    # on_unit_circle(t_a) reads the config's own Fraction: no int pair is
-    # taken and no Fraction rebuilt from one
+        ast = theorems._construction(stem)[0]
+        trials[stem] = (dsl._compile_program(ast, paired=True),
+                        {name: value.as_integer_ratio()
+                         for name, value in cfg.params()})
     made = []
     monkeypatch.setattr(dsl, "Fraction", lambda *args: made.append(args) or F(*args))
-    for build, cfg in builds:
-        build(cfg)
-    assert made == []
+
+    def fractions(run):
+        made.clear()
+        run()
+        return list(made)
+
+    for build, stem, cfg in builds:
+        program, env = trials[stem]
+        built = fractions(lambda: build(cfg))
+        assert fractions(lambda: dsl._run_trial(program, env)) == built
+        assert built == ([] if stem == "thm1" else list(env.values()))
 
 
 # -- trials and checkers --------------------------------------------------------
