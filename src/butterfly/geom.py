@@ -6,9 +6,7 @@ Zero tests are `not x`, which both scalar types support through `__bool__`.
 A field of a `Point`, `Line` or `Circle` must be an int, a `Fraction` or a
 `RationalFunction`; any other type (a float, say) raises `TypeError`.
 
-A `Point`, `Line` or `Circle` whose fields are all int or `Fraction` is
-rational and is stored as a canonical tuple of Python ints: the entries
-have gcd 1 and the last entry is positive.
+Every `Point`, `Line` and `Circle` is stored as one homogeneous tuple `_h`:
 
 - A point (X, Y, Z) is the projective point: x = X/Z and y = Y/Z.
 - A circle (D, E, F, S) is the equation S(x^2 + y^2) + Dx + Ey + F = 0.
@@ -16,23 +14,26 @@ have gcd 1 and the last entry is positive.
   line's coefficients are not canonical (`render` prints the triple as it
   was built); incidence, meets and perpendicularity do not depend on S.
 
-So two rational points, or two rational circles, are equal exactly when
-their tuples are equal.  Reading a public field (`x`, `y`, `u`, `v`, `w`,
-`d`, `e`, `f`) builds the `Fraction` it stands for.  An object with any
-`RationalFunction` field keeps its fields as given (ints become
-`Fraction`s) and has no int tuple.
+A figure whose fields are all int or `Fraction` is rational: its tuple is
+canonical, Python ints with gcd 1 and a positive last entry, so two
+rational points, or two rational circles, are equal exactly when their
+tuples are, and reading a public field (`x`, `y`, `u`, `v`, `w`, `d`, `e`,
+`f`) builds the `Fraction` it stands for.  Any other figure is symbolic:
+its tuple is its fields as given (ints become `Fraction`s) and the int 1.
+A figure is rational exactly when `type(h[0]) is int`, since a rational
+tuple is all ints and a symbolic field never is one.
 
-Every function has one body, written on these homogeneous tuples for both
-backends.  It reads each input as `fig._ints or _coords(fig)`; `_coords`
-gives a figure with no int tuple in the same layout, its fields followed
-by the int 1.  It builds its output with a trusted constructor, `_point`,
-`_line` or `_circle`: all-int entries are reduced with one gcd, and any
-other entries are divided through by the last one and passed to the
-public constructor.  With every last entry 1 a body performs exactly the
-field operations of the affine formula (`RationalFunction` returns itself
-for a factor or divisor of 1), so a symbolic object is built term for
-term as the affine formula builds it, and a rational one stores that
-formula's exact values.  Each body raises its own degeneracies.
+Every function has one body for both backends.  A construction or a
+predicate reads each input's `_h` (the scalar functions `power_of_point`,
+`cross_ratio` and `pencil_cross_ratio` read public fields) and builds its
+output with a trusted constructor, `_point`, `_line` or `_circle`.
+All-int entries are reduced with one gcd; any other entries are divided
+through by the last one and passed to the public constructor.  With every
+last entry 1 a body performs exactly the field operations of the affine
+formula (`RationalFunction` returns itself for a factor or divisor of 1),
+so a symbolic object is built term for term as the affine formula builds
+it, and a rational one stores that formula's exact values.  Each body
+raises its own degeneracies.
 
 Two functions keep a second formula, each for the measured reason given
 at it: `circumcenter` (a direct formula for three rational points) and
@@ -70,12 +71,11 @@ _RATIONAL = (int, Fraction)
 
 
 class _Figure:
-    """The storage `Point`, `Line` and `Circle` share: the int tuple of a
-    rational object (`_ints`, else None) or the fields as given
-    (`_fields`).  Instances are immutable and, comparing by value across
-    representations, unhashable."""
+    """The storage `Point`, `Line` and `Circle` share: one homogeneous
+    tuple, `_h` (see the module docstring).  Instances are immutable and,
+    comparing by value across representations, unhashable."""
 
-    __slots__ = ("_ints", "_fields")
+    __slots__ = ("_h",)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -83,12 +83,12 @@ class _Figure:
     __hash__ = None
 
 
-_set_ints, _set_fields = _Figure._ints.__set__, _Figure._fields.__set__
+_set = _Figure._h.__set__
 _new = object.__new__
 
 
 def _exact(value):
-    """A field of an object with no int tuple: an int as a Fraction, so
+    """A field of a symbolic object: an int as a Fraction, so
     that `/` never yields a float; a Fraction or RationalFunction as it is.
     Any other type raises TypeError."""
     if isinstance(value, int):
@@ -101,13 +101,14 @@ def _exact(value):
 
 def _field(index: int, scale: int) -> property:
     """A public field: the Fraction entry `index` / entry `scale` of a
-    rational object's int tuple, built on each read, or the field as given."""
+    rational object's tuple, built on each read, or a symbolic object's
+    entry `index` as given."""
 
     def read(self):
-        ints = self._ints
-        if ints is None:
-            return self._fields[index]
-        return Fraction(ints[index], ints[scale])
+        h = self._h
+        if type(h[0]) is int:
+            return Fraction(h[index], h[scale])
+        return h[index]
 
     return property(read)
 
@@ -123,10 +124,9 @@ class Point(_Figure):
 
     def __init__(self, x, y):
         if isinstance(x, _RATIONAL) and isinstance(y, _RATIONAL):
-            _set_ints(self, _scaled(x, y))
+            _set(self, _scaled(x, y))
         else:
-            _set_ints(self, None)
-            _set_fields(self, (_exact(x), _exact(y)))
+            _set(self, (_exact(x), _exact(y), 1))
 
     x = _field(0, 2)
     y = _field(1, 2)
@@ -138,8 +138,8 @@ class Point(_Figure):
     def __eq__(self, other):
         if not isinstance(other, Point):
             return NotImplemented
-        x1, y1, z1 = self._ints or _coords(self)
-        x2, y2, z2 = other._ints or _coords(other)
+        x1, y1, z1 = self._h
+        x2, y2, z2 = other._h
         return not (x1 * z2 - x2 * z1) and not (y1 * z2 - y2 * z1)
 
     def __repr__(self):
@@ -169,13 +169,12 @@ class Line(_Figure):
                 and isinstance(w, _RATIONAL)):
             if not (u or v):
                 raise ValueError("line needs u or v nonzero")
-            _set_ints(self, _scaled(u, v, w))
+            _set(self, _scaled(u, v, w))
             return
         u, v, w = _clear_line(_exact(u), _exact(v), _exact(w))
         if not (u or v):
             raise ValueError("line needs u or v nonzero")
-        _set_ints(self, None)
-        _set_fields(self, (u, v, w))
+        _set(self, (u, v, w, 1))
 
     u = _field(0, 3)
     v = _field(1, 3)
@@ -187,8 +186,8 @@ class Line(_Figure):
         being nonzero."""
         if not isinstance(other, Line):
             return NotImplemented
-        u1, v1, w1, _ = self._ints or _coords(self)
-        u2, v2, w2, _ = other._ints or _coords(other)
+        u1, v1, w1, _ = self._h
+        u2, v2, w2, _ = other._h
         return _rank_one(u1, v1, w1, u2, v2, w2)
 
     def __repr__(self):
@@ -207,10 +206,9 @@ class Circle(_Figure):
     def __init__(self, d, e, f):
         if (isinstance(d, _RATIONAL) and isinstance(e, _RATIONAL)
                 and isinstance(f, _RATIONAL)):
-            _set_ints(self, _scaled(d, e, f))
+            _set(self, _scaled(d, e, f))
         else:
-            _set_ints(self, None)
-            _set_fields(self, (_exact(d), _exact(e), _exact(f)))
+            _set(self, (_exact(d), _exact(e), _exact(f), 1))
 
     d = _field(0, 3)
     e = _field(1, 3)
@@ -225,8 +223,8 @@ class Circle(_Figure):
     def __eq__(self, other):
         if not isinstance(other, Circle):
             return NotImplemented
-        d1, e1, f1, s1 = self._ints or _coords(self)
-        d2, e2, f2, s2 = other._ints or _coords(other)
+        d1, e1, f1, s1 = self._h
+        d2, e2, f2, s2 = other._h
         return (not (d1 * s2 - d2 * s1) and not (e1 * s2 - e2 * s1)
                 and not (f1 * s2 - f2 * s1))
 
@@ -270,12 +268,6 @@ def _scaled(*values) -> tuple:
     return tuple(scaled)
 
 
-def _coords(fig) -> tuple:
-    """A figure with no int tuple in its int tuple's layout: Point (x, y, 1),
-    Line (u, v, w, 1), Circle (d, e, f, 1)."""
-    return (*fig._fields, 1)
-
-
 # Trusted constructors: every body builds its output with one of these.  The
 # last entry is nonzero (positive for a line) and a line's (U, V) is nonzero,
 # so of __init__'s checks and conversions only the reduction remains for int
@@ -295,7 +287,7 @@ def _point(x, y, z) -> Point:
     if g != 1:
         x, y, z = x // g, y // g, z // g
     p = _new(Point)
-    _set_ints(p, (x, y, z))
+    _set(p, (x, y, z))
     return p
 
 
@@ -323,7 +315,7 @@ def _line(u, v, w, s) -> Line:
     if g != 1:
         u, v, w, s = u // g, v // g, w // g, s // g
     line = _new(Line)
-    _set_ints(line, (u, v, w, s))
+    _set(line, (u, v, w, s))
     return line
 
 
@@ -337,7 +329,7 @@ def _circle(d, e, f, s) -> Circle:
     if g != 1:
         d, e, f, s = d // g, e // g, f // g, s // g
     circle = _new(Circle)
-    _set_ints(circle, (d, e, f, s))
+    _set(circle, (d, e, f, s))
     return circle
 
 
@@ -379,20 +371,19 @@ def _clear_line(u, v, w):
 
 
 def midpoint(p: Point, q: Point) -> Point:
-    x1, y1, z1 = p._ints or _coords(p)
-    x2, y2, z2 = q._ints or _coords(q)
+    x1, y1, z1 = p._h
+    x2, y2, z2 = q._h
     return _point(x1 * z2 + x2 * z1, y1 * z2 + y2 * z1, 2 * z1 * z2)
 
 
 def line_through(p: Point, q: Point) -> Line:
     """The unique line through two distinct points."""
-    a, b = p._ints, q._ints
-    x1, y1, z1 = a or _coords(p)
-    x2, y2, z2 = b or _coords(q)
+    x1, y1, z1 = p._h
+    x2, y2, z2 = q._h
     dx, dy = x2 * z1 - x1 * z2, y2 * z1 - y1 * z2
     if not (dx or dy):
         raise CoincidentPoints("no unique line through coincident points")
-    if a and b:
+    if type(x1) is int and type(x2) is int:
         # W = x2*y1 - x1*y2 over S = z1*z2 is the affine W divided by z1.
         # The homogenized affine W below costs 0.1 to 0.15 us more a call
         # (CPython 3.11), and a numeric-trials pass makes 74,722 calls:
@@ -407,8 +398,8 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
     Raises ParallelLines for distinct parallel lines and CoincidentLines
     when the two triples describe the same line.
     """
-    u1, v1, w1, _ = l1._ints or _coords(l1)
-    u2, v2, w2, _ = l2._ints or _coords(l2)
+    u1, v1, w1, _ = l1._h
+    u2, v2, w2, _ = l2._h
     det = u1 * v2 - u2 * v1
     if not det:
         if l1 == l2:
@@ -419,8 +410,8 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
 
 def perp_bisector(p: Point, q: Point) -> Line:
     """Locus of points equidistant from two distinct points."""
-    x1, y1, z1 = p._ints or _coords(p)
-    x2, y2, z2 = q._ints or _coords(q)
+    x1, y1, z1 = p._h
+    x2, y2, z2 = q._h
     dx, dy = x2 * z1 - x1 * z2, y2 * z1 - y1 * z2
     if not (dx or dy):
         raise CoincidentPoints("perpendicular bisector needs distinct points")
@@ -432,8 +423,8 @@ def perp_bisector(p: Point, q: Point) -> Line:
 
 def perp_through(p: Point, line: Line) -> Line:
     """The perpendicular to `line` passing through `p` (p need not lie on it)."""
-    x, y, z = p._ints or _coords(p)
-    u, v, _, s = line._ints or _coords(line)
+    x, y, z = p._h
+    u, v, _, s = line._h
     return _line(-v * z, u * z, v * x - u * y, s * z)
 
 
@@ -443,9 +434,9 @@ def parallelogram_fourth(x: Point, y: Point, z: Point) -> Point:
     Pure coordinate arithmetic y + z - x; degenerate (collinear) inputs
     are deliberately allowed and simply give a flat parallelogram.
     """
-    x1, y1, z1 = x._ints or _coords(x)
-    x2, y2, z2 = y._ints or _coords(y)
-    x3, y3, z3 = z._ints or _coords(z)
+    x1, y1, z1 = x._h
+    x2, y2, z2 = y._h
+    x3, y3, z3 = z._h
     z23 = z2 * z3
     return _point((x2 * z3 + x3 * z2) * z1 - x1 * z23,
                   (y2 * z3 + y3 * z2) * z1 - y1 * z23, z1 * z23)
@@ -461,26 +452,26 @@ def newton_line(a: Point, b: Point, c: Point, d: Point) -> Line:
 
 
 def is_collinear(p: Point, q: Point, r: Point) -> bool:
-    x1, y1, z1 = p._ints or _coords(p)
-    x2, y2, z2 = q._ints or _coords(q)
-    x3, y3, z3 = r._ints or _coords(r)
+    x1, y1, z1 = p._h
+    x2, y2, z2 = q._h
+    x3, y3, z3 = r._h
     return not ((x2 * z1 - x1 * z2) * (y3 * z1 - y1 * z3)
                 - (y2 * z1 - y1 * z2) * (x3 * z1 - x1 * z3))
 
 
 def is_midpoint(m: Point, p: Point, q: Point) -> bool:
     """Exact componentwise test 2m = p + q."""
-    x1, y1, z1 = m._ints or _coords(m)
-    x2, y2, z2 = p._ints or _coords(p)
-    x3, y3, z3 = q._ints or _coords(q)
+    x1, y1, z1 = m._h
+    x2, y2, z2 = p._h
+    x3, y3, z3 = q._h
     z23, z13, z12 = z2 * z3, z1 * z3, z1 * z2
     return (not (2 * x1 * z23 - x2 * z13 - x3 * z12)
             and not (2 * y1 * z23 - y2 * z13 - y3 * z12))
 
 
 def is_on_line(p: Point, line: Line) -> bool:
-    x, y, z = p._ints or _coords(p)
-    u, v, w, _ = line._ints or _coords(line)
+    x, y, z = p._h
+    u, v, w, _ = line._h
     return not (u * x + v * y + w * z)
 
 
@@ -491,8 +482,8 @@ def line_side(p: Point, line: Line) -> int:
     with S > 0 and Z > 0, so the sums agree in sign.  Q(a, b, c, d, k)
     has no order, so a symbolic input raises TypeError.
     """
-    a, b = p._ints, line._ints
-    if not (a and b):
+    a, b = p._h, line._h
+    if type(a[0]) is not int or type(b[0]) is not int:
         raise TypeError("line_side needs a rational point and line")
     value = b[0] * a[0] + b[1] * a[1] + b[2] * a[2]
     return (value > 0) - (value < 0)
@@ -500,14 +491,14 @@ def line_side(p: Point, line: Line) -> int:
 
 def is_parallel(l1: Line, l2: Line) -> bool:
     """Same direction; coincident lines count as parallel."""
-    u1, v1, _, _ = l1._ints or _coords(l1)
-    u2, v2, _, _ = l2._ints or _coords(l2)
+    u1, v1, _, _ = l1._h
+    u2, v2, _, _ = l2._h
     return not (u1 * v2 - u2 * v1)
 
 
 def is_perpendicular(l1: Line, l2: Line) -> bool:
-    u1, v1, _, _ = l1._ints or _coords(l1)
-    u2, v2, _, _ = l2._ints or _coords(l2)
+    u1, v1, _, _ = l1._h
+    u2, v2, _, _ = l2._h
     return not (u1 * u2 + v1 * v2)
 
 
@@ -516,8 +507,8 @@ def is_perpendicular(l1: Line, l2: Line) -> bool:
 
 def circumcenter(p: Point, q: Point, r: Point) -> Point:
     """Center of the circle through three non-collinear points."""
-    a, b, c = p._ints, q._ints, r._ints
-    if a and b and c:
+    a, b, c = p._h, q._h, r._h
+    if type(a[0]) is int and type(b[0]) is int and type(c[0]) is int:
         # The two bisectors below, met by Cramer's rule in one formula on the
         # coordinates times s = z1*z2*z3: half the time of the composed
         # bisectors (1.5 against 2.8 us a call, CPython 3.11), and a
@@ -552,7 +543,7 @@ def _det3(r1, r2, r3):
 
 def circumcircle(p: Point, q: Point, r: Point) -> Circle:
     """Monic equation of the circle through three non-collinear points."""
-    a, b, c = p._ints or _coords(p), q._ints or _coords(q), r._ints or _coords(r)
+    a, b, c = p._h, q._h, r._h
     det = _det3(a, b, c)
     if not det:
         if p == q or q == r or p == r:
@@ -577,8 +568,8 @@ def circle_on_diameter(p: Point, q: Point) -> Circle:
     """Circle having segment pq as a diameter (Thales circle)."""
     if p == q:
         raise CoincidentPoints("diameter endpoints must be distinct")
-    x1, y1, z1 = p._ints or _coords(p)
-    x2, y2, z2 = q._ints or _coords(q)
+    x1, y1, z1 = p._h
+    x2, y2, z2 = q._h
     return _circle(-(x1 * z2 + x2 * z1), -(y1 * z2 + y2 * z1),
                    x1 * x2 + y1 * y2, z1 * z2)
 
@@ -589,8 +580,8 @@ def power_of_point(p: Point, circle: Circle):
 
 
 def is_on_circle(p: Point, circle: Circle) -> bool:
-    x, y, z = p._ints or _coords(p)
-    d, e, f, s = circle._ints or _coords(circle)
+    x, y, z = p._h
+    d, e, f, s = circle._h
     return not (s * (x * x + y * y) + d * x * z + e * y * z + f * (z * z))
 
 
@@ -610,9 +601,9 @@ def second_intersection(circle: Circle, line: Line, known: Point) -> Point:
     tangent at `known`, the second intersection coincides with it and
     `known` is returned.
     """
-    x, y, z = known._ints or _coords(known)
-    u, v, w, _ = line._ints or _coords(line)
-    d, e, f, s = circle._ints or _coords(circle)
+    x, y, z = known._h
+    u, v, w, _ = line._h
+    d, e, f, s = circle._h
     if u * x + v * y + w * z:
         raise PointNotOnLine("second_intersection: point is not on the line")
     if s * (x * x + y * y) + (d * x + e * y + f * z) * z:
@@ -651,9 +642,9 @@ def are_coaxial(c1: Circle, c2: Circle, c3: Circle) -> bool:
     two minors through its first nonzero entry.  Distinct concentric
     circles do share a (degenerate) pencil and test true.
     """
-    d1, e1, f1, s1 = c1._ints or _coords(c1)
-    d2, e2, f2, s2 = c2._ints or _coords(c2)
-    d3, e3, f3, s3 = c3._ints or _coords(c3)
+    d1, e1, f1, s1 = c1._h
+    d2, e2, f2, s2 = c2._h
+    d3, e3, f3, s3 = c3._h
     # c1 - c2 and c1 - c3 times s1*s2 and s1*s3
     r1 = (d1 * s2 - d2 * s1, e1 * s2 - e2 * s1, f1 * s2 - f2 * s1)
     r2 = (d1 * s3 - d3 * s1, e1 * s3 - e3 * s1, f1 * s3 - f3 * s1)

@@ -2,7 +2,7 @@
 
 Layout happens in exact integer arithmetic: the viewport is the content
 bounding box plus a 10% margin, held as four ints over one common
-denominator, and infinite lines are clipped to it exactly.  Points are
+denominator, and infinite lines are clipped to it exactly.  Figures are
 read from their int tuples, each pixel coordinate is one int numerator
 over one positive int denominator, and only the final attribute strings
 are rounded (shortest decimal within 1e-6 of the true value, decided on
@@ -143,9 +143,16 @@ def _extremes(ratios: list, at: int = 0) -> tuple:
     return lo, hi
 
 
-def _clip_line(line: Line, left: int, right: int, bottom: int, top: int,
+def _ints(figure, kind: str) -> tuple:
+    """A rational figure's int tuple; TypeError names a symbolic `kind`."""
+    if type(figure._h[0]) is not int:
+        raise TypeError(f"render_svg draws no symbolic {kind}")
+    return figure._h
+
+
+def _clip_line(line: tuple, left: int, right: int, bottom: int, top: int,
                unit: int):
-    """Intersect a line with the viewport rectangle, exactly.
+    """Intersect a line's int tuple with the viewport rectangle, exactly.
 
     The rectangle is [left, right] x [bottom, top] in units of 1/unit, and
     so are the two boundary points returned, each as (x numerator, x
@@ -154,7 +161,7 @@ def _clip_line(line: Line, left: int, right: int, bottom: int, top: int,
     rectangle (or only touches a corner).  All of them lie on the line, so
     x orders them, or y when the line is vertical.
     """
-    u, v, w, _ = line._ints  # u*x + v*y + w = 0, scaled by a positive int
+    u, v, w, _ = line  # u*x + v*y + w = 0, scaled by a positive int
     candidates = []
     if v:
         for x in (left, right):
@@ -186,12 +193,13 @@ def render_svg(scene: Scene, width_px: int = 640) -> str:
     if width_px < 64:
         raise ValueError("width_px must be at least 64")
 
+    lines = [(_ints(line, "line"), cls) for line, cls in scene.lines]
     # a drawable circle as its center, projective (x, y, z), and its radius
     # in millionths: S(x^2 + y^2) + Dx + Ey + F = 0 has center (-D, -E, 2S)
     # and radius^2 (D^2 + E^2 - 4FS) / 4S^2
     discs = []
     for circle, cls in scene.circles:
-        d, e, f, s = circle._ints
+        d, e, f, s = _ints(circle, "circle")
         radius_squared = d * d + e * e - 4 * f * s
         if radius_squared > 0:
             discs.append(((-d, -e, 2 * s),
@@ -200,11 +208,11 @@ def render_svg(scene: Scene, width_px: int = 640) -> str:
     # the content's coordinates as (numerator, positive denominator) pairs
     xs, ys = [], []
     for _, point, _ in scene.points:
-        x, y, z = point._ints
+        x, y, z = _ints(point, "point")
         xs.append((x, z))
         ys.append((y, z))
     for p, q, _ in scene.segments:
-        for x, y, z in (p._ints, q._ints):
+        for x, y, z in (_ints(p, "segment"), _ints(q, "segment")):
             xs.append((x, z))
             ys.append((y, z))
     for (x, y, z), r, _ in discs:
@@ -246,7 +254,7 @@ def render_svg(scene: Scene, width_px: int = 640) -> str:
                 (top * yq - y) * width_px, yq * span)
 
     def point_px(point: Point) -> tuple:
-        x, y, z = point._ints
+        x, y, z = point._h
         return to_px(x * unit, z, y * unit, z)
 
     out = []
@@ -283,7 +291,7 @@ def render_svg(scene: Scene, width_px: int = 640) -> str:
                    f'r="{_round_decimal(r * width_px * unit, span * 10 ** 6)}"/>')
 
     strokes = []
-    for line, cls in scene.lines:
+    for line, cls in lines:
         clipped = _clip_line(line, left, right, bottom, top, unit)
         if clipped is not None:
             strokes.append((to_px(*clipped[0]), to_px(*clipped[1]), cls))

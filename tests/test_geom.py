@@ -1013,6 +1013,7 @@ def test_mixed_rational_and_symbolic_coordinates():
     one = Fraction(1)
     p, q = Point(a, one), Point(-a, one)           # mixed coordinates
     assert not (p == q) and p == Point(a, one)
+    assert p._h == (a, one, 1)
     assert is_collinear(p, q, Point(Fraction(0), one))
     assert is_midpoint(Point(Fraction(0), one), p, q)
     horizontal = line_through(p, q)
@@ -1054,7 +1055,11 @@ def test_symbolic_objects_are_built_term_for_term_as_the_affine_formulas():
         (on_unit_circle, ref_on_unit_circle, (a / b,)),
     ]
     for fn, ref, args in cases:
-        built = _exact(fn(*args))
+        obj = fn(*args)
+        # one homogeneous tuple: the public fields, then the int 1
+        assert obj._h == (*_fields(obj)[1:], 1), fn.__name__
+        assert type(obj._h[-1]) is int, fn.__name__
+        built = _exact(obj)
         assert all(part[0] == "RationalFunction" for part in built[1:]), \
             fn.__name__
         assert built == _exact(ref(*args)), fn.__name__
@@ -1100,8 +1105,8 @@ def test_int_inputs_give_fractions_everywhere():
 # tuples.
 
 def assert_canonical(obj):
-    ints = obj._ints
-    assert ints is not None, obj
+    ints = obj._h
+    assert type(ints[0]) is int, obj
     assert all(type(n) is int for n in ints), ints
     assert gcd(*ints) == 1 and ints[-1] > 0, ints
 
@@ -1138,11 +1143,11 @@ def test_rational_objects_are_stored_canonically(triple, line_point, pair,
 def test_equal_rationals_store_equal_tuples():
     p = Point(Fraction(1, 2), Fraction(1, 3))
     assert p == Point(Fraction(2, 4), Fraction(2, 6))
-    assert p._ints == (3, 2, 6)
-    assert midpoint(P(0, 0), P(1, 1))._ints == (1, 1, 2)
-    assert on_unit_circle(Fraction(1, 3))._ints == (4, 3, 5)  # (8, 6, 10) reduced
-    assert Circle(Fraction(-1, 2), 0, Fraction(2, 3))._ints == (-3, 0, 4, 6)
-    assert circumcircle(P(1, 0), P(0, 1), P(-1, 0))._ints == (0, 0, -1, 1)
+    assert p._h == (3, 2, 6)
+    assert midpoint(P(0, 0), P(1, 1))._h == (1, 1, 2)
+    assert on_unit_circle(Fraction(1, 3))._h == (4, 3, 5)  # (8, 6, 10) reduced
+    assert Circle(Fraction(-1, 2), 0, Fraction(2, 3))._h == (-3, 0, 4, 6)
+    assert circumcircle(P(1, 0), P(0, 1), P(-1, 0))._h == (0, 0, -1, 1)
 
 
 def test_same_line_through_different_points_compares_equal():
@@ -1175,7 +1180,7 @@ ints = st.integers(min_value=-10**6, max_value=10**6)
 def test_projective_point_equals_the_affine_point(x, y, z):
     p = projective_point(x, y, z)
     assert p == Point(Fraction(x, z), Fraction(y, z))
-    assert p._ints == Point(Fraction(x, z), Fraction(y, z))._ints
+    assert p._h == Point(Fraction(x, z), Fraction(y, z))._h
     assert_canonical(p)
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from butterfly.dsl import Assertion, Definition, Name, ParamDecl, eval_expr, parse
 from butterfly.errors import DegenerateConfig, EmptyScene
 from butterfly.geom import Circle, Line, Point
+from butterfly.ratfun import RationalFunction
 from butterfly.render import (
     _STYLE,
     Scene,
@@ -260,6 +261,21 @@ def test_scene_from_construction_takes_only_ints_and_fractions():
     for bad in (0.1, "1/3", Decimal("0.5"), None):
         with pytest.raises(TypeError, match="the value of b must be an int or Fraction"):
             scene_from_construction(ast, dict(ANCHOR, b=bad))
+
+
+def test_render_svg_rejects_symbolic_figures_by_kind():
+    # the layout runs on int tuples: each kind of symbolic figure raises
+    # one TypeError that names it, a segment with one symbolic end as well
+    a, b, *_ = RationalFunction.variables()
+    origin = Point(F(0), F(0))
+    scenes = {"line": Scene(lines=[[Line(a, b, 1), "construction"]]),
+              "point": Scene(points=[["P", Point(a, F(1)), "construction"]]),
+              "circle": Scene(circles=[[Circle(a, b, F(-1)), "construction"]]),
+              "segment": Scene(
+                  segments=[[origin, Point(F(1), b), "construction"]])}
+    for kind, scene in scenes.items():
+        with pytest.raises(TypeError, match=f"draws no symbolic {kind}$"):
+            render_svg(scene)
 
 
 # -- the int layout against the layout on Fractions ----------------------------------
