@@ -294,11 +294,10 @@ def _point(x, y, z) -> Point:
 def projective_point(x: int, y: int, z: int) -> Point:
     """The rational point (x/z, y/z) from int projective coordinates.
 
-    The entry for callers that hold a point as ints already (the
-    quadrilateral sampler in `theorems` and the point literals of `dsl`'s
-    int-pair programs): the triple is reduced as a construction's output
-    is, and no Fraction is built.  z = 0 (a point at infinity) raises
-    ValueError; a non-int entry raises TypeError.
+    The entry for callers that hold a point as ints already (the point
+    literals of `dsl`'s int-pair programs): the triple is reduced as a
+    construction's output is, and no Fraction is built.  z = 0 (a point at
+    infinity) raises ValueError; a non-int entry raises TypeError.
     """
     if not (isinstance(x, int) and isinstance(y, int) and isinstance(z, int)):
         raise TypeError("projective_point needs int coordinates")
@@ -623,7 +622,12 @@ def on_unit_circle(t):
     `t` is the half-angle parameter; every rational point except (-1, 0)
     arises this way.
     """
-    n, m = t.as_integer_ratio() if isinstance(t, _RATIONAL) else (t, 1)
+    return _on_unit_circle(*(t.as_integer_ratio() if isinstance(t, _RATIONAL)
+                             else (t, 1)))
+
+
+def _on_unit_circle(n, m) -> Point:
+    """`on_unit_circle` at t = n/m, for callers that hold t as its pair."""
     n2, m2 = n * n, m * m
     return _point(m2 - n2, 2 * n * m, m2 + n2)
 

@@ -45,11 +45,6 @@ _DEGREE_SHIFT = _BITS * NVARS
 _SHIFTS = tuple(_BITS * (NVARS - 1 - i) for i in range(NVARS))
 
 
-def grlex_key(mono: Monomial) -> tuple[int, Monomial]:
-    """Sort key for the documented graded-lexicographic order."""
-    return (sum(mono), mono)
-
-
 def _pack(mono: Monomial) -> int:
     if len(mono) != NVARS or any(e < 0 for e in mono):
         raise ValueError(f"bad monomial {mono!r}")

@@ -18,14 +18,13 @@ lemma2, lemma3, thm0 and the chord form) run the definitions of their
 corpus files, so each construction is stated once, in the file `verify`
 checks; the same definitions serve both scalar backends.
 
-The samplers take one batched draw per candidate, each value as its
-reduced int pair (`scalar.sample_ratios`), and test candidates on those
-ints: the gauge sign conditions on numerators, distinctness on the pairs,
-and the chord side test with `geom.line_side` on the points' int tuples.
-A `Fraction` is built only for a value that passes the pair tests: the
-gauge and quadrilateral samplers build theirs for the accepted
-configuration only; the cyclic and chord samplers need their points to
-test a candidate, and `on_unit_circle` takes a scalar.
+Each sampler's rejection loop is a pair core: one batched draw per
+candidate, each value its reduced int pair (`scalar.sample_ratios`), tested
+on those ints, the cyclic and chord tests on points placed from the pairs.
+A core returns the accepted pairs in config field order, and a built-in
+trial binds them as a `verify` trial binds its draw: no `Fraction` is built
+from draw to verdict but a counterexample's parameters.  The public
+samplers build their config of Fractions from the core.
 """
 
 from __future__ import annotations
@@ -51,10 +50,10 @@ from .geom import (
     line_side,
     line_through,
     midpoint,
-    on_unit_circle,
     pencil_cross_ratio,
     power_of_point,
     second_intersection,
+    _on_unit_circle,
 )
 from .poly import _exact_point
 from .ratfun import RationalFunction
@@ -313,65 +312,75 @@ def _eval_scalar(value, assignment):
 # -- samplers -------------------------------------------------------------------
 
 
+def _config(cls, pairs):
+    return cls(*(Fraction(p, q) for p, q in pairs))
+
+
+def _gauge_pairs(rng, bound: int) -> list[tuple[int, int]]:
+    for _ in range(_MAX_REDRAWS):
+        pairs = sample_ratios(rng, bound, 5)
+        (a, _), (b, _), (c, _), (d, _), (k, _) = pairs
+        # the signs of a*c and b*d are those of their numerators' products
+        if k and a * c < 0 and b * d < 0:
+            return pairs
+    raise SamplerExhausted("gauge sampler exhausted its redraw budget")
+
+
 def sample_gauge(rng, bound: int) -> GaugeConfig:
     """Draw a proper gauge configuration by rejection.
 
     Enforced: k nonzero and P strictly inside both diagonals (a*c < 0,
     b*d < 0), which already makes a, b, c, d nonzero, a != c and b != d.
     """
+    return _config(GaugeConfig, _gauge_pairs(rng, bound))
+
+
+def _half_angles(rng, bound: int, name: str, accept) -> list[tuple[int, int]]:
+    """Four distinct half-angle pairs, none of them +-1, whose points on the
+    unit circle `accept` takes; the `name` sampler's rejection loop."""
     for _ in range(_MAX_REDRAWS):
-        pairs = sample_ratios(rng, bound, 5)
-        (a, _), (b, _), (c, _), (d, _), (k, _) = pairs
-        # the signs of a*c and b*d are those of their numerators' products
-        if k and a * c < 0 and b * d < 0:
-            return GaugeConfig(*(Fraction(p, q) for p, q in pairs))
-    raise SamplerExhausted("gauge sampler exhausted its redraw budget")
+        pairs = sample_ratios(rng, bound, 4)
+        # reduced pairs are canonical, so equal pairs are equal rationals, and
+        # p/q = +-1 exactly when |p| = q
+        if (len(set(pairs)) == 4 and all(abs(p) != q for p, q in pairs)
+                and accept(*(_on_unit_circle(p, q) for p, q in pairs))):
+            return pairs
+    raise SamplerExhausted(f"{name} sampler exhausted its redraw budget")
 
 
-def _half_angles(rng, bound: int) -> list[Fraction] | None:
-    """Four distinct half-angle parameters other than +-1, or None."""
-    pairs = sample_ratios(rng, bound, 4)
-    # reduced pairs are canonical, so equal pairs are equal rationals, and
-    # p/q = +-1 exactly when |p| = q
-    if len(set(pairs)) != 4 or any(abs(p) == q for p, q in pairs):
-        return None
-    return [Fraction(p, q) for p, q in pairs]
+def _diagonals_meet(A, B, C, D) -> bool:
+    # parallel diagonals never meet at a P
+    return not is_parallel(line_through(A, C), line_through(B, D))
+
+
+def _split_by_ab(A, B, C, E) -> bool:
+    """Whether C and F, the second point on the unit circle of the chord
+    through E and the midpoint of AB, lie on opposite sides of line AB."""
+    ab = line_through(A, B)
+    try:
+        F = second_intersection(_UNIT_CIRCLE, line_through(E, midpoint(A, B)), E)
+    except DegenerateConfig:
+        return False
+    return line_side(C, ab) * line_side(F, ab) < 0
+
+
+_cyclic_pairs = functools.partial(_half_angles, name="cyclic", accept=_diagonals_meet)
+_chord_pairs = functools.partial(_half_angles, name="chord", accept=_split_by_ab)
 
 
 def sample_cyclic(rng, bound: int) -> CyclicConfig:
     """Distinct half-angle parameters (excluding +-1) with non-parallel diagonals."""
-    for _ in range(_MAX_REDRAWS):
-        ts = _half_angles(rng, bound)
-        if ts is None:
-            continue
-        A, B, C, D = (on_unit_circle(t) for t in ts)
-        # parallel diagonals never meet at a P
-        if not is_parallel(line_through(A, C), line_through(B, D)):
-            return CyclicConfig(*ts)
-    raise SamplerExhausted("cyclic sampler exhausted its redraw budget")
+    return _config(CyclicConfig, _cyclic_pairs(rng, bound))
 
 
 def sample_chord(rng, bound: int) -> ChordButterflyConfig:
     """Distinct parameters (excluding +-1) with C and F on opposite sides of AB."""
-    for _ in range(_MAX_REDRAWS):
-        ts = _half_angles(rng, bound)
-        if ts is None:
-            continue
-        A, B, C, E = (on_unit_circle(t) for t in ts)
-        M = midpoint(A, B)
-        ab = line_through(A, B)
-        try:
-            F = second_intersection(_UNIT_CIRCLE, line_through(E, M), E)
-        except DegenerateConfig:
-            continue
-        if line_side(C, ab) * line_side(F, ab) < 0:
-            return ChordButterflyConfig(*ts)
-    raise SamplerExhausted("chord sampler exhausted its redraw budget")
+    return _config(ChordButterflyConfig, _chord_pairs(rng, bound))
 
 
 def sample_quad(rng, bound: int) -> QuadConfig:
     """Four unconstrained random vertices; degeneracies surface as trial skips."""
-    return QuadConfig(*(Fraction(p, q) for p, q in sample_ratios(rng, bound, 8)))
+    return _config(QuadConfig, sample_ratios(rng, bound, 8))
 
 
 def sample_lemma2(rng, bound: int) -> GaugeConfig:
@@ -380,7 +389,7 @@ def sample_lemma2(rng, bound: int) -> GaugeConfig:
     lines (which meet only at P); so each of the triangles BCD, CDA, DAB and
     ABC has two vertices on one line and its third off it, and all four
     circumcenters exist."""
-    return sample_gauge(rng, bound)
+    return _config(GaugeConfig, _gauge_pairs(rng, bound))
 
 
 # -- reports ---------------------------------------------------------------------
@@ -656,15 +665,21 @@ def prove_lemma3() -> VerificationReport:
 # -- suite runner ------------------------------------------------------------------
 
 
-# result id, which is its corpus stem -> (sampler, trial), in run order.  A
-# trial runs the whole file on the sampled config: None, or the first false
-# assertion.
+def _trial(stem: str, pairs) -> object:
+    """Corpus file `stem` run on int pairs: None, or its first false assertion."""
+    return _program(stem, True, "return")(dict(zip(_construction(stem)[1], pairs)))
+
+
+# result id, which is its corpus stem -> (pair core, trial), in run order.  A
+# trial runs the whole file on the core's pairs, bound as a `verify` trial
+# binds its draw.
 _SUITE: dict[str, tuple[Callable, Callable]] = {
-    stem: (sampler, functools.partial(_run, stem, assertions="return"))
-    for stem, sampler in (
-        ("butterfly_chord", sample_chord), ("thm0_cyclic", sample_cyclic),
-        ("thm1", sample_gauge), ("thm2", sample_gauge), ("lemma1", sample_quad),
-        ("lemma2", sample_lemma2), ("lemma3", sample_gauge))}
+    stem: (core, functools.partial(_trial, stem))
+    for stem, core in (
+        ("butterfly_chord", _chord_pairs), ("thm0_cyclic", _cyclic_pairs),
+        ("thm1", _gauge_pairs), ("thm2", _gauge_pairs),
+        ("lemma1", functools.partial(sample_ratios, n=8)),
+        ("lemma2", _gauge_pairs), ("lemma3", _gauge_pairs))}
 
 _PROVERS = {"thm1": prove_thm1, "thm2": prove_thm2, "lemma3": prove_lemma3}
 
@@ -680,15 +695,16 @@ def run_numeric(theorem: str, trials: int = 1000, seed: int = 0,
                          f"{', '.join(_SUITE)}")
     from . import dsl
 
-    sampler, trial = _SUITE[theorem]
+    core, trial = _SUITE[theorem]
 
-    def check(cfg):
-        failed = trial(cfg)
+    def check(pairs):
+        failed = trial(pairs)
         if failed is None:
             return None
-        return cfg.params(), f"assertion {dsl._assertion_text(failed)} failed"
+        params = zip(_construction(theorem)[1], (Fraction(*pair) for pair in pairs))
+        return tuple(params), f"assertion {dsl._assertion_text(failed)} failed"
 
-    return run_trials(theorem, theorem, sampler, check, trials, seed, bound)
+    return run_trials(theorem, theorem, core, check, trials, seed, bound)
 
 
 def run_suite(mode: str = "both", trials: int = 1000, seed: int = 0,

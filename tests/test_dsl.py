@@ -4,10 +4,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import butterfly
-from butterfly import Circle, DegenerateConfig, Line, Point, RationalFunction
+from butterfly import Circle, DegenerateConfig, Line, Point, RationalFunction, geom
 from butterfly.dsl import (
     _FUNCTION_IMPLS,
     _PREDICATE_IMPLS,
@@ -497,6 +497,115 @@ def test_dsl_error_is_a_package_error():
     from butterfly.errors import ButterflyError
     assert issubclass(DslError, ButterflyError)
     assert issubclass(DslSyntaxError, DslError)
+
+
+# -- the tables under a similarity ------------------------------------------------
+#
+# A similarity z -> alpha*z + beta (alpha != 0, z = x + iy) maps points, lines
+# and circles to points, lines and circles, keeps angles, incidence and
+# coincidence, and scales squared distances by |alpha|^2.  So every
+# construction of the function table commutes with it, or raises the same
+# degeneracy class on the image; every predicate keeps its verdict or its
+# class; power scales by |alpha|^2; and cross_ratio is unchanged.
+# on_unit_circle takes a scalar, not a figure, and is left out.
+
+GRID = st.sampled_from([F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2)])
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+class Similarity:
+    def __init__(self, alpha, beta):
+        (self.ar, self.ai), (self.br, self.bi) = alpha, beta
+        self.scale = self.ar * self.ar + self.ai * self.ai  # |alpha|^2
+
+    def __call__(self, value):
+        ar, ai, br, bi = self.ar, self.ai, self.br, self.bi
+        if isinstance(value, Point):
+            return Point(ar * value.x - ai * value.y + br,
+                         ai * value.x + ar * value.y + bi)
+        if isinstance(value, Line):
+            # the normal turns with alpha; on the image of a point of the
+            # line, u*x + v*y equals |alpha|^2 (u0*x0 + v0*y0) + u*br + v*bi
+            u, v = ar * value.u - ai * value.v, ai * value.u + ar * value.v
+            return Line(u, v, self.scale * value.w - u * br - v * bi)
+        # the center maps as a point, the squared radius scales by |alpha|^2
+        c = self(value.center())
+        return Circle(-2 * c.x, -2 * c.y,
+                      c.x * c.x + c.y * c.y - self.scale * value.radius_squared())
+
+
+def _figures(types, points):
+    """Arguments of the given types from the drawn points: a point is the
+    next point, a line the line through the next two, a circle the circle
+    through the next three.  A degenerate line or circle rejects the draw."""
+    points = iter(points)
+    build = {"point": lambda: next(points),
+             "line": lambda: geom.line_through(next(points), next(points)),
+             "circle": lambda: geom.circumcircle(next(points), next(points),
+                                                 next(points))}
+    try:
+        return [build[kind]() for kind in types]
+    except DegenerateConfig:
+        assume(False)
+
+
+def _outcome(fn, args):
+    try:
+        return fn(*args)
+    except DegenerateConfig as exc:
+        return type(exc)
+
+
+similarities = st.builds(Similarity, st.tuples(RATIONALS, RATIONALS).filter(any),
+                         st.tuples(RATIONALS, RATIONALS))
+grid_points = st.lists(st.builds(Point, GRID, GRID), min_size=9, max_size=9)
+
+
+def similarity_examples(test):
+    """Draws on which the rarer verdicts hold: a harmonic range, a midpoint
+    and a right angle, two parallels, and three circles through two points."""
+    sim = Similarity((F(1, 2), F(-2)), (F(3), F(-1, 3)))
+    for coords in ([(-1, 0), (1, 0), (F(1, 2), 0), (2, 0), (0, 1), (2, 3)],
+                   [(0, 0), (-1, 0), (1, 0), (1, 1), (0, 2), (2, 1)],
+                   [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)],
+                   [(-1, 0), (1, 0), (0, 1), (-1, 0), (1, 0), (0, 2),
+                    (-1, 0), (1, 0), (0, F(-1, 2))]):
+        points = [Point(F(x), F(y)) for x, y in coords]
+        test = example(sim, points + points[:9 - len(points)])(test)
+    return settings(max_examples=30)(test)
+
+
+@pytest.mark.parametrize("name", [name for name in FUNCTIONS if name != "on_unit_circle"])
+@similarity_examples
+@given(similarities, grid_points)
+def test_constructions_commute_with_similarities(name, sim, points):
+    types, _ = FUNCTIONS[name]
+    if name == "second_intersection":  # the line and circle meet at the point
+        args = _figures(("circle", "line"), points[:3] + [points[0], points[4]])
+        args.append(points[0])
+    else:
+        args = _figures(types, points)
+    fn = _FUNCTION_IMPLS[name]
+    expected, image = _outcome(fn, args), _outcome(fn, [sim(arg) for arg in args])
+    if isinstance(expected, type):
+        assert image is expected
+    elif name == "power":
+        assert image == sim.scale * expected
+    elif name == "cross_ratio":
+        assert image == expected
+    else:
+        assert image == sim(expected)
+
+
+@pytest.mark.parametrize("name, types", [
+    (name, types) for name, sig in PREDICATES.items()
+    for types in ([("point", "line"), ("point", "circle")] if name == "on" else [sig])])
+@similarity_examples
+@given(similarities, grid_points)
+def test_predicates_keep_their_verdicts_under_similarities(name, types, sim, points):
+    args = _figures(types, points)
+    fn = _PREDICATE_IMPLS[name]
+    assert _outcome(fn, [sim(arg) for arg in args]) == _outcome(fn, args)
 
 
 # -- the compiled evaluator against the tree-walking reference --------------------

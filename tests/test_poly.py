@@ -9,7 +9,13 @@ from hypothesis import assume, example, given, strategies as st
 
 from butterfly import poly
 from butterfly.poly import (NVARS, Polynomial, VARIABLES, _exact_point,
-                            _shift_down, common_monomial, grlex_key)
+                            _shift_down, common_monomial)
+
+
+def grlex_key(mono):
+    """The packed order, stated on exponent tuples: graded-lexicographic,
+    higher total degree first, ties broken lexicographically (a before k)."""
+    return (sum(mono), mono)
 
 
 def var(name):

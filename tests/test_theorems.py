@@ -82,10 +82,26 @@ F = Fraction
 ANCHOR = GaugeConfig(F(2), F(1), F(-3), F(-2), F(1))
 
 
+# result id -> the config class of its sampler
+CONFIGS = {"butterfly_chord": ChordButterflyConfig, "thm0_cyclic": CyclicConfig,
+           "thm1": GaugeConfig, "thm2": GaugeConfig, "lemma1": QuadConfig,
+           "lemma2": GaugeConfig, "lemma3": GaugeConfig}
+
+
+def pairs_of(cfg):
+    """A rational config as the reduced int pairs a built-in trial binds."""
+    return [value.as_integer_ratio() for value in cfg]
+
+
+def config_of(stem, pairs):
+    """The config of result `stem` whose values are `pairs`, as Fractions."""
+    return CONFIGS[stem](*(F(p, q) for p, q in pairs))
+
+
 def trial(stem, cfg):
     """The built-in numeric trial of result `stem` on `cfg`: None, or the
     first false assertion of its corpus file."""
-    return theorems._SUITE[stem][1](cfg)
+    return theorems._SUITE[stem][1](pairs_of(cfg))
 
 
 # -- builders against frozen anchor coordinates --------------------------------
@@ -393,13 +409,13 @@ def test_trials_match_their_reference_checkers(stem):
     """On the draws of the builder test: None where the reference checker
     holds, a failing assertion where it fails, and the reference's
     degeneracy class and message where it raises."""
-    sample = theorems._SUITE[stem][0]
+    core, run = theorems._SUITE[stem]
     outcomes = set()
     for bound in (2, 20):
         for seed in range(150):
-            cfg = sample(derive_rng(seed, "ref-build", bound), bound)
-            expected = _built(REF_CHECKS[stem], cfg)
-            got = _built(lambda c: trial(stem, c), cfg)
+            pairs = core(derive_rng(seed, "ref-build", bound), bound)
+            expected = _built(REF_CHECKS[stem], config_of(stem, pairs))
+            got = _built(run, pairs)
             if expected is True:
                 assert got is None
             elif expected is False:
@@ -434,8 +450,8 @@ def test_run_numeric_refutes_each_perturbed_fixture(monkeypatch, tmp_path, stem)
     assert ce is not None and report.failure == f"counterexample at trial {ce.trial}"
     failed = parse(fixture.read_text()).assertions[-1]
     assert ce.detail == f"assertion {dsl._assertion_text(failed)} failed"
-    cfg = theorems._SUITE[stem][0](derive_rng(3, stem, ce.trial), 20)
-    assert ce.params == cfg.params()
+    pairs = theorems._SUITE[stem][0](derive_rng(3, stem, ce.trial), 20)
+    assert ce.params == config_of(stem, pairs).params()
 
 
 def test_kept_programs_call_the_implementations_installed_later(monkeypatch):
@@ -795,6 +811,58 @@ def test_sample_lemma2_instances_satisfy_constraints():
         assert trial("lemma2", cfg) is None
 
 
+def rank(rows):
+    """The rank of a matrix of Fractions, by exact Gaussian elimination."""
+    rows = [list(row) for row in rows]
+    r = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(r + 1, len(rows)):
+            factor = rows[i][col] / rows[r][col]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+# lemma2.geo's six constraints (X - Y).(U - V) = 0, in the order it asserts them
+LEMMA2_CONSTRAINTS = ("PQAB", "QRBC", "RSCD", "SPDA", "PRBD", "SQAC")
+
+
+def lemma2_constraint_rows(corners):
+    """Each constraint as a row of coefficients of (Px, Py, Qx, Qy, Rx, Ry,
+    Sx, Sy), with A, B, C, D the given points."""
+    rows = []
+    for x, y, u, v in LEMMA2_CONSTRAINTS:
+        du, dv = corners[u], corners[v]
+        direction = (du.x - dv.x, du.y - dv.y)
+        row = [F(0)] * 8
+        for i in (0, 1):
+            row[2 * "PQRS".index(x) + i] += direction[i]
+            row[2 * "PQRS".index(y) + i] -= direction[i]
+        rows.append(row)
+    return rows
+
+
+def test_lemma2_constraints_have_rank_five():
+    """The argument of lemma2.geo's header at 5 sampled ABCD: the six
+    constraints have rank 5, their alternating sum vanishes, and the
+    circumcenter quadrilateral solves them."""
+    assert rank([[F(1), F(2)], [F(2), F(4)]]) == 1 and rank([[F(0), F(1)], [F(1), F(0)]]) == 2
+    for seed in range(5):
+        objs = build_lemma2(sample_lemma2(derive_rng(seed, "lemma2-rank"), 20))
+        rows = lemma2_constraint_rows(objs)
+        assert rank(rows) == 5
+        assert all(not sum(sign * row[j] for sign, row in zip((1, -1) * 3, rows))
+                   for j in range(8))
+        pqrs = [value for name in "PQRS" for value in objs[name]]
+        assert not any(sum(c * value for c, value in zip(row, pqrs)) for row in rows)
+        # any five rows have rank 5 too: each implies the sixth
+        assert all(rank(rows[:i] + rows[i + 1:]) == 5 for i in range(6))
+
+
 @given(st.integers(1, 60), st.integers(0, 2**64))
 def test_gauge_draws_admit_all_four_circumcenters(bound, seed):
     # the fact that lets sample_lemma2 take every gauge draw as it comes
@@ -938,17 +1006,77 @@ def test_run_numeric_argument_validation():
         run_numeric("thm3")
 
 
+# The numeric driver as it ran on configs of Fractions: each trial draws its
+# config with the Fraction reference sampler below and runs the corpus file on
+# it through `_run`, and a counterexample reports the config's parameters.
+REF_SAMPLERS = {"butterfly_chord": ref_sample_chord, "thm0_cyclic": ref_sample_cyclic,
+                "thm1": ref_sample_gauge, "thm2": ref_sample_gauge,
+                "lemma1": ref_sample_quad, "lemma2": ref_sample_gauge,
+                "lemma3": ref_sample_gauge}
+
+
+def ref_run_numeric(theorem, trials, seed, bound):
+    sample = REF_SAMPLERS[theorem]
+
+    def check(cfg):
+        failed = theorems._run(theorem, cfg, assertions="return")
+        if failed is None:
+            return None
+        return cfg.params(), f"assertion {dsl._assertion_text(failed)} failed"
+
+    return theorems.run_trials(theorem, theorem, sample, check, trials, seed, bound)
+
+
+@pytest.mark.parametrize("bound", (20, 2))
+@pytest.mark.parametrize("stem", NUMERIC_ORDER)
+def test_run_numeric_reports_what_the_fraction_driver_reports(stem, bound):
+    # a core's pairs bind the file's parameters in config field order
+    assert theorems._construction(stem)[1] == CONFIGS[stem]._fields
+    for seed in range(5):
+        report = run_numeric(stem, trials=100, seed=seed, bound=bound)
+        assert report.to_text() == ref_run_numeric(stem, 100, seed, bound).to_text()
+
+
+def test_forced_refutation_reports_the_fraction_drivers_counterexample(monkeypatch):
+    """With thm1's compiled trial program refuting every draw whose k has
+    denominator 7, both drivers stop at the same trial, and run_numeric
+    reports its parameters in config field order, as Fractions."""
+    program = theorems._program
+    claim = parse(theorems._CORPUS.joinpath("thm1.geo").read_text()).assertions[-1]
+
+    def refuting(env):
+        return claim if env["k"][1] == 7 else program("thm1", True, "return")(env)
+
+    monkeypatch.setattr(theorems, "_program", lambda stem, paired, assertions: (
+        refuting if (stem, paired, assertions) == ("thm1", True, "return")
+        else program(stem, paired, assertions)))
+    report = run_numeric("thm1", trials=1000, seed=5)
+    expected = ref_run_numeric("thm1", 1000, 5, 20)
+    ce = report.counterexample
+    assert ce is not None and ce.trial > 0
+    assert (ce.trial, ce.params, ce.detail) == (expected.counterexample.trial,
+                                              expected.counterexample.params,
+                                              expected.counterexample.detail)
+    assert [name for name, _ in ce.params] == list(GaugeConfig._fields)
+    assert all(type(value) is Fraction for _, value in ce.params)
+    assert ce.params[4][1].denominator == 7
+    assert ce.detail == f"assertion {dsl._assertion_text(claim)} failed"
+    assert report.to_text() == expected.to_text()
+
+
 # a false claim for synthetic trials to return as their failed assertion
 SYNTHETIC_CLAIM = parse("assert midpoint((0, 0), (1, 0), (2, 0));\n").assertions[0]
 
 
 def _synthetic_report(synthetic_trial, trials, seed):
-    """run_numeric on a registered result that always samples ANCHOR."""
-    theorems._SUITE["_synthetic"] = (lambda rng, bound: ANCHOR, synthetic_trial)
+    """run_numeric on thm1's parameters, its core replaced by one that
+    always draws ANCHOR and its trial by `synthetic_trial`."""
+    saved = theorems._SUITE["thm1"]
+    theorems._SUITE["thm1"] = (lambda rng, bound: pairs_of(ANCHOR), synthetic_trial)
     try:
-        return run_numeric("_synthetic", trials=trials, seed=seed)
+        return run_numeric("thm1", trials=trials, seed=seed)
     finally:
-        del theorems._SUITE["_synthetic"]
+        theorems._SUITE["thm1"] = saved
 
 
 def _geo_report(source, trials, seed, bound=20):
@@ -956,14 +1084,14 @@ def _geo_report(source, trials, seed, bound=20):
                                  bound=bound, label="_synthetic")
 
 
-def _always_skips(cfg):
+def _always_skips(pairs):
     raise CollinearPoints("synthetic skip")
 
 
 def _skips_first_call():
     calls = {"n": 0}
 
-    def synthetic_trial(cfg):
+    def synthetic_trial(pairs):
         calls["n"] += 1
         if calls["n"] == 1:
             raise CollinearPoints("one synthetic skip")
@@ -986,7 +1114,7 @@ RUNS_ONE_SKIP_IN_FIVE = {
                                5, 4, bound=1),
 }
 RUNS_REFUTED = {
-    "run_numeric": (lambda: _synthetic_report(lambda cfg: SYNTHETIC_CLAIM, 50, 3),
+    "run_numeric": (lambda: _synthetic_report(lambda pairs: SYNTHETIC_CLAIM, 50, 3),
                     ANCHOR.params(),
                     "assertion midpoint((0, 0), (1, 0), (2, 0)) failed"),
     "geo": (lambda: _geo_report("param a;\n"
