@@ -640,15 +640,31 @@ def are_concyclic(p1: Point, p2: Point, p3: Point, p4: Point) -> bool:
 def are_coaxial(c1: Circle, c2: Circle, c3: Circle) -> bool:
     """Whether three pairwise distinct circles belong to one pencil.
 
-    Tested as rank <= 1 of the two coefficient-difference vectors, i.e.
-    all three 2x2 minors vanish.  The first vector is not zero once the
-    circles are known to be distinct, so `_rank_one` decides it from the
-    two minors through its first nonzero entry.  Distinct concentric
-    circles do share a (degenerate) pencil and test true.
+    Tested as rank <= 1 of two coefficient-difference vectors, i.e. all
+    three 2x2 minors vanish.  Both vectors are taken from one base circle:
+    the one with the most zero coefficients among d, e and f, the first of
+    them on a tie.  Any base gives the same verdict, since the differences
+    from any one circle span the differences of every pair.  The sparsest
+    base is the cheapest: a zero coefficient subtracts from the other
+    circles' without cross-multiplying their denominators, which keeps the
+    minors' products small (symbolic lemma3's circle through P has f = 0).
+    The first vector is not zero once the circles are known to be distinct,
+    so `_rank_one` decides it from the two minors through its first
+    nonzero entry.  Distinct concentric circles do share a (degenerate)
+    pencil and test true.
     """
-    d1, e1, f1, s1 = c1._h
-    d2, e2, f2, s2 = c2._h
-    d3, e3, f3, s3 = c3._h
+    h1, h2, h3 = c1._h, c2._h, c3._h
+    # counted inline: a generator would double the cost of a rational call
+    z1 = (not h1[0]) + (not h1[1]) + (not h1[2])
+    z2 = (not h2[0]) + (not h2[1]) + (not h2[2])
+    z3 = (not h3[0]) + (not h3[1]) + (not h3[2])
+    if z2 > z1 and z2 >= z3:
+        c1, c2, h1, h2 = c2, c1, h2, h1
+    elif z3 > z1 and z3 > z2:
+        c1, c3, h1, h3 = c3, c1, h3, h1
+    d1, e1, f1, s1 = h1
+    d2, e2, f2, s2 = h2
+    d3, e3, f3, s3 = h3
     # c1 - c2 and c1 - c3 times s1*s2 and s1*s3
     r1 = (d1 * s2 - d2 * s1, e1 * s2 - e2 * s1, f1 * s2 - f2 * s1)
     r2 = (d1 * s3 - d3 * s1, e1 * s3 - e3 * s1, f1 * s3 - f3 * s1)

@@ -3,6 +3,7 @@
 from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -882,12 +883,38 @@ def midpoint_triples(draw):
 circles = st.builds(Circle, coords, coords, coords)
 
 
+def zero_rich_circle(draw, column):
+    """A circle whose coefficient `column` (0 for d, 1 for e, 2 for f) is 0."""
+    fields = [draw(coords) for _ in range(3)]
+    fields[column] = Fraction(0)
+    return Circle(*fields)
+
+
 @st.composite
 def circle_triples(draw):
     c1, c2 = draw(circles), draw(circles)
     kind = draw(st.sampled_from(
         ("free", "pencil", "concentric", "same_d", "same_f", "c1=c2", "c1=c3",
-         "c2=c3")))
+         "c2=c3", "f=0", "d=0 or e=0")))
+    if kind in ("f=0", "d=0 or e=0"):
+        # `are_coaxial` takes its differences from the sparsest circle:
+        # put one at a drawn position, with a tie for it half the time, and
+        # c2 free, in a pencil with c1 and it, or equal to either
+        column = 2 if kind == "f=0" else draw(st.sampled_from((0, 1)))
+        sparse = zero_rich_circle(draw, column)
+        if draw(st.booleans()):
+            c1 = zero_rich_circle(draw, draw(st.integers(0, 2)))
+        other = draw(st.sampled_from(("free", "pencil", "c2=c1", "c2=sparse")))
+        if other == "pencil":
+            t = draw(coords)
+            c2 = Circle(c1.d + t * (sparse.d - c1.d), c1.e + t * (sparse.e - c1.e),
+                        c1.f + t * (sparse.f - c1.f))
+        elif other != "free":
+            same = c1 if other == "c2=c1" else sparse
+            c2 = Circle(same.d, same.e, same.f)
+        triple = [c1, c2]
+        triple.insert(draw(st.integers(0, 2)), sparse)
+        return tuple(triple)
     if kind == "pencil":
         t = draw(coords)
         return c1, c2, Circle(c1.d + t * (c2.d - c1.d), c1.e + t * (c2.e - c1.e),
@@ -944,7 +971,8 @@ def test_is_perpendicular_matches_reference(pair, data):
 
 @given(circle_triples(), st.data())
 def test_are_coaxial_matches_reference(triple, data):
-    assert_same_on_both_backends(are_coaxial, ref_are_coaxial, triple, data)
+    for order in permutations(triple):
+        assert_same_on_both_backends(are_coaxial, ref_are_coaxial, order, data)
 
 
 def ref_is_parallel(l1, l2):

@@ -5,6 +5,7 @@ instances were computed by hand and frozen here as independent oracles.
 """
 
 import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -1229,6 +1230,39 @@ def test_prove_lemma3_computes_each_power_ratio_once(monkeypatch):
     assert prove_lemma3().ok
     # two powers for each of P, M and N; ratio_chain reads the verdicts
     assert len(calls) == 6
+
+
+def test_symbolic_coaxial_verdict_does_not_depend_on_argument_order():
+    objs = build_lemma3(GaugeConfig.symbolic())
+    holds = [objs[name] for name in ("circle_ac", "circle_bd", "circle_pmn")]
+    ast = parse((FIXTURES / "lemma3_perturbed.geo").read_text(encoding="utf-8"))
+    env = {name: RationalFunction.variable(name) for name in ast.params}
+    perturbed = dsl._compile_program(ast, assertions=None)(env)
+    fails = [perturbed[name] for name in ("w_ac", "w_bd", "w_pmn")]
+    for order in itertools.permutations(range(3)):
+        assert are_coaxial(*(holds[i] for i in order)) is True, order
+        assert are_coaxial(*(fails[i] for i in order)) is False, order
+
+
+def test_symbolic_lemma3_coaxial_decision_cost(monkeypatch):
+    """A deterministic cost pin: the pencil row's products, counted as the
+    benchmark's tracer counts them (len(terms) x len(terms) per product).
+    With the difference rows taken from the sparsest circle, circle_pmn
+    (f = 0), the decision makes 22,091 term pairs; taken from the first
+    circle, circle_ac, it would make 74,203."""
+    objs = build_lemma3(GaugeConfig.symbolic())
+    pairs = [0]
+    multiply = Polynomial.__mul__
+
+    def counted(self, other):
+        pairs[0] += len(self.terms) * (len(other.terms)
+                                       if isinstance(other, Polynomial) else 1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    monkeypatch.setattr(Polynomial, "__rmul__", counted)
+    assert are_coaxial(objs["circle_ac"], objs["circle_bd"], objs["circle_pmn"])
+    assert 0 < pairs[0] <= 30_000
 
 
 def test_ratio_chain_reads_the_power_ratio_verdicts(monkeypatch):
