@@ -67,13 +67,23 @@ from .geom import (
     projective_point,
     second_intersection,
 )
+from .dsl import (
+    Construction,
+    Counterexample,
+    DslError,
+    DslNameError,
+    DslSyntaxError,
+    DslTypeError,
+    VerificationReport,
+    evaluate_construction,
+    parse,
+    to_source,
+)
 from .theorems import (
     ChordButterflyConfig,
-    Counterexample,
     CyclicConfig,
     GaugeConfig,
     QuadConfig,
-    VerificationReport,
     build_chord,
     build_lemma2,
     build_lemma3,
@@ -93,16 +103,6 @@ from .theorems import (
     sample_gauge,
     sample_lemma2,
     sample_quad,
-)
-from .dsl import (
-    Construction,
-    DslError,
-    DslNameError,
-    DslSyntaxError,
-    DslTypeError,
-    evaluate_construction,
-    parse,
-    to_source,
 )
 from .render import Scene, render_svg, scene_from_construction
 

@@ -1,4 +1,5 @@
-"""Parser, static checker, and evaluator for .geo construction files.
+"""Parser, static checker and evaluator for .geo construction files, and
+the one runner of a program: its trials, its checks and its report.
 
 A .geo file is a flat list of parameter declarations, typed definitions,
 and assertions:
@@ -37,16 +38,22 @@ its reduced int pair (`scalar.sample_ratios`): a point literal over
 parameters, int literals and their products, such as `(b, k*b)`, is int
 products and one `geom.projective_point`; any other read builds the
 `Fraction` of its pair.
+
+Every run ends in a `VerificationReport`.  A numeric run, of a `verify`
+file or of a built-in result of `theorems`, is `_numeric_run`: seeded
+trials of a program on drawn int pairs (`run_trials`).  A symbolic
+report, of a file or of a proof plan of `theorems`, is `run_checks`.
 """
 
 from __future__ import annotations
 
 import re
+import time
 from fractions import Fraction
-from functools import lru_cache
-from typing import NamedTuple
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple
 
-from .errors import ButterflyError
+from .errors import ButterflyError, DegenerateConfig
 from .geom import (
     Point,
     are_coaxial,
@@ -75,8 +82,7 @@ from .geom import (
 )
 from .poly import VARIABLES
 from .ratfun import RationalFunction
-from .scalar import field_div, sample_ratios
-from .theorems import VerificationReport, _Record, run_checks, run_trials
+from .scalar import derive_rng, field_div, format_rational, sample_ratios
 
 MAX_NESTING = 64
 
@@ -187,9 +193,50 @@ def _join_spans(start: Span, end: Span) -> Span:
                 end.offset + end.length - start.offset)
 
 
+# -- records ---------------------------------------------------------------------
+
+
+class _Record:
+    """Base of the immutable records whose equality skips a field.
+
+    A subclass's `__init__` stores its fields in `__dict__`.  `_compared`
+    names, in declared order, the fields that equality and hashing read,
+    and `_shown` those the repr shows (the compared ones unless a subclass
+    names others).  Records of different classes are never equal, and
+    setting or deleting an attribute raises AttributeError.
+    """
+
+    _compared: tuple[str, ...] = ()
+
+    @property
+    def _shown(self) -> tuple[str, ...]:
+        return self._compared
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._compared))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._shown)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 # -- AST -------------------------------------------------------------------------
 
-# Nodes are immutable records (`theorems._Record`): two nodes are equal, and
+# Nodes are immutable records (`_Record`): two nodes are equal, and
 # hash alike, when their classes and every field but their spans are equal,
 # and their reprs leave the spans out.
 
@@ -766,26 +813,174 @@ def eval_expr(node, env):
     return emit.function()(env)
 
 
+# -- reports ---------------------------------------------------------------------
+
+
+class Counterexample(NamedTuple):
+    """The first failing trial: its index, its config's parameters and what failed."""
+
+    trial: int
+    params: tuple[tuple[str, object], ...]
+    detail: str
+
+
+class VerificationReport(_Record):
+    """Outcome of one verification run (one theorem, one mode).
+
+    Serializes to stable key:value text and a flat dict; wall-clock time is
+    carried in memory only, so serialized reports are deterministic and
+    equality ignores `elapsed`.  `passed + skipped = attempted` whenever
+    there is no counterexample.
+    """
+
+    _compared = ("theorem", "mode", "attempted", "passed", "skipped", "trials",
+                 "seed", "bound", "checks", "counterexample", "failure")
+    _shown = (*_compared, "elapsed")
+
+    def __init__(self, theorem: str, mode: str, attempted: int, passed: int,
+                 skipped: int, trials: int | None = None, seed: int | None = None,
+                 bound: int | None = None, checks: tuple[tuple[str, bool], ...] = (),
+                 counterexample: Counterexample | None = None,
+                 failure: str | None = None, elapsed: float | None = None):
+        self.__dict__.update(
+            theorem=theorem, mode=mode, attempted=attempted, passed=passed,
+            skipped=skipped, trials=trials, seed=seed, bound=bound, checks=checks,
+            counterexample=counterexample, failure=failure, elapsed=elapsed)
+
+    @property
+    def ok(self) -> bool:
+        return self.failure is None
+
+    def to_flat(self) -> dict[str, str]:
+        flat = {"theorem": self.theorem, "mode": self.mode}
+        if self.trials is not None:
+            flat["trials"] = str(self.trials)
+        if self.seed is not None:
+            flat["seed"] = str(self.seed)
+        if self.bound is not None:
+            flat["bound"] = str(self.bound)
+        flat["attempted"] = str(self.attempted)
+        flat["passed"] = str(self.passed)
+        flat["skipped"] = str(self.skipped)
+        for check_id, ok in self.checks:
+            flat[f"check.{check_id}"] = "ok" if ok else "FAIL"
+        if self.counterexample is not None:
+            flat["counterexample.trial"] = str(self.counterexample.trial)
+            for name, value in self.counterexample.params:
+                flat[f"counterexample.params.{name}"] = format_rational(value)
+            flat["counterexample.detail"] = self.counterexample.detail
+        if self.failure is not None:
+            flat["failure"] = self.failure
+        flat["result"] = "pass" if self.ok else "fail"
+        return flat
+
+    def to_text(self) -> str:
+        return "\n".join(f"{key}: {value}" for key, value in self.to_flat().items())
+
+
+# -- drivers ---------------------------------------------------------------------
+
+# A numeric run fails when more than this share of its trials is skipped.
+SKIP_LIMIT = Fraction(1, 5)
+
+
+def run_trials(theorem: str, stream: str, sample: Callable, check: Callable,
+               trials: int, seed: int, bound: int) -> VerificationReport:
+    """Seeded trials of one claim, stopping at the first counterexample.
+
+    Trial i draws its configuration as `sample(rng, bound)` from
+    `derive_rng(seed, stream, i)`, so any single trial can be replayed.
+    `check(cfg)` returns None when the claim holds and otherwise the
+    counterexample's `(params, detail)`; a DegenerateConfig it raises
+    skips the trial.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    attempted = passed = skipped = 0
+    counterexample = None
+    start = time.perf_counter()
+    for trial in range(trials):
+        cfg = sample(derive_rng(seed, stream, trial), bound)
+        attempted += 1
+        try:
+            refuted = check(cfg)
+        except DegenerateConfig:
+            skipped += 1
+            continue
+        if refuted is None:
+            passed += 1
+        else:
+            counterexample = Counterexample(trial, *refuted)
+            break
+    elapsed = time.perf_counter() - start
+    failure = None
+    if counterexample is not None:
+        failure = f"counterexample at trial {counterexample.trial}"
+    elif Fraction(skipped, attempted) > SKIP_LIMIT:
+        failure = (f"skip rate {skipped}/{attempted} exceeds limit "
+                   f"{format_rational(SKIP_LIMIT)}")
+    return VerificationReport(theorem=theorem, mode="numeric",
+                              attempted=attempted, passed=passed, skipped=skipped,
+                              trials=trials, seed=seed, bound=bound,
+                              counterexample=counterexample, failure=failure,
+                              elapsed=elapsed)
+
+
+def run_checks(theorem: str, checks) -> VerificationReport:
+    """Symbolic report from `(check id, verdict, failure name)` items, in order.
+
+    The first false verdict names the failure; a DegenerateConfig raised
+    while the items are produced ends the run with the checks made so far.
+    """
+    results = []
+    failure = None
+    start = time.perf_counter()
+    try:
+        for check_id, ok, name in checks:
+            results.append((check_id, ok))
+            if not ok and failure is None:
+                failure = f"SymbolicMismatch: {name}"
+    except DegenerateConfig as exc:
+        failure = f"degenerate for generic parameters: {exc}"
+    elapsed = time.perf_counter() - start
+    passed = sum(1 for _, ok in results if ok)
+    return VerificationReport(theorem=theorem, mode="symbolic",
+                              attempted=len(results), passed=passed, skipped=0,
+                              checks=tuple(results), failure=failure,
+                              elapsed=elapsed)
+
+
 def _run_trial(program, env: dict) -> Assertion | None:
     """Run a compiled program; return the first false assertion."""
     return program(env)
 
 
+def _numeric_run(label: str, stream: str, params: tuple[str, ...], draw: Callable,
+                 trial: Callable, trials: int, seed: int,
+                 bound: int) -> VerificationReport:
+    """Seeded trials on stream `stream`: `draw(rng, bound)` returns the int
+    pairs of `params`, in order, and `trial(pairs)` None or the first false
+    assertion, which refutes the run with the pairs as Fractions."""
+
+    def check(pairs):
+        failed = trial(pairs)
+        if failed is None:
+            return None
+        return (tuple(zip(params, (Fraction(*pair) for pair in pairs))),
+                f"assertion {_assertion_text(failed)} failed")
+
+    return run_trials(label, stream, draw, check, trials, seed, bound)
+
+
 def _evaluate_numeric(construction, seed, trials, bound, label):
     params = construction.params
     program = _compile_program(construction, paired=True)
-
-    def sample(rng, bound):
-        return dict(zip(params, sample_ratios(rng, bound, len(params))))
-
-    def check(env):
-        failed = _run_trial(program, env)
-        if failed is None:
-            return None
-        return (tuple((name, Fraction(*env[name])) for name in params),
-                f"assertion {_assertion_text(failed)} failed")
-
-    return run_trials(label, "trial", sample, check, trials, seed, bound)
+    return _numeric_run(
+        label, "trial", params, partial(sample_ratios, n=len(params)),
+        lambda pairs: _run_trial(program, dict(zip(params, pairs))),
+        trials, seed, bound)
 
 
 def _evaluate_symbolic(construction, label):

@@ -32,8 +32,8 @@ from math import gcd
 from typing import Mapping
 
 from .errors import DenominatorVanishes, ZeroDenominator
-from .poly import (Polynomial, _as_polynomial, _make, _reduced, _shift_down,
-                   common_monomial)
+from .poly import (VARIABLES, Polynomial, _as_polynomial, _make, _reduced,
+                   _shift_down, common_monomial)
 
 
 def _as_rational_function(value):
@@ -93,7 +93,6 @@ class RationalFunction:
     @classmethod
     def variables(cls) -> tuple[RationalFunction, ...]:
         """The five generators (a, b, c, d, k) as rational functions."""
-        from .poly import VARIABLES
         return tuple(cls.variable(name) for name in VARIABLES)
 
     # -- predicates ------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The verified results as executable configurations, trials and proofs.
+"""The paper's results, stated: configurations, samplers, builders and proofs.
 
 Seven results are covered: the chord form of the butterfly theorem, its
 cyclic-quadrilateral form, the two generalizations to arbitrary
@@ -11,12 +11,13 @@ construction step is compared against the independently keyed-in closed
 forms in `closedforms` and the final midpoint / power-ratio identities are
 decided exactly.
 
-A trial returns None, or the first assertion of the file that fails;
-degenerate configurations raise a `DegenerateConfig` subclass, which the
-trial driver `run_trials` counts as a skip.  The six builders (thm1, thm2,
-lemma2, lemma3, thm0 and the chord form) run the definitions of their
-corpus files, so each construction is stated once, in the file `verify`
-checks; the same definitions serve both scalar backends.
+`dsl` runs the results as it runs a file for `verify`: trials by
+`dsl._numeric_run`, proof reports by `dsl.run_checks`.  A trial returns
+None or the file's first false assertion, and a degenerate configuration
+(a `DegenerateConfig`) skips it.  The six builders (thm1, thm2, lemma2,
+lemma3, thm0 and the chord form) run the definitions of their corpus
+files, so each construction is stated once, in the file `verify` checks;
+the same definitions serve both scalar backends.
 
 Each sampler's rejection loop is a pair core: one batched draw per
 candidate, each value its reduced int pair (`scalar.sample_ratios`), tested
@@ -30,13 +31,13 @@ samplers build their config of Fractions from the core.
 from __future__ import annotations
 
 import functools
-import time
 from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 
 from . import closedforms
+from .dsl import VerificationReport, _compile_program, _numeric_run, parse, run_checks
 from .errors import DegenerateConfig, DenominatorVanishes, SamplerExhausted
 from .geom import (
     Circle,
@@ -57,52 +58,12 @@ from .geom import (
 )
 from .poly import _exact_point
 from .ratfun import RationalFunction
-from .scalar import derive_rng, format_rational, sample_ratios
+# derive_rng is read as `theorems.derive_rng` by the benchmark's bridge workload
+from .scalar import derive_rng, sample_ratios
 
 _MAX_REDRAWS = 100000
 _RATIONAL = (int, Fraction)
 _UNIT_CIRCLE = Circle(0, 0, -1)
-
-
-# -- records ---------------------------------------------------------------------
-
-
-class _Record:
-    """Base of the immutable records whose equality skips a field.
-
-    A subclass's `__init__` stores its fields in `__dict__`.  `_compared`
-    names, in declared order, the fields that equality and hashing read,
-    and `_shown` those the repr shows (the compared ones unless a subclass
-    names others).  Records of different classes are never equal, and
-    setting or deleting an attribute raises AttributeError.
-    """
-
-    _compared: tuple[str, ...] = ()
-
-    @property
-    def _shown(self) -> tuple[str, ...]:
-        return self._compared
-
-    def _key(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._compared))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._shown)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # -- configurations -----------------------------------------------------------
@@ -193,9 +154,7 @@ _CORPUS = Path(__file__).with_name("corpus")
 def _construction(stem: str):
     """Corpus file `stem`, parsed once per process, its parameters, and a
     getter of them from the config fields of the same names."""
-    from . import dsl  # dsl imports this module
-
-    construction = dsl.parse((_CORPUS / f"{stem}.geo").read_text(encoding="utf-8"))
+    construction = parse((_CORPUS / f"{stem}.geo").read_text(encoding="utf-8"))
     params = construction.params
     return construction, params, attrgetter(*params)
 
@@ -204,9 +163,7 @@ def _construction(stem: str):
 def _program(stem: str, paired: bool, assertions):
     """Corpus file `stem` compiled with `paired` and `assertions` as
     `dsl._compile_program` takes them, once per process and key."""
-    from . import dsl
-
-    return dsl._compile_program(_construction(stem)[0], paired, assertions)
+    return _compile_program(_construction(stem)[0], paired, assertions)
 
 
 def _run(stem: str, cfg, assertions=None):
@@ -285,28 +242,23 @@ def check_thm2_perpendicularity(cfg: GaugeConfig) -> bool:
 
 def evaluate_object(obj, assignment: Mapping[str, Fraction]):
     """Exact evaluation of a symbolic Point/Line/Circle at an assignment of
-    the five variables to ints or Fractions.  The assignment is checked as
-    `Polynomial.evaluate` checks it, even where every field is a constant."""
+    the five variables to ints or Fractions; a rational figure is its own
+    value.  The assignment is checked as `Polynomial.evaluate` checks it,
+    even where every field is a constant."""
     if not isinstance(obj, (Point, Line, Circle)):
         raise TypeError(f"cannot evaluate {type(obj).__name__}")
     _exact_point(assignment)
-    if isinstance(obj, Point):
-        return Point(_eval_scalar(obj.x, assignment), _eval_scalar(obj.y, assignment))
-    if isinstance(obj, Line):
-        u, v = _eval_scalar(obj.u, assignment), _eval_scalar(obj.v, assignment)
-        if not (u or v):
-            # a common root of a symbolic line's u and v, where it is undefined
-            raise DenominatorVanishes("the line's u and v both vanish at the "
-                                      "given assignment")
-        return Line(u, v, _eval_scalar(obj.w, assignment))
-    return Circle(_eval_scalar(obj.d, assignment), _eval_scalar(obj.e, assignment),
-                  _eval_scalar(obj.f, assignment))
-
-
-def _eval_scalar(value, assignment):
-    if isinstance(value, RationalFunction):
-        return value.evaluate(assignment)
-    return value
+    h = obj._h
+    if type(h[0]) is int:
+        return obj
+    # a symbolic figure's tuple is its fields (x, y; u, v, w; d, e, f), then 1
+    fields = [value.evaluate(assignment) if isinstance(value, RationalFunction)
+              else value for value in h[:-1]]
+    if isinstance(obj, Line) and not (fields[0] or fields[1]):
+        # a common root of a symbolic line's u and v, where it is undefined
+        raise DenominatorVanishes("the line's u and v both vanish at the "
+                                  "given assignment")
+    return type(obj)(*fields)
 
 
 # -- samplers -------------------------------------------------------------------
@@ -390,145 +342,6 @@ def sample_lemma2(rng, bound: int) -> GaugeConfig:
     ABC has two vertices on one line and its third off it, and all four
     circumcenters exist."""
     return _config(GaugeConfig, _gauge_pairs(rng, bound))
-
-
-# -- reports ---------------------------------------------------------------------
-
-
-class Counterexample(NamedTuple):
-    """The first failing trial: its index, its config's parameters and what failed."""
-
-    trial: int
-    params: tuple[tuple[str, object], ...]
-    detail: str
-
-
-class VerificationReport(_Record):
-    """Outcome of one verification run (one theorem, one mode).
-
-    Serializes to stable key:value text and a flat dict; wall-clock time is
-    carried in memory only, so serialized reports are deterministic and
-    equality ignores `elapsed`.  `passed + skipped = attempted` whenever
-    there is no counterexample.
-    """
-
-    _compared = ("theorem", "mode", "attempted", "passed", "skipped", "trials",
-                 "seed", "bound", "checks", "counterexample", "failure")
-    _shown = (*_compared, "elapsed")
-
-    def __init__(self, theorem: str, mode: str, attempted: int, passed: int,
-                 skipped: int, trials: int | None = None, seed: int | None = None,
-                 bound: int | None = None, checks: tuple[tuple[str, bool], ...] = (),
-                 counterexample: Counterexample | None = None,
-                 failure: str | None = None, elapsed: float | None = None):
-        self.__dict__.update(
-            theorem=theorem, mode=mode, attempted=attempted, passed=passed,
-            skipped=skipped, trials=trials, seed=seed, bound=bound, checks=checks,
-            counterexample=counterexample, failure=failure, elapsed=elapsed)
-
-    @property
-    def ok(self) -> bool:
-        return self.failure is None
-
-    def to_flat(self) -> dict[str, str]:
-        flat = {"theorem": self.theorem, "mode": self.mode}
-        if self.trials is not None:
-            flat["trials"] = str(self.trials)
-        if self.seed is not None:
-            flat["seed"] = str(self.seed)
-        if self.bound is not None:
-            flat["bound"] = str(self.bound)
-        flat["attempted"] = str(self.attempted)
-        flat["passed"] = str(self.passed)
-        flat["skipped"] = str(self.skipped)
-        for check_id, ok in self.checks:
-            flat[f"check.{check_id}"] = "ok" if ok else "FAIL"
-        if self.counterexample is not None:
-            flat["counterexample.trial"] = str(self.counterexample.trial)
-            for name, value in self.counterexample.params:
-                flat[f"counterexample.params.{name}"] = format_rational(value)
-            flat["counterexample.detail"] = self.counterexample.detail
-        if self.failure is not None:
-            flat["failure"] = self.failure
-        flat["result"] = "pass" if self.ok else "fail"
-        return flat
-
-    def to_text(self) -> str:
-        return "\n".join(f"{key}: {value}" for key, value in self.to_flat().items())
-
-
-# -- drivers ---------------------------------------------------------------------
-
-# A numeric run fails when more than this share of its trials is skipped.
-SKIP_LIMIT = Fraction(1, 5)
-
-
-def run_trials(theorem: str, stream: str, sample: Callable, check: Callable,
-               trials: int, seed: int, bound: int) -> VerificationReport:
-    """Seeded trials of one claim, stopping at the first counterexample.
-
-    Trial i draws its configuration as `sample(rng, bound)` from
-    `derive_rng(seed, stream, i)`, so any single trial can be replayed.
-    `check(cfg)` returns None when the claim holds and otherwise the
-    counterexample's `(params, detail)`; a DegenerateConfig it raises
-    skips the trial.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    attempted = passed = skipped = 0
-    counterexample = None
-    start = time.perf_counter()
-    for trial in range(trials):
-        cfg = sample(derive_rng(seed, stream, trial), bound)
-        attempted += 1
-        try:
-            refuted = check(cfg)
-        except DegenerateConfig:
-            skipped += 1
-            continue
-        if refuted is None:
-            passed += 1
-        else:
-            counterexample = Counterexample(trial, *refuted)
-            break
-    elapsed = time.perf_counter() - start
-    failure = None
-    if counterexample is not None:
-        failure = f"counterexample at trial {counterexample.trial}"
-    elif Fraction(skipped, attempted) > SKIP_LIMIT:
-        failure = (f"skip rate {skipped}/{attempted} exceeds limit "
-                   f"{format_rational(SKIP_LIMIT)}")
-    return VerificationReport(theorem=theorem, mode="numeric",
-                              attempted=attempted, passed=passed, skipped=skipped,
-                              trials=trials, seed=seed, bound=bound,
-                              counterexample=counterexample, failure=failure,
-                              elapsed=elapsed)
-
-
-def run_checks(theorem: str, checks) -> VerificationReport:
-    """Symbolic report from `(check id, verdict, failure name)` items, in order.
-
-    The first false verdict names the failure; a DegenerateConfig raised
-    while the items are produced ends the run with the checks made so far.
-    """
-    results = []
-    failure = None
-    start = time.perf_counter()
-    try:
-        for check_id, ok, name in checks:
-            results.append((check_id, ok))
-            if not ok and failure is None:
-                failure = f"SymbolicMismatch: {name}"
-    except DegenerateConfig as exc:
-        failure = f"degenerate for generic parameters: {exc}"
-    elapsed = time.perf_counter() - start
-    passed = sum(1 for _, ok in results if ok)
-    return VerificationReport(theorem=theorem, mode="symbolic",
-                              attempted=len(results), passed=passed, skipped=0,
-                              checks=tuple(results), failure=failure,
-                              elapsed=elapsed)
 
 
 # -- symbolic proofs --------------------------------------------------------------
@@ -693,18 +506,9 @@ def run_numeric(theorem: str, trials: int = 1000, seed: int = 0,
     if theorem not in _SUITE:
         raise ValueError(f"unknown result {theorem!r}; known results: "
                          f"{', '.join(_SUITE)}")
-    from . import dsl
-
     core, trial = _SUITE[theorem]
-
-    def check(pairs):
-        failed = trial(pairs)
-        if failed is None:
-            return None
-        params = zip(_construction(theorem)[1], (Fraction(*pair) for pair in pairs))
-        return tuple(params), f"assertion {dsl._assertion_text(failed)} failed"
-
-    return run_trials(theorem, theorem, core, check, trials, seed, bound)
+    return _numeric_run(theorem, theorem, _construction(theorem)[1], core, trial,
+                        trials, seed, bound)
 
 
 def run_suite(mode: str = "both", trials: int = 1000, seed: int = 0,

@@ -39,10 +39,10 @@ from butterfly.dsl import (
     eval_expr,
     evaluate_construction,
     parse,
+    run_trials,
     to_source,
 )
 from butterfly.scalar import derive_rng, field_div, sample_ratios, sample_rational
-from butterfly.theorems import run_trials
 
 CORPUS = Path(butterfly.__file__).parent / "corpus"
 FIXTURES = CORPUS / "fixtures"

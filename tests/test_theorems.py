@@ -12,7 +12,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from butterfly import cli, closedforms, dsl, geom, theorems
-from butterfly.dsl import evaluate_construction, parse
+from butterfly.dsl import (
+    Counterexample,
+    VerificationReport,
+    evaluate_construction,
+    parse,
+)
 from butterfly.errors import (
     CoincidentPoints,
     CollinearPoints,
@@ -52,11 +57,9 @@ from butterfly.theorems import (
     NUMERIC_ORDER,
     SYMBOLIC_ORDER,
     ChordButterflyConfig,
-    Counterexample,
     CyclicConfig,
     GaugeConfig,
     QuadConfig,
-    VerificationReport,
     build_chord,
     build_lemma2,
     build_lemma3,
@@ -696,6 +699,20 @@ def test_evaluate_object_checks_the_assignment_of_a_constant_object():
         evaluate_object(origin, {"a": 1, "b": 2, "c": 3, "d": 4})
 
 
+def test_evaluate_object_of_rational_and_mixed_figures():
+    # a rational figure is its own value; a symbolic one evaluates each of
+    # its fields, Fraction or RationalFunction, to a rational figure
+    a, b, c, d, k = GaugeConfig.symbolic()
+    for obj, value in (
+            (Line(F(1, 2), 3, -4), Line(F(1, 2), 3, -4)),
+            (Point(F(1, 2), a * k), Point(F(1, 2), 2)),
+            (Line(a, F(1, 3), b - c), Line(2, F(1, 3), 4)),
+            (Circle(F(-1), d, a * b), Circle(-1, -2, 2))):
+        result = evaluate_object(obj, ANCHOR.as_assignment())
+        assert type(result) is type(obj) and type(result._h[0]) is int
+        assert result == value
+
+
 # -- samplers ----------------------------------------------------------------------
 
 def test_sample_gauge_invariants_and_determinism():
@@ -1025,7 +1042,7 @@ def ref_run_numeric(theorem, trials, seed, bound):
             return None
         return cfg.params(), f"assertion {dsl._assertion_text(failed)} failed"
 
-    return theorems.run_trials(theorem, theorem, sample, check, trials, seed, bound)
+    return dsl.run_trials(theorem, theorem, sample, check, trials, seed, bound)
 
 
 @pytest.mark.parametrize("bound", (20, 2))
@@ -1036,6 +1053,28 @@ def test_run_numeric_reports_what_the_fraction_driver_reports(stem, bound):
     for seed in range(5):
         report = run_numeric(stem, trials=100, seed=seed, bound=bound)
         assert report.to_text() == ref_run_numeric(stem, 100, seed, bound).to_text()
+
+
+def test_each_trial_crosses_one_trial_boundary(monkeypatch):
+    """A built-in trial calls its `_SUITE` trial and a `.geo` trial calls
+    `dsl._run_trial`, never one through the other."""
+    calls = {"suite": 0, "dsl": 0}
+
+    def counted(key, function):
+        def call(*args):
+            calls[key] += 1
+            return function(*args)
+        return call
+
+    core, trial = theorems._SUITE["thm1"]
+    monkeypatch.setitem(theorems._SUITE, "thm1", (core, counted("suite", trial)))
+    monkeypatch.setattr(dsl, "_run_trial", counted("dsl", dsl._run_trial))
+    assert run_numeric("thm1", trials=50).attempted == 50
+    assert calls == {"suite": 50, "dsl": 0}
+    calls["suite"] = 0
+    construction = parse(theorems._CORPUS.joinpath("thm1.geo").read_text())
+    assert evaluate_construction(construction, trials=50).attempted == 50
+    assert calls == {"suite": 0, "dsl": 50}
 
 
 def test_forced_refutation_reports_the_fraction_drivers_counterexample(monkeypatch):
@@ -1444,9 +1483,9 @@ def test_closed_form_check_ids_complete():
 
 
 def test_run_checks_reports_the_first_mismatch():
-    report = theorems.run_checks("x", [("x.bad", False, "bad"),
-                                       ("x.good", True, "good"),
-                                       ("x.worse", False, "worse")])
+    report = dsl.run_checks("x", [("x.bad", False, "bad"),
+                                  ("x.good", True, "good"),
+                                  ("x.worse", False, "worse")])
     assert not report.ok
     assert report.failure == "SymbolicMismatch: bad"
     assert report.checks == (("x.bad", False), ("x.good", True),
