@@ -2,7 +2,10 @@
 
 Coordinates are `fractions.Fraction`s (numeric work) or `RationalFunction`s
 over Q(a, b, c, d, k) (symbolic work); nothing here ever calls float math.
-Zero tests are `not x`, which both scalar types support through `__bool__`.
+One-sided zero tests are `not x`, which both scalar types support through
+`__bool__`; two-sided tests compare, `x == y` rather than `not (x - y)`, so
+a symbolic verdict builds no difference (`RationalFunction.__eq__`
+cross-multiplies and stops, or compares numerators over one denominator).
 A field of a `Point`, `Line` or `Circle` must be an int, a `Fraction` or a
 `RationalFunction`; any other type (a float, say) raises `TypeError`.
 
@@ -140,7 +143,7 @@ class Point(_Figure):
             return NotImplemented
         x1, y1, z1 = self._h
         x2, y2, z2 = other._h
-        return not (x1 * z2 - x2 * z1) and not (y1 * z2 - y2 * z1)
+        return x1 * z2 == x2 * z1 and y1 * z2 == y2 * z1
 
     def __repr__(self):
         return f"Point({self.x!r}, {self.y!r})"
@@ -225,8 +228,7 @@ class Circle(_Figure):
             return NotImplemented
         d1, e1, f1, s1 = self._h
         d2, e2, f2, s2 = other._h
-        return (not (d1 * s2 - d2 * s1) and not (e1 * s2 - e2 * s1)
-                and not (f1 * s2 - f2 * s1))
+        return d1 * s2 == d2 * s1 and e1 * s2 == e2 * s1 and f1 * s2 == f2 * s1
 
     def __repr__(self):
         return f"Circle({self.d!r}, {self.e!r}, {self.f!r})"
@@ -244,8 +246,8 @@ def _rank_one(p0, p1, p2, q0, q1, q2) -> bool:
     or p2 is nonzero), and the minor of columns (1, 2) is tested as well.
     """
     if p0:
-        return not (p0 * q1 - p1 * q0) and not (p0 * q2 - p2 * q0)
-    return not q0 and not (p1 * q2 - p2 * q1)
+        return p0 * q1 == p1 * q0 and p0 * q2 == p2 * q0
+    return not q0 and p1 * q2 == p2 * q1
 
 
 def _scaled(*values) -> tuple:
@@ -454,8 +456,8 @@ def is_collinear(p: Point, q: Point, r: Point) -> bool:
     x1, y1, z1 = p._h
     x2, y2, z2 = q._h
     x3, y3, z3 = r._h
-    return not ((x2 * z1 - x1 * z2) * (y3 * z1 - y1 * z3)
-                - (y2 * z1 - y1 * z2) * (x3 * z1 - x1 * z3))
+    return ((x2 * z1 - x1 * z2) * (y3 * z1 - y1 * z3)
+            == (y2 * z1 - y1 * z2) * (x3 * z1 - x1 * z3))
 
 
 def is_midpoint(m: Point, p: Point, q: Point) -> bool:
@@ -464,8 +466,8 @@ def is_midpoint(m: Point, p: Point, q: Point) -> bool:
     x2, y2, z2 = p._h
     x3, y3, z3 = q._h
     z23, z13, z12 = z2 * z3, z1 * z3, z1 * z2
-    return (not (2 * x1 * z23 - x2 * z13 - x3 * z12)
-            and not (2 * y1 * z23 - y2 * z13 - y3 * z12))
+    return (2 * x1 * z23 == x2 * z13 + x3 * z12
+            and 2 * y1 * z23 == y2 * z13 + y3 * z12)
 
 
 def is_on_line(p: Point, line: Line) -> bool:
@@ -492,7 +494,7 @@ def is_parallel(l1: Line, l2: Line) -> bool:
     """Same direction; coincident lines count as parallel."""
     u1, v1, _, _ = l1._h
     u2, v2, _, _ = l2._h
-    return not (u1 * v2 - u2 * v1)
+    return u1 * v2 == u2 * v1
 
 
 def is_perpendicular(l1: Line, l2: Line) -> bool:

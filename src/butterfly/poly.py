@@ -19,6 +19,11 @@ and gives every polynomial one stable debug rendering.  `terms` presents the
 same polynomial as (exponent 5-tuple, Fraction) pairs in the same order,
 built on each access.
 
+Arithmetic skips work whose result is known: a product with a factor equal
+to the constant 1 is the other factor itself, a difference is formed in one
+pass (no negated copy), and an int operand becomes a constant polynomial
+without a Fraction.
+
 A polynomial is falsy exactly when it is zero.  A monomial factor is divided
 out only by `common_monomial`, which finds the largest one, and then
 `_shift_down`, which divides by it unchecked.
@@ -61,11 +66,11 @@ def _unpack(packed: int) -> Monomial:
     return tuple(packed >> shift & _MASK for shift in _SHIFTS)
 
 
-def _coerce_coeff(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _coerce_coeff(value) -> int | Fraction:
+    """An exact rational as given: ints need no Fraction, since both types
+    have `numerator` and `denominator`."""
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"polynomial coefficients must be rational, got {type(value).__name__}")
 
 
@@ -153,8 +158,26 @@ def _shift_down(poly: Polynomial, mono: Monomial) -> Polynomial:
 
 
 def _collect(acc: dict[int, int], den: int) -> Polynomial:
-    """Canonical polynomial from an unordered accumulator that may hold zeros."""
-    return _reduced(sorted([t for t in acc.items() if t[1]], reverse=True), den)
+    """Canonical polynomial from an unordered accumulator that may hold zeros.
+    The keys are distinct, so sorting the keys alone gives the order of the
+    terms, with no pair compared."""
+    return _reduced([(m, c) for m in sorted(acc, reverse=True) if (c := acc[m])], den)
+
+
+def _combine(p: Polynomial, q: Polynomial, sign: int) -> Polynomial:
+    """p + sign * q for sign 1 or -1, in one pass over both."""
+    if not q._terms:
+        return p
+    if not p._terms:
+        return q if sign > 0 else -q
+    # bring both onto the denominator lcm(d1, d2) = d1 * (d2 // g)
+    g = gcd(p._den, q._den)
+    mine, theirs = q._den // g, sign * (p._den // g)
+    acc = {m: c * mine for m, c in p._terms}
+    get = acc.get
+    for m, c in q._terms:
+        acc[m] = get(m, 0) + c * theirs
+    return _collect(acc, p._den * mine)
 
 
 class Polynomial:
@@ -164,7 +187,7 @@ class Polynomial:
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | Iterable[tuple[Monomial, Fraction]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, int | Fraction] = {}
         for mono, coeff in items:
             key = _pack(mono)
             acc[key] = acc.get(key, 0) + _coerce_coeff(coeff)
@@ -219,18 +242,7 @@ class Polynomial:
         other = _as_polynomial(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other._terms:
-            return self
-        if not self._terms:
-            return other
-        # bring both onto the denominator lcm(d1, d2) = d1 * (d2 // g)
-        g = gcd(self._den, other._den)
-        mine, theirs = other._den // g, self._den // g
-        acc = {m: c * mine for m, c in self._terms}
-        get = acc.get
-        for m, c in other._terms:
-            acc[m] = get(m, 0) + c * theirs
-        return _collect(acc, self._den * mine)
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
@@ -241,18 +253,22 @@ class Polynomial:
         other = _as_polynomial(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __rsub__(self, other):
         other = _as_polynomial(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return _combine(other, self, -1)
 
     def __mul__(self, other):
         other = _as_polynomial(other)
         if other is NotImplemented:
             return NotImplemented
+        if other._terms == _ONE_TERMS and other._den == 1:
+            return self
+        if self._terms == _ONE_TERMS and self._den == 1:
+            return other
         if not self._terms or not other._terms:
             return _ZERO
         degree = (self._terms[0][0] >> _DEGREE_SHIFT) + (other._terms[0][0] >> _DEGREE_SHIFT)
@@ -355,4 +371,5 @@ class Polynomial:
 
 
 _ZERO = _make((), 1)
-_ONE = _make(((0, 1),), 1)
+_ONE_TERMS = ((0, 1),)
+_ONE = _make(_ONE_TERMS, 1)

@@ -2,10 +2,13 @@
 
 Equality is decided by cross-multiplication (f.num * g.den == g.num * f.den),
 which is exact over an integral domain and avoids multivariate gcd entirely.
-A sum or difference of two functions whose denominators are structurally
-equal adds or subtracts the numerators over that one denominator; any other
-sum cross-multiplies.  Equality always cross-multiplies.  A product with,
-or a quotient by, the int 1 is the function itself.
+When the two denominators are structurally equal, equality compares the
+numerators: cross-multiplication with that common nonzero factor cancelled,
+exact since canonical polynomials are equal exactly when they are
+structurally equal.  A sum or difference of two such functions likewise
+adds or subtracts the numerators over the one denominator; any other sum
+cross-multiplies.  A product with, or a quotient by, the int 1 is the
+function itself.
 A cheap normal form keeps expression growth in check without full reduction:
 
   * a zero numerator forces den = 1,
@@ -172,9 +175,13 @@ class RationalFunction:
         other = _as_rational_function(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den == other.den:
+            return self.num == other.num
         return self.num * other.den == other.num * self.den
 
-    __hash__ = None  # cross-multiplied equality has no cheap consistent hash
+    # equal functions may have different denominators, so a consistent hash
+    # would need the reduced form, which the cheap normal form does not give
+    __hash__ = None
 
     # -- evaluation ---------------------------------------------------------------
 

@@ -743,7 +743,10 @@ def test_degenerate_inputs_raise_like_reference():
 # their outputs without re-validation.  The affine formulas below are the
 # reference: verdicts must agree, and constructions must store the same
 # values (or raise the same error), both on rational inputs and on inputs
-# with one field lifted to an equal RationalFunction.
+# with fields lifted to equal RationalFunctions.  `Point.__eq__`,
+# `Circle.__eq__`, `_rank_one` (so `Line.__eq__` and `are_coaxial`),
+# `is_parallel`, `is_midpoint` and `is_collinear` decide with `==`, so their
+# tests run every argument order.
 
 def ref_point_eq(p, q):
     return not (p.x - q.x) and not (p.y - q.y)
@@ -798,6 +801,10 @@ def point_eq(p, q):
     return p == q
 
 
+def circle_eq(c1, c2):
+    return c1 == c2
+
+
 def _exact(value):
     """A value as comparable parts, down to each coordinate's representation."""
     if isinstance(value, bool):
@@ -825,19 +832,25 @@ def lift(obj, index):
 
 
 def assert_same_on_both_backends(fn, ref, args, data):
+    """`fn` against `ref` on rational `args`, then with each argument in
+    turn, and then all of them, given one drawn field as an equal
+    RationalFunction.  A lifted argument keeps its other fields as Fractions
+    (ints in its tuple) and the others stay rational, so a two-sided test
+    meets int, Fraction and RationalFunction operands on either side of
+    `==`, the reflected `__eq__` included."""
+    args = tuple(args)
     fraction_outcome = _exact_outcome(fn, *args)
     assert fraction_outcome == _exact_outcome(ref, *args)
     if isinstance(fraction_outcome, tuple) and fraction_outcome[0] != "raise":
         assert all(part[0] == "Fraction" for part in fraction_outcome[1:])
-    # the same input with one field lifted to an equal RationalFunction
-    which = data.draw(st.integers(0, len(args) - 1))
-    field = data.draw(st.integers(0, len(_fields(args[which])) - 2))
-    mixed = list(args)
-    mixed[which] = lift(args[which], field)
-    mixed_outcome = _exact_outcome(fn, *mixed)
-    assert mixed_outcome == _exact_outcome(ref, *mixed)
-    if isinstance(fraction_outcome, bool) or fraction_outcome[0] == "raise":
-        assert mixed_outcome == fraction_outcome
+    lifted = tuple(lift(arg, data.draw(st.integers(0, len(_fields(arg)) - 2)))
+                   for arg in args)
+    one_lifted = [args[:i] + lifted[i:i + 1] + args[i + 1:] for i in range(len(args))]
+    for mixed in one_lifted + [lifted]:
+        mixed_outcome = _exact_outcome(fn, *mixed)
+        assert mixed_outcome == _exact_outcome(ref, *mixed)
+        if isinstance(fraction_outcome, bool) or fraction_outcome[0] == "raise":
+            assert mixed_outcome == fraction_outcome
 
 
 @st.composite
@@ -939,21 +952,24 @@ def circle_triples(draw):
 
 @given(point_pairs(), st.data())
 def test_two_point_integer_paths_match_reference(pair, data):
-    assert_same_on_both_backends(point_eq, ref_point_eq, pair, data)
+    for order in permutations(pair):
+        assert_same_on_both_backends(point_eq, ref_point_eq, order, data)
     assert_same_on_both_backends(circle_on_diameter, ref_circle_on_diameter,
                                  pair, data)
 
 
 @given(point_triples(), st.data())
 def test_three_point_integer_paths_match_reference(triple, data):
-    assert_same_on_both_backends(is_collinear, ref_is_collinear, triple, data)
+    for order in permutations(triple):
+        assert_same_on_both_backends(is_collinear, ref_is_collinear, order, data)
     assert_same_on_both_backends(parallelogram_fourth, ref_parallelogram_fourth,
                                  triple, data)
 
 
 @given(midpoint_triples(), st.data())
 def test_is_midpoint_matches_reference(triple, data):
-    assert_same_on_both_backends(is_midpoint, ref_is_midpoint, triple, data)
+    for order in permutations(triple):
+        assert_same_on_both_backends(is_midpoint, ref_is_midpoint, order, data)
 
 
 @given(lines_with_points(), st.data())
@@ -973,6 +989,7 @@ def test_is_perpendicular_matches_reference(pair, data):
 def test_are_coaxial_matches_reference(triple, data):
     for order in permutations(triple):
         assert_same_on_both_backends(are_coaxial, ref_are_coaxial, order, data)
+        assert_same_on_both_backends(circle_eq, _ref_same_circle, order[:2], data)
 
 
 def ref_is_parallel(l1, l2):
@@ -991,8 +1008,9 @@ def line_eq(l1, l2):
 
 @given(line_pairs(), st.data())
 def test_line_relations_match_reference(pair, data):
-    assert_same_on_both_backends(is_parallel, ref_is_parallel, pair, data)
-    assert_same_on_both_backends(line_eq, ref_line_eq, pair, data)
+    for order in permutations(pair):
+        assert_same_on_both_backends(is_parallel, ref_is_parallel, order, data)
+        assert_same_on_both_backends(line_eq, ref_line_eq, order, data)
 
 
 def _value_outcome(fn, *args):

@@ -216,10 +216,30 @@ def test_kernel_matches_dict_arithmetic(left, right, factor, shift):
     assert read_terms(p) == x
     assert read_terms(p * q) == dict_mul(x, y)
     assert read_terms(p + q) == dict_sum(list(x.items()) + list(y.items()))
+    assert read_terms(p - q) == dict_sum(list(x.items()) + [(m, -c) for m, c in y.items()])
+    assert read_terms(q - p) == dict_sum(list(y.items()) + [(m, -c) for m, c in x.items()])
     assert read_terms(p * Polynomial.constant(factor)) == dict_sum(
         [(m, c * factor) for m, c in x.items()])
     up = {tuple(e + f for e, f in zip(m, shift)): c for m, c in x.items()}
     assert read_terms(_shift_down(Polynomial(up), shift)) == x
+
+
+@given(polys)
+def test_product_with_one_is_the_other_factor(p):
+    assert p * Polynomial.one() is p
+    assert Polynomial.one() * p is p
+    # a 1 built afresh, or given as an int, is the constant 1 too
+    assert p * Polynomial.constant(Fraction(2, 2)) is p
+    assert p * 1 is p and 1 * p is p
+
+
+@given(polys, st.integers(min_value=-10**30, max_value=10**30))
+def test_int_operands_match_fraction_constants(p, n):
+    c = Polynomial.constant(Fraction(n))
+    for got, want in ((p + n, p + c), (n + p, c + p), (p - n, p - c),
+                      (n - p, c - p), (p * n, p * c), (n * p, c * p)):
+        assert got == want and got.terms == want.terms
+    assert (p == n) == (p == c)
 
 
 def test_canonical_form_across_denominators():

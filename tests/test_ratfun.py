@@ -225,6 +225,60 @@ def test_shared_denominator_difference_cancels_to_zero(pair):
         assert zero.num == Polynomial.zero() and zero.den == Polynomial.one()
 
 
+def ref_rf_eq(f, g):
+    return f.num * g.den == g.num * f.den
+
+
+@st.composite
+def equality_pairs(draw):
+    """Pairs for `==`: unrelated functions, functions over one shared
+    denominator (some with numerators that are multiples of each other),
+    and one value written over a different denominator."""
+    f = draw(ratfuns())
+    kind = draw(st.sampled_from(["other", "shared", "multiple", "padded", "rebuilt"]))
+    if kind == "other":
+        return f, draw(ratfuns())
+    if kind == "rebuilt":
+        return f, RationalFunction(f.num, f.den)
+    if kind == "shared":
+        g = RationalFunction(_numerator(draw), f.den)
+        assert not g or g.den == f.den  # the shared-denominator branch
+        return f, g
+    # a zero numerator puts any function over 1
+    assume(f)
+    if kind == "multiple":
+        return f, RationalFunction(f.num * draw(st.sampled_from((-1, 2))), f.den)
+    pad = pvar("d") ** 2 + draw(nonzero_ints)
+    g = RationalFunction(f.num * pad, f.den * pad)
+    assert g.den != f.den  # the cross-multiplying branch
+    return f, g
+
+
+def test_equality_over_a_shared_denominator():
+    f = (a + 1) / (c + 2)
+    g = RationalFunction(2 * pvar("a") + 2, 2 * pvar("c") + 4)
+    assert f.den == g.den and f == g
+    for other in (-f, 2 * f, (a + 2) / (c + 2)):
+        assert other.den == f.den and other != f and f != other
+
+
+@given(equality_pairs())
+def test_equality_matches_cross_multiplication(pair):
+    f, g = pair
+    assert (f == g) is ref_rf_eq(f, g)
+    assert (g == f) is ref_rf_eq(g, f)
+    assert (f != g) is not ref_rf_eq(f, g)
+
+
+@given(ratfuns(), st.fractions(min_value=-20, max_value=20, max_denominator=9)
+       | small_ints)
+def test_equality_with_rationals_in_both_orders(f, value):
+    want = ref_rf_eq(f, RationalFunction.constant(value))
+    assert (f == value) is want and (value == f) is want
+    assert (f != value) is not want and (value != f) is not want
+    assert RationalFunction.constant(value) == value
+
+
 # -- the normal form ------------------------------------------------------------
 
 

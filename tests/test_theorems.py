@@ -1287,8 +1287,9 @@ def test_symbolic_lemma3_coaxial_decision_cost(monkeypatch):
     """A deterministic cost pin: the pencil row's products, counted as the
     benchmark's tracer counts them (len(terms) x len(terms) per product).
     With the difference rows taken from the sparsest circle, circle_pmn
-    (f = 0), the decision makes 22,091 term pairs; taken from the first
-    circle, circle_ac, it would make 74,203."""
+    (f = 0), the decision makes 21,689 term pairs; taken from the first
+    circle, circle_ac, it would make 73,235.  (With minors tested as
+    `not (x - y)` rather than `x == y` these were 22,091 and 74,203.)"""
     objs = build_lemma3(GaugeConfig.symbolic())
     pairs = [0]
     multiply = Polynomial.__mul__
@@ -1302,6 +1303,49 @@ def test_symbolic_lemma3_coaxial_decision_cost(monkeypatch):
     monkeypatch.setattr(Polynomial, "__rmul__", counted)
     assert are_coaxial(objs["circle_ac"], objs["circle_bd"], objs["circle_pmn"])
     assert 0 < pairs[0] <= 30_000
+
+
+def test_symbolic_proof_costs(monkeypatch):
+    """A deterministic cost pin of each symbolic proof, on a built closed-form
+    table: term pairs counted as the benchmark's tracer counts them, and
+    RationalFunction constructions.  Two-sided tests that compare (`x == y`
+    for `not (x - y)`) and an equality that compares numerators alone over
+    one shared denominator bring thm1 from 42,580 pairs and 293
+    constructions to 38,335 and 269, thm2 (given thm1's report) from 11,145
+    and 231 to 9,727 and 215, and lemma3 from 35,765 and 365 to 35,335 and
+    351.  A product by 1 is still billed here, as the tracer bills it,
+    though it returns the other factor and forms no pair; that shortcut is
+    pinned by `test_product_with_one_is_the_other_factor`, not by this
+    test."""
+    closedforms._forms()  # built on first read; not part of any proof
+    counts = {"pairs": 0, "new": 0}
+    multiply, construct = Polynomial.__mul__, RationalFunction.__init__
+
+    def counted_mul(self, other):
+        counts["pairs"] += len(self.terms) * (len(other.terms)
+                                              if isinstance(other, Polynomial) else 1)
+        return multiply(self, other)
+
+    def counted_init(self, *args):
+        counts["new"] += 1
+        construct(self, *args)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted_mul)
+    monkeypatch.setattr(Polynomial, "__rmul__", counted_mul)
+    monkeypatch.setattr(RationalFunction, "__init__", counted_init)
+
+    def measured(prove, *args):
+        counts.update(pairs=0, new=0)
+        report = prove(*args)
+        assert report.ok, report.theorem
+        return report, counts["pairs"], counts["new"]
+
+    thm1, pairs, new = measured(theorems.prove_thm1)
+    assert 0 < pairs <= 38_335 and 0 < new <= 269
+    _, pairs, new = measured(theorems.prove_thm2, thm1)
+    assert 0 < pairs <= 9_727 and 0 < new <= 215
+    _, pairs, new = measured(theorems.prove_lemma3)
+    assert 0 < pairs <= 35_335 and 0 < new <= 351
 
 
 def test_ratio_chain_reads_the_power_ratio_verdicts(monkeypatch):
