@@ -26,10 +26,11 @@ its tuple is its fields as given (ints become `Fraction`s) and the int 1.
 A figure is rational exactly when `type(h[0]) is int`, since a rational
 tuple is all ints and a symbolic field never is one.
 
-Every function has one body for both backends.  A construction or a
-predicate reads each input's `_h` (the scalar functions `power_of_point`,
-`cross_ratio` and `pencil_cross_ratio` read public fields) and builds its
-output with a trusted constructor, `_point`, `_line` or `_circle`.
+Every function has one body, and one formula, for both backends.  A
+construction or a predicate reads each input's `_h` (the scalar functions
+`power_of_point`, `cross_ratio` and `pencil_cross_ratio` read public
+fields) and builds its output with a trusted constructor, `_point`,
+`_line` or `_circle`.
 All-int entries are reduced with one gcd; any other entries are divided
 through by the last one and passed to the public constructor.  With every
 last entry 1 a body performs exactly the field operations of the affine
@@ -38,12 +39,9 @@ so a symbolic object is built term for term as the affine formula builds
 it, and a rational one stores that formula's exact values.  Each body
 raises its own degeneracies.
 
-Two functions keep a second formula, each for the measured reason given
-at it: `circumcenter` (a direct formula for three rational points) and
-`line_through` (a shorter W for two rational points).  Two functions are
-int-only: `projective_point` (a point from int projective coordinates)
-and `line_side` (the sign of a point against a line, which
-Q(a, b, c, d, k) cannot give, having no order).
+Two functions are int-only: `projective_point` (a point from int
+projective coordinates) and `line_side` (the sign of a point against a
+line, which Q(a, b, c, d, k) cannot give, having no order).
 
 Degenerate inputs raise subclasses of `DegenerateConfig` carrying enough
 context to report *which* construction failed; callers running randomized
@@ -384,13 +382,9 @@ def line_through(p: Point, q: Point) -> Line:
     dx, dy = x2 * z1 - x1 * z2, y2 * z1 - y1 * z2
     if not (dx or dy):
         raise CoincidentPoints("no unique line through coincident points")
-    if type(x1) is int and type(x2) is int:
-        # W = x2*y1 - x1*y2 over S = z1*z2 is the affine W divided by z1.
-        # The homogenized affine W below costs 0.1 to 0.15 us more a call
-        # (CPython 3.11), and a numeric-trials pass makes 74,722 calls:
-        # about 1% of its wall time.
-        return _line(dy, -dx, x2 * y1 - x1 * y2, z1 * z2)
-    return _line(dy * z1, -dx * z1, dx * y1 - dy * x1, z1 * z1 * z2)
+    # W = x2*y1 - x1*y2 over S = z1*z2: the affine w = dx*y1 - dy*x1 over
+    # z1*z1*z2 with the common factor z1 cancelled
+    return _line(dy, -dx, x2 * y1 - x1 * y2, z1 * z2)
 
 
 def intersect_lines(l1: Line, l2: Line) -> Point:
@@ -508,27 +502,24 @@ def is_perpendicular(l1: Line, l2: Line) -> bool:
 
 def circumcenter(p: Point, q: Point, r: Point) -> Point:
     """Center of the circle through three non-collinear points."""
-    a, b, c = p._h, q._h, r._h
-    if type(a[0]) is int and type(b[0]) is int and type(c[0]) is int:
-        # The two bisectors below, met by Cramer's rule in one formula on the
-        # coordinates times s = z1*z2*z3: half the time of the composed
-        # bisectors (1.5 against 2.8 us a call, CPython 3.11), and a
-        # numeric-trials pass makes 23,916 calls.  Collinear or coincident
-        # points (det = 0) go on to the composed bisectors, which raise.
-        x1, y1, z1 = a
-        x2, y2, z2 = b
-        x3, y3, z3 = c
-        z12, z13, z23 = z1 * z2, z1 * z3, z2 * z3
-        x1, y1, x2, y2 = x1 * z23, y1 * z23, x2 * z13, y2 * z13
-        x3, y3 = x3 * z12, y3 * z12
-        dx1, dy1, dx2, dy2 = x2 - x1, y2 - y1, x3 - x2, y3 - y2
-        det = dx1 * dy2 - dx2 * dy1
-        if det:
-            n2 = x2 * x2 + y2 * y2
-            w1 = x1 * x1 + y1 * y1 - n2
-            w2 = n2 - x3 * x3 - y3 * y3
-            return _point(dy1 * w2 - dy2 * w1, dx2 * w1 - dx1 * w2,
-                          2 * z12 * z3 * det)
+    # the perpendicular bisectors of pq and qr met by Cramer's rule, in one
+    # formula on the coordinates times s = z1*z2*z3
+    x1, y1, z1 = p._h
+    x2, y2, z2 = q._h
+    x3, y3, z3 = r._h
+    z12, z13, z23 = z1 * z2, z1 * z3, z2 * z3
+    x1, y1, x2, y2 = x1 * z23, y1 * z23, x2 * z13, y2 * z13
+    x3, y3 = x3 * z12, y3 * z12
+    dx1, dy1, dx2, dy2 = x2 - x1, y2 - y1, x3 - x2, y3 - y2
+    det = dx1 * dy2 - dx2 * dy1
+    if det:
+        n2 = x2 * x2 + y2 * y2
+        w1 = x1 * x1 + y1 * y1 - n2
+        w2 = n2 - x3 * x3 - y3 * y3
+        return _point(dy1 * w2 - dy2 * w1, dx2 * w1 - dx1 * w2,
+                      2 * z12 * z3 * det)
+    # coincident or collinear points (det = 0): the composed bisectors tell
+    # the two apart, raising CoincidentPoints or CollinearPoints
     try:
         return intersect_lines(perp_bisector(p, q), perp_bisector(q, r))
     except (ParallelLines, CoincidentLines):

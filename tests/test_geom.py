@@ -956,6 +956,7 @@ def test_two_point_integer_paths_match_reference(pair, data):
         assert_same_on_both_backends(point_eq, ref_point_eq, order, data)
     assert_same_on_both_backends(circle_on_diameter, ref_circle_on_diameter,
                                  pair, data)
+    assert_same_on_both_backends(line_through, ref_line_through, pair, data)
 
 
 @given(point_triples(), st.data())
@@ -964,6 +965,7 @@ def test_three_point_integer_paths_match_reference(triple, data):
         assert_same_on_both_backends(is_collinear, ref_is_collinear, order, data)
     assert_same_on_both_backends(parallelogram_fourth, ref_parallelogram_fourth,
                                  triple, data)
+    assert_same_on_both_backends(circumcenter, ref_circumcenter, triple, data)
 
 
 @given(midpoint_triples(), st.data())
@@ -1074,11 +1076,34 @@ def test_mixed_rational_and_symbolic_coordinates():
                        Circle(a, Fraction(0), Fraction(-9)))
 
 
+def ref_line_through_cross(p, q):
+    """`line_through`'s one formula, affinely: w = x2*y1 - x1*y2."""
+    dx = q.x - p.x
+    dy = q.y - p.y
+    return Line(dy, -dx, q.x * p.y - p.x * q.y)
+
+
+def ref_circumcenter_cramer(p, q, r):
+    """`circumcenter`'s one formula, affinely: the perpendicular bisectors
+    of pq and qr met by Cramer's rule."""
+    dx1, dy1 = q.x - p.x, q.y - p.y
+    dx2, dy2 = r.x - q.x, r.y - q.y
+    det = dx1 * dy2 - dx2 * dy1
+    n2 = q.x * q.x + q.y * q.y
+    w1 = p.x * p.x + p.y * p.y - n2
+    w2 = n2 - r.x * r.x - r.y * r.y
+    return Point((dy1 * w2 - dy2 * w1) / (2 * det),
+                 (dx2 * w1 - dx1 * w2) / (2 * det))
+
+
 def test_symbolic_objects_are_built_term_for_term_as_the_affine_formulas():
     """With last entries 1 the homogeneous bodies replay the affine formulas'
     field operations, so each field's num and den are structurally equal
-    (`Polynomial ==` compares canonical forms) to the reference's.  This
-    is what keeps the symbolic sizes and their evaluation work unchanged."""
+    (`Polynomial ==` compares canonical forms) to the reference's.  The
+    symbolic sizes and their evaluation work are those of these formulas;
+    `line_through` and `circumcenter` are compared with their one formula
+    (`ref_line_through` and `ref_circumcenter` give the same values in
+    other representations, and stay value references)."""
     a, b, c, d, k = RationalFunction.variables()
     zero = a * 0
     P0, A, B, C, D = (Point(zero, zero), Point(a, zero), Point(b, k * b),
@@ -1089,13 +1114,13 @@ def test_symbolic_objects_are_built_term_for_term_as_the_affine_formulas():
     O, Q = ref_circumcenter(A, B, C), ref_intersect_lines(line_ab, line_cd)
     cases = [
         (midpoint, ref_midpoint, (O, Q)),
-        (line_through, ref_line_through, (O, Q)),
+        (line_through, ref_line_through_cross, (O, Q)),
         (intersect_lines, ref_intersect_lines, (ref_line_through(O, B), line_cd)),
         (perp_bisector, ref_perp_bisector, (O, Q)),
         (perp_through, ref_perp_through, (P0, line_ab)),
         (perp_through, ref_perp_through, (O, ref_line_through(Q, D))),
         (parallelogram_fourth, ref_parallelogram_fourth, (O, Q, B)),
-        (circumcenter, ref_circumcenter, (O, Q, B)),
+        (circumcenter, ref_circumcenter_cramer, (O, Q, B)),
         (circumcircle, ref_circumcircle, (O, Q, B)),
         (circle_on_diameter, ref_circle_on_diameter, (O, Q)),
         (on_unit_circle, ref_on_unit_circle, (a / b,)),
@@ -1109,6 +1134,8 @@ def test_symbolic_objects_are_built_term_for_term_as_the_affine_formulas():
         assert all(part[0] == "RationalFunction" for part in built[1:]), \
             fn.__name__
         assert built == _exact(ref(*args)), fn.__name__
+    assert line_through(O, Q) == ref_line_through(O, Q)
+    assert circumcenter(O, Q, B) == ref_circumcenter(O, Q, B)
     # The Vieta form puts each coordinate over z*s*(u^2 + v^2) in one
     # division, where the affine formula adds t*v to x with t a quotient of
     # its own: the same values in other (unreduced) representations.  No

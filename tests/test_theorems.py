@@ -1316,7 +1316,15 @@ def test_symbolic_proof_costs(monkeypatch):
     351.  A product by 1 is still billed here, as the tracer bills it,
     though it returns the other factor and forms no pair; that shortcut is
     pinned by `test_product_with_one_is_the_other_factor`, not by this
-    test."""
+    test.
+
+    One formula per construction (symbolic `circumcenter` takes the fused
+    Cramer formula, symbolic `line_through` w = x2*y1 - x1*y2) brings thm1
+    to 23,721 pairs and 215 constructions, thm2 to 9,725 and 216, and
+    lemma3 to 35,201 and 297.  thm2's one more construction is
+    `line(B, C)`: C = (c, 0), so w's `b * 0` lifts the zero to a
+    rational function before it multiplies (10 constructions before, 11
+    now)."""
     closedforms._forms()  # built on first read; not part of any proof
     counts = {"pairs": 0, "new": 0}
     multiply, construct = Polynomial.__mul__, RationalFunction.__init__
@@ -1341,11 +1349,11 @@ def test_symbolic_proof_costs(monkeypatch):
         return report, counts["pairs"], counts["new"]
 
     thm1, pairs, new = measured(theorems.prove_thm1)
-    assert 0 < pairs <= 38_335 and 0 < new <= 269
+    assert 0 < pairs <= 23_721 and 0 < new <= 215
     _, pairs, new = measured(theorems.prove_thm2, thm1)
-    assert 0 < pairs <= 9_727 and 0 < new <= 215
+    assert 0 < pairs <= 9_725 and 0 < new <= 216
     _, pairs, new = measured(theorems.prove_lemma3)
-    assert 0 < pairs <= 35_335 and 0 < new <= 351
+    assert 0 < pairs <= 35_201 and 0 < new <= 297
 
 
 def test_ratio_chain_reads_the_power_ratio_verdicts(monkeypatch):
@@ -1460,7 +1468,7 @@ def test_axis_matches_thm1_is_the_reference_proposition():
 # representation, or to the order of operations of a construction, moves
 # it; such a change updates it here on purpose.
 SYMBOLIC_OBJECTS_SHA256 = (
-    "22d7b43c02470e73274a3c6dfcc176bd35b1870a6f628bd7445662071b62d7df")
+    "cd2d6595a3fc95112fa8fb19870f7d57cf647815972927cd51de540fc8598c16")
 # The same digest over the points A, B, C, D, P, Q, R, S of the symbolic
 # lemma2 configuration, in that order.
 LEMMA2_POINTS_SHA256 = (
@@ -1497,6 +1505,32 @@ def test_symbolic_lemma2_points_are_byte_identical():
     objs = build_lemma2(GaugeConfig.symbolic())
     assert _digest((name, objs[name]) for name in "ABCDPQRS"
                    ) == LEMMA2_POINTS_SHA256
+
+
+def _terms(value):
+    """Numerator and denominator term counts of a coordinate, a constant
+    taken as a rational function (as the benchmark's size table takes it)."""
+    if not isinstance(value, RationalFunction):
+        value = RationalFunction.constant(value)
+    return len(value.num.terms), len(value.den.terms)
+
+
+def test_symbolic_object_sizes():
+    """A size pin of each symbolic build: numerator plus denominator terms
+    summed over every coordinate.  With one formula per construction thm1
+    comes to 4,167 terms (5,847 when symbolic `line_through` and
+    `circumcenter` kept a second formula); thm2 (1,904) and lemma3 (447)
+    did not move.  thm1's axis `v` comes to 426 terms and `Q.x` to 426
+    over 234 (606 and 606 over 330 before)."""
+    ceilings = {build_thm1: 4_167, build_thm2: 1_904, build_lemma3: 447}
+    built = {build: build(GaugeConfig.symbolic()) for build in ceilings}
+    for build, ceiling in ceilings.items():
+        total = sum(sum(_terms(value)) for obj in built[build].values()
+                    for value in _coordinates(obj))
+        assert 0 < total <= ceiling, (build.__name__, total)
+    thm1 = built[build_thm1]
+    assert _terms(thm1["axis"].v) == (426, 1)
+    assert _terms(thm1["Q"].x) == (426, 234)
 
 
 # The closed-form checks, keyed in here independently of the proof plans.
