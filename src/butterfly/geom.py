@@ -65,10 +65,8 @@ from .errors import (
     PointNotOnLine,
 )
 from .poly import _make, _shift_down, common_monomial
-from .ratfun import RationalFunction, _as_rational_function
+from .ratfun import _RATIONAL, RationalFunction, _as_rational_function
 from .scalar import field_div
-
-_RATIONAL = (int, Fraction)
 
 
 class _Figure:

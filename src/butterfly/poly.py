@@ -315,7 +315,10 @@ class Polynomial:
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
         """Exact value at a full assignment of the five variables to ints or
         Fractions.  A missing variable raises ValueError; any other value
-        type (a float or a string, say) raises TypeError."""
+        type (a float or a string, say) raises TypeError.  This is the one
+        read of a polynomial's value: `RationalFunction.evaluate` reads its
+        denominator and numerator here, and `theorems.evaluate_object` reads
+        each distinct polynomial of a figure here once."""
         point = _exact_point(values)
         # val ** e for each (variable, exponent) met, kept for this call only
         powers = tuple(({}, val, shift) for val, shift in zip(point, _SHIFTS))

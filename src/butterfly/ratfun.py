@@ -8,7 +8,8 @@ exact since canonical polynomials are equal exactly when they are
 structurally equal.  A sum or difference of two such functions likewise
 adds or subtracts the numerators over the one denominator; any other sum
 cross-multiplies.  A product with, or a quotient by, the int 1 is the
-function itself.
+function itself, and a product with an int or Fraction 0 is zero, built
+without lifting the 0 to a rational function first.
 A cheap normal form keeps expression growth in check without full reduction:
 
   * a zero numerator forces den = 1,
@@ -32,11 +33,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import DenominatorVanishes, ZeroDenominator
 from .poly import (VARIABLES, Polynomial, _as_polynomial, _make, _reduced,
                    _shift_down, common_monomial)
+
+_RATIONAL = (int, Fraction)
 
 
 def _as_rational_function(value):
@@ -137,6 +140,8 @@ class RationalFunction:
     def __mul__(self, other):
         if type(other) is int and other == 1:
             return self
+        if type(other) in _RATIONAL and not other:
+            return RationalFunction(0)
         other = _as_rational_function(other)
         if other is NotImplemented:
             return NotImplemented
@@ -186,12 +191,22 @@ class RationalFunction:
     # -- evaluation ---------------------------------------------------------------
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
-        """Exact value at a point of Q^5; raises DenominatorVanishes off the domain."""
-        den_val = self.den.evaluate(values)
+        """Exact value at a full assignment of the five variables to ints or
+        Fractions, checked as `Polynomial.evaluate` checks it; raises
+        DenominatorVanishes where the denominator vanishes."""
+        return self._value(lambda poly: poly.evaluate(values))
+
+    def _value(self, read: Callable[[Polynomial], Fraction]) -> Fraction:
+        """num/den, where `read` gives each polynomial's value: the
+        denominator is read and tested for zero first (DenominatorVanishes),
+        then the numerator.  `evaluate` reads each polynomial afresh;
+        `theorems.evaluate_object` reads each distinct polynomial of a
+        figure once and hands the same value to every field that has it."""
+        den_val = read(self.den)
         if not den_val:
             raise DenominatorVanishes(
                 f"denominator {self.den.render()} vanishes at the given assignment")
-        return self.num.evaluate(values) / den_val
+        return read(self.num) / den_val
 
     # -- rendering --------------------------------------------------------------
 

@@ -244,15 +244,31 @@ def evaluate_object(obj, assignment: Mapping[str, Fraction]):
     """Exact evaluation of a symbolic Point/Line/Circle at an assignment of
     the five variables to ints or Fractions; a rational figure is its own
     value.  The assignment is checked as `Polynomial.evaluate` checks it,
-    even where every field is a constant."""
+    even where every field is a constant.
+
+    Each structurally distinct polynomial among the fields' numerators and
+    denominators is read once, through `Polynomial.evaluate`: canonical
+    polynomials are equal exactly when their `(_den, _terms)` are, so the
+    fields of a point over one denominator share that denominator's value.
+    Field by field, as `RationalFunction.evaluate` does, a denominator is
+    tested for zero (DenominatorVanishes) before the numerator is read."""
     if not isinstance(obj, (Point, Line, Circle)):
         raise TypeError(f"cannot evaluate {type(obj).__name__}")
     _exact_point(assignment)
     h = obj._h
     if type(h[0]) is int:
         return obj
+    values = {}
+
+    def read(poly):
+        key = (poly._den, poly._terms)
+        value = values.get(key)
+        if value is None:
+            value = values[key] = poly.evaluate(assignment)
+        return value
+
     # a symbolic figure's tuple is its fields (x, y; u, v, w; d, e, f), then 1
-    fields = [value.evaluate(assignment) if isinstance(value, RationalFunction)
+    fields = [value._value(read) if isinstance(value, RationalFunction)
               else value for value in h[:-1]]
     if isinstance(obj, Line) and not (fields[0] or fields[1]):
         # a common root of a symbolic line's u and v, where it is undefined

@@ -99,6 +99,24 @@ def test_division_by_zero_function():
         RationalFunction.constant(0) ** -1
 
 
+def test_product_with_zero_is_zero_built_once(monkeypatch):
+    f = (a + 1) / (b * k - 2)
+    built = []
+    construct = RationalFunction.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        construct(self, *args)
+
+    monkeypatch.setattr(RationalFunction, "__init__", counted)
+    for zero in (f * 0, 0 * f, f * Fraction(0), Fraction(0) * f):
+        assert type(zero) is RationalFunction and not zero
+        assert zero.num == Polynomial.zero() and zero.den == Polynomial.one()
+    # one construction per product: the 0 is not lifted to a rational
+    # function first
+    assert len(built) == 4
+
+
 def test_evaluate():
     ratio = (k * k + 1) * b * d / (a * c)
     assert ratio.evaluate(SIGMA) == Fraction(2, 3)
