@@ -45,6 +45,7 @@ from .geom import (
     circumcenter,
     circumcircle,
     cross_ratio,
+    evaluate_object,
     harmonic,
     intersect_lines,
     is_collinear,
@@ -92,7 +93,6 @@ from .theorems import (
     build_thm2,
     check_thm1_harmonic,
     check_thm2_perpendicularity,
-    evaluate_object,
     prove_lemma3,
     prove_thm1,
     prove_thm2,

@@ -25,6 +25,8 @@ tuples are, and reading a public field (`x`, `y`, `u`, `v`, `w`, `d`, `e`,
 its tuple is its fields as given (ints become `Fraction`s) and the int 1.
 A figure is rational exactly when `type(h[0]) is int`, since a rational
 tuple is all ints and a symbolic field never is one.
+`evaluate_object` decodes a symbolic tuple to the rational figure of its
+value at an exact assignment; only this module and `render` read `_h`.
 
 Every function has one body, and one formula, for both backends.  A
 construction or a predicate reads each input's `_h` (the scalar functions
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Mapping
 
 from .errors import (
     CoincidentCircles,
@@ -59,14 +62,15 @@ from .errors import (
     CoincidentPoints,
     CollinearPoints,
     DegenerateNewtonLine,
+    DenominatorVanishes,
     NotCollinear,
     ParallelLines,
     PointNotOnCircle,
     PointNotOnLine,
 )
-from .poly import _make, _shift_down, common_monomial
-from .ratfun import _RATIONAL, RationalFunction, _as_rational_function
-from .scalar import field_div
+from .poly import _exact_point, _make, _shift_down, common_monomial
+from .ratfun import RationalFunction, _as_rational_function
+from .scalar import _RATIONAL, field_div
 
 
 class _Figure:
@@ -358,6 +362,46 @@ def _clear_line(u, v, w):
     return tuple(RationalFunction(_make(tuple([(m, c // g * (den // p._den))
                                                for m, c in p._terms]), 1))
                  for p in polys)
+
+
+# -- evaluating a symbolic figure ----------------------------------------------
+
+
+def evaluate_object(obj, assignment: Mapping[str, Fraction]):
+    """Exact evaluation of a symbolic Point/Line/Circle at an assignment of
+    the five variables to ints or Fractions; a rational figure is its own
+    value.  The assignment is checked as `Polynomial.evaluate` checks it,
+    even where every field is a constant.
+
+    Each structurally distinct polynomial among the fields' numerators and
+    denominators is read once, through `Polynomial.evaluate`: canonical
+    polynomials are equal exactly when their `(_den, _terms)` are, so the
+    fields of a point over one denominator share that denominator's value.
+    Field by field, as `RationalFunction.evaluate` does, a denominator is
+    tested for zero (DenominatorVanishes) before the numerator is read."""
+    if not isinstance(obj, (Point, Line, Circle)):
+        raise TypeError(f"cannot evaluate {type(obj).__name__}")
+    _exact_point(assignment)
+    h = obj._h
+    if type(h[0]) is int:
+        return obj
+    values = {}
+
+    def read(poly):
+        key = (poly._den, poly._terms)
+        value = values.get(key)
+        if value is None:
+            value = values[key] = poly.evaluate(assignment)
+        return value
+
+    # a symbolic figure's tuple is its fields (x, y; u, v, w; d, e, f), then 1
+    fields = [value._value(read) if isinstance(value, RationalFunction)
+              else value for value in h[:-1]]
+    if isinstance(obj, Line) and not (fields[0] or fields[1]):
+        # a common root of a symbolic line's u and v, where it is undefined
+        raise DenominatorVanishes("the line's u and v both vanish at the "
+                                  "given assignment")
+    return type(obj)(*fields)
 
 
 # -- point and line constructions ------------------------------------------

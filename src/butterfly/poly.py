@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
-from .scalar import format_rational
+from .scalar import _RATIONAL, format_rational
 
 VARIABLES = ("a", "b", "c", "d", "k")
 NVARS = len(VARIABLES)
@@ -69,7 +69,7 @@ def _unpack(packed: int) -> Monomial:
 def _coerce_coeff(value) -> int | Fraction:
     """An exact rational as given: ints need no Fraction, since both types
     have `numerator` and `denominator`."""
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, _RATIONAL):
         return value
     raise TypeError(f"polynomial coefficients must be rational, got {type(value).__name__}")
 
@@ -79,7 +79,7 @@ def _as_polynomial(value):
     a constant, and NotImplemented for anything else."""
     if isinstance(value, Polynomial):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, _RATIONAL):
         return Polynomial.constant(value)
     return NotImplemented
 
@@ -94,7 +94,7 @@ def _exact_point(values: Mapping[str, Fraction]) -> tuple[Fraction, ...]:
         raise ValueError(f"assignment must bind all of {', '.join(VARIABLES)}; "
                          f"missing {missing.args[0]!r}") from None
     for name, value in zip(VARIABLES, point):
-        if not isinstance(value, (int, Fraction)):
+        if not isinstance(value, _RATIONAL):
             raise TypeError(f"the value of {name} must be an int or Fraction, "
                             f"not {type(value).__name__}")
     return tuple(value if isinstance(value, Fraction) else Fraction(value)
@@ -317,7 +317,7 @@ class Polynomial:
         Fractions.  A missing variable raises ValueError; any other value
         type (a float or a string, say) raises TypeError.  This is the one
         read of a polynomial's value: `RationalFunction.evaluate` reads its
-        denominator and numerator here, and `theorems.evaluate_object` reads
+        denominator and numerator here, and `geom.evaluate_object` reads
         each distinct polynomial of a figure here once."""
         point = _exact_point(values)
         # val ** e for each (variable, exponent) met, kept for this call only

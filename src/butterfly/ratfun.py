@@ -38,8 +38,7 @@ from typing import Callable, Mapping
 from .errors import DenominatorVanishes, ZeroDenominator
 from .poly import (VARIABLES, Polynomial, _as_polynomial, _make, _reduced,
                    _shift_down, common_monomial)
-
-_RATIONAL = (int, Fraction)
+from .scalar import _RATIONAL
 
 
 def _as_rational_function(value):
@@ -200,7 +199,7 @@ class RationalFunction:
         """num/den, where `read` gives each polynomial's value: the
         denominator is read and tested for zero first (DenominatorVanishes),
         then the numerator.  `evaluate` reads each polynomial afresh;
-        `theorems.evaluate_object` reads each distinct polynomial of a
+        `geom.evaluate_object` reads each distinct polynomial of a
         figure once and hands the same value to every field that has it."""
         den_val = read(self.den)
         if not den_val:

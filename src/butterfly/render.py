@@ -20,7 +20,7 @@ from math import isqrt, lcm
 from .dsl import Assertion, Definition, Name, _compile_program
 from .errors import EmptyScene
 from .geom import Circle, Line, Point
-from .scalar import format_rational
+from .scalar import _RATIONAL, format_rational
 
 _STYLE = """\
     .construction { stroke: #8a8a8a; stroke-width: 1; fill: none; }
@@ -333,7 +333,7 @@ def scene_from_construction(construction, assignment) -> Scene:
     if missing:
         raise ValueError(f"unbound parameters: {', '.join(missing)}")
     for name in construction.params:
-        if not isinstance(assignment[name], (int, Fraction)):
+        if not isinstance(assignment[name], _RATIONAL):
             raise TypeError(f"the value of {name} must be an int or Fraction, "
                             f"not {type(assignment[name]).__name__}")
     if not any(isinstance(stmt, Assertion)

@@ -5,8 +5,10 @@ A "scalar" anywhere in this package is either a `fractions.Fraction`
 work, see `ratfun`).  The two meet a common protocol — the arithmetic
 operators plus truthiness, where ``bool(x)`` is False exactly for the
 zero element — which keeps the kernel generic without a class hierarchy.
-No floats appear anywhere; equality is exact.  `parse_rational` reads the
-"p/q" form `format_rational` writes, and rejects a zero denominator.
+No floats appear anywhere; equality is exact, and `_RATIONAL` is the one
+definition of the exact rationals, int or `Fraction`.  `parse_rational`
+reads the "p/q" form `format_rational` writes, and rejects a zero
+denominator.
 
 Seeded sampling has one rejection loop, `sample_ratios`, which draws n
 values in one call, each as its reduced int pair (p, q); `sample_ratio` is
@@ -24,6 +26,8 @@ from math import gcd
 from random import Random
 
 from .errors import DivisionByZero, ZeroDenominator
+
+_RATIONAL = (int, Fraction)
 
 
 def field_div(x, y, context: str = "division by zero"):

@@ -9,7 +9,9 @@ rationals on the sampled configuration.  thm1, thm2, and lemma3
 additionally get symbolic proofs over Q(a, b, c, d, k), where every
 construction step is compared against the independently keyed-in closed
 forms in `closedforms` and the final midpoint / power-ratio identities are
-decided exactly.
+decided exactly.  thm2's shared-axis check reads thm1's verdict on its
+axis from a thm1 report, the one `run_suite` made in the same call or, for
+a standalone `prove_thm2()`, one it makes first.
 
 `dsl` runs the results as it runs a file for `verify`: trials by
 `dsl._numeric_run`, proof reports by `dsl.run_checks`.  A trial returns
@@ -34,16 +36,16 @@ import functools
 from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, NamedTuple
 
 from . import closedforms
 from .dsl import VerificationReport, _compile_program, _numeric_run, parse, run_checks
-from .errors import DegenerateConfig, DenominatorVanishes, SamplerExhausted
+from .errors import DegenerateConfig, SamplerExhausted
+# the benchmark's bridge workload reads `theorems.evaluate_object`
 from .geom import (
     Circle,
-    Line,
-    Point,
     are_coaxial,
+    evaluate_object,
     intersect_lines,
     is_midpoint,
     is_parallel,
@@ -56,13 +58,11 @@ from .geom import (
     second_intersection,
     _on_unit_circle,
 )
-from .poly import _exact_point
 from .ratfun import RationalFunction
 # derive_rng is read as `theorems.derive_rng` by the benchmark's bridge workload
-from .scalar import derive_rng, sample_ratios
+from .scalar import _RATIONAL, derive_rng, sample_ratios
 
 _MAX_REDRAWS = 100000
-_RATIONAL = (int, Fraction)
 _UNIT_CIRCLE = Circle(0, 0, -1)
 
 
@@ -237,46 +237,6 @@ def check_thm2_perpendicularity(cfg: GaugeConfig) -> bool:
     return is_perpendicular(objs["line_PW"], line_through(U, V))
 
 
-# -- symbolic <-> numeric bridge -----------------------------------------------
-
-
-def evaluate_object(obj, assignment: Mapping[str, Fraction]):
-    """Exact evaluation of a symbolic Point/Line/Circle at an assignment of
-    the five variables to ints or Fractions; a rational figure is its own
-    value.  The assignment is checked as `Polynomial.evaluate` checks it,
-    even where every field is a constant.
-
-    Each structurally distinct polynomial among the fields' numerators and
-    denominators is read once, through `Polynomial.evaluate`: canonical
-    polynomials are equal exactly when their `(_den, _terms)` are, so the
-    fields of a point over one denominator share that denominator's value.
-    Field by field, as `RationalFunction.evaluate` does, a denominator is
-    tested for zero (DenominatorVanishes) before the numerator is read."""
-    if not isinstance(obj, (Point, Line, Circle)):
-        raise TypeError(f"cannot evaluate {type(obj).__name__}")
-    _exact_point(assignment)
-    h = obj._h
-    if type(h[0]) is int:
-        return obj
-    values = {}
-
-    def read(poly):
-        key = (poly._den, poly._terms)
-        value = values.get(key)
-        if value is None:
-            value = values[key] = poly.evaluate(assignment)
-        return value
-
-    # a symbolic figure's tuple is its fields (x, y; u, v, w; d, e, f), then 1
-    fields = [value._value(read) if isinstance(value, RationalFunction)
-              else value for value in h[:-1]]
-    if isinstance(obj, Line) and not (fields[0] or fields[1]):
-        # a common root of a symbolic line's u and v, where it is undefined
-        raise DenominatorVanishes("the line's u and v both vanish at the "
-                                  "given assignment")
-    return type(obj)(*fields)
-
-
 # -- samplers -------------------------------------------------------------------
 
 
@@ -370,16 +330,6 @@ def _ratio_at(objs, key: str):
             / power_of_point(point, objs["circle_bd"]))
 
 
-def _thm1_axis_holds(objs):
-    """Whether thm1's symbolic axis equals closedforms.AXIS: the verdict of
-    check "thm1.axis" when `prove_thm2` was given thm1's report (held under
-    that id), or else decided here on a fresh build."""
-    holds = objs.get("thm1.axis")
-    if holds is None:
-        holds = build_thm1(GaugeConfig.symbolic())["axis"] == closedforms.AXIS
-    return holds
-
-
 def _diagonal_ratio(objs):
     """(PB . PD) / (PA . PC) with the dot products taken from P."""
     P, A, B, C, D = (objs[key] for key in "PABCD")
@@ -423,13 +373,11 @@ _PLANS = {
         # proportional triples, which is transitive, so both say the same
         # thing on every input; each comparison is then against AXIS's 2/4
         # terms, not the other axis's hundreds.  The first conjunct is the
-        # verdict of row "axis" above, which `_prove` holds under its id.
-        # The second is check "thm1.axis": in `run_suite` its verdict is read
-        # from thm1's report of the same call, whose proof built thm1's
-        # axis; a standalone `prove_thm2()` builds that axis and decides it
-        # here (`_thm1_axis_holds`).
+        # verdict of row "axis" above, which `_prove` holds under its id;
+        # the second is thm1's verdict on its axis, which `prove_thm2` reads
+        # from thm1's report and holds under that check's id.
         ("axis_matches_thm1", False,
-         lambda o: o["thm2.axis"] and _thm1_axis_holds(o)),
+         lambda o: o["thm2.axis"] and o["thm1.axis"]),
     ),
     "lemma3": (
         *_CIRCUMCENTER_ROWS,
@@ -476,12 +424,13 @@ def prove_thm1() -> VerificationReport:
 
 def prove_thm2(thm1: VerificationReport | None = None) -> VerificationReport:
     """Symbolic proof of the second generalization, including the shared
-    axis.  Given `prove_thm1()`'s report of the same run as `thm1`, the
-    shared-axis check reads its "thm1.axis" verdict; else it builds and
-    checks thm1's axis itself."""
+    axis.  The shared-axis check reads its "thm1.axis" verdict from `thm1`,
+    `prove_thm1()`'s report of the same run; without one, thm1 is proved
+    first.  A report with no true "thm1.axis" verdict fails the check."""
+    if thm1 is None:
+        thm1 = prove_thm1()
     objs = build_thm2(GaugeConfig.symbolic())
-    if thm1 is not None:
-        objs.update(check for check in thm1.checks if check[0] == "thm1.axis")
+    objs["thm1.axis"] = ("thm1.axis", True) in thm1.checks
     return _prove("thm2", objs)
 
 

@@ -35,6 +35,7 @@ from butterfly.geom import (
     circle_on_diameter,
     circumcenter,
     circumcircle,
+    evaluate_object,
     intersect_lines,
     is_midpoint,
     is_parallel,
@@ -68,7 +69,6 @@ from butterfly.theorems import (
     build_thm2,
     check_thm1_harmonic,
     check_thm2_perpendicularity,
-    evaluate_object,
     prove_lemma3,
     prove_thm1,
     prove_thm2,
@@ -757,6 +757,11 @@ def test_evaluate_object_reads_each_distinct_polynomial_once(monkeypatch):
     assert len(calls) == 3
 
 
+def test_theorems_evaluate_object_is_geoms():
+    # the benchmark's bridge workload reads it from theorems
+    assert theorems.evaluate_object is geom.evaluate_object
+
+
 def test_evaluate_object_rejects_unknown_types():
     with pytest.raises(TypeError):
         evaluate_object("not geometry", {})
@@ -1311,10 +1316,12 @@ def test_run_suite_builds_thm1_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_standalone_prove_thm2_builds_thm1s_axis(monkeypatch):
+def test_standalone_prove_thm2_is_run_suites_thm2(monkeypatch):
+    expected = run_suite(mode="symbolic")[1]
     calls = _count_calls(monkeypatch, theorems, "build_thm1")
     report = prove_thm2()
     assert report.ok and dict(report.checks)["thm2.axis_matches_thm1"] is True
+    assert report.to_text() == expected.to_text()
     assert len(calls) == 1
 
 
@@ -1380,29 +1387,18 @@ def test_symbolic_lemma3_coaxial_decision_cost(monkeypatch):
 def test_symbolic_proof_costs(monkeypatch):
     """A deterministic cost pin of each symbolic proof, on a built closed-form
     table: term pairs counted as the benchmark's tracer counts them, and
-    RationalFunction constructions.  Two-sided tests that compare (`x == y`
-    for `not (x - y)`) and an equality that compares numerators alone over
-    one shared denominator bring thm1 from 42,580 pairs and 293
-    constructions to 38,335 and 269, thm2 (given thm1's report) from 11,145
-    and 231 to 9,727 and 215, and lemma3 from 35,765 and 365 to 35,335 and
-    351.  A product by 1 is still billed here, as the tracer bills it,
-    though it returns the other factor and forms no pair; that shortcut is
-    pinned by `test_product_with_one_is_the_other_factor`, not by this
-    test.
-
-    One formula per construction (symbolic `circumcenter` takes the fused
-    Cramer formula, symbolic `line_through` w = x2*y1 - x1*y2) brings thm1
-    to 23,721 pairs and 215 constructions, thm2 to 9,725 and 216, and
-    lemma3 to 35,201 and 297.  thm2's one more construction is
-    `line(B, C)`: C = (c, 0), so w's `b * 0` lifts the zero to a
-    rational function before it multiplies (10 constructions before, 11
-    now).
-
-    A product with an int or Fraction 0 builds its zero at once, without
-    lifting the 0 or multiplying the denominator by 1 (the symbolic gauge
-    holds A and C's zero coordinates as Fraction(0)): thm1 to 23,713 pairs
-    and 207 constructions, thm2 to 9,705 and 210, and lemma3 to 35,167 and
-    274."""
+    RationalFunction constructions, at most 23,713 and 207 for thm1, 9,705
+    and 210 for thm2 (given thm1's report) and 35,167 and 274 for lemma3.
+    What holds them there: two-sided tests compare (`x == y`, not
+    `not (x - y)`), an equality over one shared denominator compares the
+    numerators alone, each construction has one formula for both backends
+    (symbolic `circumcenter` takes the fused Cramer formula, symbolic
+    `line_through` w = x2*y1 - x1*y2), and a product with an int or
+    Fraction 0 builds its zero at once (the symbolic gauge holds A and C's
+    zero coordinates as Fraction(0)).  A product by 1 is still billed
+    here, as the tracer bills it, though it returns the other factor and
+    forms no pair; that shortcut is pinned by
+    `test_product_with_one_is_the_other_factor`, not by this test."""
     closedforms._forms()  # built on first read; not part of any proof
     counts = {"pairs": 0, "new": 0}
     multiply, construct = Polynomial.__mul__, RationalFunction.__init__
@@ -1526,8 +1522,10 @@ def ref_axis_matches_thm1(objs):
 
 
 def _axis_matches_thm1(objs):
-    """thm2's shared-axis verdict in a proof of `objs`, after the rows before it."""
-    report = theorems._prove("thm2", dict(objs))
+    """thm2's shared-axis verdict in a proof of `objs`, after the rows before
+    it, given thm1's verdict on its axis as thm1's "axis" row decides it."""
+    thm1_axis = dict(prove_thm1().checks)["thm1.axis"]
+    report = theorems._prove("thm2", {**objs, "thm1.axis": thm1_axis})
     return dict(report.checks)["thm2.axis_matches_thm1"]
 
 
@@ -1595,11 +1593,10 @@ def _terms(value):
 
 def test_symbolic_object_sizes():
     """A size pin of each symbolic build: numerator plus denominator terms
-    summed over every coordinate.  With one formula per construction thm1
-    comes to 4,167 terms (5,847 when symbolic `line_through` and
-    `circumcenter` kept a second formula); thm2 (1,904) and lemma3 (447)
-    did not move.  thm1's axis `v` comes to 426 terms and `Q.x` to 426
-    over 234 (606 and 606 over 330 before)."""
+    summed over every coordinate, at most 4,167 for thm1, 1,904 for thm2
+    and 447 for lemma3, with thm1's axis `v` at 426 terms and `Q.x` at 426
+    over 234.  Sizes drive the cost of every product a proof makes on the
+    built objects; one formula per construction keeps them there."""
     ceilings = {build_thm1: 4_167, build_thm2: 1_904, build_lemma3: 447}
     built = {build: build(GaugeConfig.symbolic()) for build in ceilings}
     for build, ceiling in ceilings.items():
