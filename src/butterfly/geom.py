@@ -68,8 +68,8 @@ from .errors import (
     PointNotOnCircle,
     PointNotOnLine,
 )
-from .poly import _exact_point, _make, _shift_down, common_monomial
-from .ratfun import RationalFunction, _as_rational_function
+from .poly import _exact_point
+from .ratfun import RationalFunction
 from .scalar import _RATIONAL, field_div
 
 
@@ -157,12 +157,8 @@ class Line(_Figure):
     W, S), reduced, with S > 0 and (u, v, w) = (U, V, W)/S, so `u`, `v`
     and `w` read back exactly the values it was built with; the
     constructions build each coefficient as the affine formula's exact
-    value, and `render` prints the triple as it is.  When
-    any coefficient is a rational function the triple is cleared to
-    polynomials and normalized (common monomial and integer content
-    removed, first nonzero coefficient made to have positive leading
-    coefficient); this keeps repeated symbolic constructions from
-    compounding denominators.
+    value, and `render` prints the triple as it is.  A symbolic line
+    is stored as its fields, as a symbolic point or circle is.
     """
 
     __slots__ = ()
@@ -170,14 +166,12 @@ class Line(_Figure):
     def __init__(self, u, v, w):
         if (isinstance(u, _RATIONAL) and isinstance(v, _RATIONAL)
                 and isinstance(w, _RATIONAL)):
-            if not (u or v):
-                raise ValueError("line needs u or v nonzero")
-            _set(self, _scaled(u, v, w))
-            return
-        u, v, w = _clear_line(_exact(u), _exact(v), _exact(w))
-        if not (u or v):
+            h = _scaled(u, v, w)
+        else:
+            h = (_exact(u), _exact(v), _exact(w), 1)
+        if not (h[0] or h[1]):
             raise ValueError("line needs u or v nonzero")
-        _set(self, (u, v, w, 1))
+        _set(self, h)
 
     u = _field(0, 3)
     v = _field(1, 3)
@@ -332,36 +326,6 @@ def _circle(d, e, f, s) -> Circle:
     circle = _new(Circle)
     _set(circle, (d, e, f, s))
     return circle
-
-
-def _clear_line(u, v, w):
-    """Rescale symbolic line coefficients to a normalized polynomial triple:
-    common monomial divided out, integer content 1, first nonzero entry
-    with a positive leading coefficient."""
-    u, v, w = map(_as_rational_function, (u, v, w))
-    pu = u.num * v.den * w.den
-    pv = v.num * u.den * w.den
-    pw = w.num * u.den * v.den
-    polys = [pu, pv, pw]
-    nonzero = [p for p in polys if p]
-    if not nonzero:
-        # invalid either way; let the (u, v) check in Line.__init__ report it
-        return (RationalFunction(pu), RationalFunction(pv), RationalFunction(pw))
-    mins = common_monomial(*nonzero)
-    if any(mins):
-        polys = [_shift_down(p, mins) for p in polys]
-        nonzero = [p for p in polys if p]
-    # divide by the gcd of the Fraction contents, g / den for g the gcd of
-    # all integer coefficients and den the lcm of the `_den`s, signed as the
-    # first nonzero entry's leading coefficient: each entry becomes
-    # integer terms over 1, and g divides each of them exactly
-    g = gcd(*[c for p in nonzero for _, c in p._terms])
-    if nonzero[0]._terms[0][1] < 0:
-        g = -g
-    den = lcm(*[p._den for p in nonzero])
-    return tuple(RationalFunction(_make(tuple([(m, c // g * (den // p._den))
-                                               for m, c in p._terms]), 1))
-                 for p in polys)
 
 
 # -- evaluating a symbolic figure ----------------------------------------------
@@ -554,18 +518,22 @@ def circumcenter(p: Point, q: Point, r: Point) -> Point:
     x3, y3 = x3 * z12, y3 * z12
     dx1, dy1, dx2, dy2 = x2 - x1, y2 - y1, x3 - x2, y3 - y2
     det = dx1 * dy2 - dx2 * dy1
-    if det:
-        n2 = x2 * x2 + y2 * y2
-        w1 = x1 * x1 + y1 * y1 - n2
-        w2 = n2 - x3 * x3 - y3 * y3
-        return _point(dy1 * w2 - dy2 * w1, dx2 * w1 - dx1 * w2,
-                      2 * z12 * z3 * det)
-    # coincident or collinear points (det = 0): the composed bisectors tell
-    # the two apart, raising CoincidentPoints or CollinearPoints
-    try:
-        return intersect_lines(perp_bisector(p, q), perp_bisector(q, r))
-    except (ParallelLines, CoincidentLines):
-        raise CollinearPoints("no circumcenter for collinear points") from None
+    if not det:
+        raise _no_circle(p, q, r, "circumcenter")
+    n2 = x2 * x2 + y2 * y2
+    w1 = x1 * x1 + y1 * y1 - n2
+    w2 = n2 - x3 * x3 - y3 * y3
+    return _point(dy1 * w2 - dy2 * w1, dx2 * w1 - dx1 * w2,
+                  2 * z12 * z3 * det)
+
+
+def _no_circle(p: Point, q: Point, r: Point, name: str):
+    """The error for three points with no circle through them: two that
+    coincide (in any position) give CoincidentPoints, three distinct
+    collinear ones CollinearPoints."""
+    if p == q or q == r or p == r:
+        return CoincidentPoints(f"{name} needs three distinct points")
+    return CollinearPoints(f"no {name} for collinear points")
 
 
 def _det3(r1, r2, r3):
@@ -580,9 +548,7 @@ def circumcircle(p: Point, q: Point, r: Point) -> Circle:
     a, b, c = p._h, q._h, r._h
     det = _det3(a, b, c)
     if not det:
-        if p == q or q == r or p == r:
-            raise CoincidentPoints("circumcircle needs three distinct points")
-        raise CollinearPoints("no circumcircle for collinear points")
+        raise _no_circle(p, q, r, "circumcircle")
     # on the rows (-(X^2 + Y^2), XZ, YZ, Z^2) of the three points, D, E and F
     # are the determinants below, and S = z1*z2*z3*det
     x1, y1, z1 = a

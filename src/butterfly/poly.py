@@ -25,8 +25,9 @@ pass (no negated copy), and an int operand becomes a constant polynomial
 without a Fraction.
 
 A polynomial is falsy exactly when it is zero.  A monomial factor is divided
-out only by `common_monomial`, which finds the largest one, and then
-`_shift_down`, which divides by it unchecked.
+out only in `ratfun`'s normal form, the one owner of normal forms: there
+`common_monomial` finds the largest one and `_shift_down` divides by it
+unchecked.
 """
 
 from __future__ import annotations

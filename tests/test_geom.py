@@ -2,12 +2,11 @@
 
 from decimal import Decimal
 from fractions import Fraction
-from functools import reduce
 from itertools import permutations
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from butterfly import (
     Circle,
@@ -24,7 +23,6 @@ from butterfly import (
     Point,
     PointNotOnCircle,
     PointNotOnLine,
-    Polynomial,
     RationalFunction,
     are_coaxial,
     are_concyclic,
@@ -54,8 +52,6 @@ from butterfly import (
     projective_point,
     second_intersection,
 )
-from tests.test_poly import (dict_content, dict_leading, dict_min_exponents,
-                             dict_mul, dict_scale, dict_shift_down, read_terms)
 
 
 def P(x, y):
@@ -86,56 +82,18 @@ def test_line_projective_equality():
         Line(0, 0, 5)
 
 
-def test_line_symbolic_coefficients_are_cleared():
+def test_symbolic_line_stores_its_fields():
+    # as a symbolic point or circle: the fields as given, ints made
+    # Fractions, then the int 1
     a, b, c, d, k = RationalFunction.variables()
     line = Line(a / k, 1 / k, b)
-    # cleared to polynomials: no denominators survive
-    for coeff in (line.u, line.v, line.w):
-        assert coeff.den == 1
-    assert line == Line(a, RationalFunction.constant(1), b * k)
-
-
-def ref_clear_line(u, v, w):
-    """The symbolic line normal form on {monomial: Fraction} dicts, built
-    from `terms` alone: (u, v, w) over one denominator, the
-    componentwise-minimum monomial divided out, then divided by the gcd of
-    all coefficients, signed as the first nonzero entry's graded-lex
-    leading coefficient."""
-    factors = ((u.num, v.den, w.den), (v.num, u.den, w.den), (w.num, u.den, v.den))
-    xs = [reduce(dict_mul, [dict(p.terms) for p in ps]) for ps in factors]
-    common = dict_min_exponents(xs)
-    xs = [dict_shift_down(x, common) for x in xs]
-    scale = dict_content(xs)
-    if dict_leading(next(x for x in xs if x)) < 0:
-        scale = -scale
-    return [dict_scale(x, 1 / scale) for x in xs]
-
-
-small_exponents = st.tuples(*(st.integers(min_value=0, max_value=2)
-                              for _ in range(5)))
-small_polys = st.lists(st.tuples(small_exponents, coords), max_size=4).map(Polynomial)
-
-
-@st.composite
-def symbolic_triples(draw):
-    """Three rational functions with (u, v) not both zero, the numerators
-    sharing a drawn monomial factor and scaled by a drawn nonzero factor,
-    which may be negative or have an integer part other than 1."""
-    shared = Polynomial({draw(small_exponents): draw(coords.filter(bool))})
-    triple = []
-    for _ in range(3):
-        den = draw(small_polys)
-        triple.append(RationalFunction(draw(small_polys) * shared,
-                                       den if den else Polynomial.one()))
-    assume(triple[0] or triple[1])
-    return triple
-
-
-@given(symbolic_triples())
-def test_symbolic_line_normal_form_matches_reference(triple):
-    line = Line(*triple)
-    for got, want in zip((line.u, line.v, line.w), ref_clear_line(*triple)):
-        assert read_terms(got.num) == want and got.den == Polynomial.one()
+    assert line._h == (a / k, 1 / k, b, 1) and type(line._h[-1]) is int
+    assert line == Line(a, 1, b * k)
+    mixed = Line(1, a, 0)
+    assert [type(x) for x in mixed._h] == [Fraction, RationalFunction, Fraction, int]
+    assert (mixed.u, mixed.v, mixed.w) == (1, a, 0)
+    with pytest.raises(ValueError, match="line needs u or v nonzero"):
+        Line(0, 0, a)
 
 
 NOT_EXACT = [0.5, Decimal("0.5"), 0.5j, "1/2", None]
@@ -535,6 +493,8 @@ def ref_perp_bisector(p, q):
 
 
 def ref_circumcenter(p, q, r):
+    if p == q or q == r or p == r:
+        raise CoincidentPoints("circumcenter needs three distinct points")
     try:
         return ref_intersect_lines(ref_perp_bisector(p, q), ref_perp_bisector(q, r))
     except (ParallelLines, CoincidentLines):
@@ -724,7 +684,7 @@ def test_degenerate_inputs_raise_like_reference():
          CoincidentLines),
         (circumcenter, ref_circumcenter, (p, p, r), CoincidentPoints),
         (circumcenter, ref_circumcenter, (p, q, q), CoincidentPoints),
-        (circumcenter, ref_circumcenter, (p, q, p), CollinearPoints),
+        (circumcenter, ref_circumcenter, (p, q, p), CoincidentPoints),
         (circumcenter, ref_circumcenter, (p, q, r), CollinearPoints),
         (circumcircle, ref_circumcircle, (p, q, p), CoincidentPoints),
         (circumcircle, ref_circumcircle, (p, q, r), CollinearPoints),
@@ -733,6 +693,37 @@ def test_degenerate_inputs_raise_like_reference():
         with pytest.raises(exc):
             fn(*args)
         assert _outcome(fn, *args) == _outcome(ref, *args)
+
+
+def _collinear_triple(backend):
+    """Three distinct collinear points, with int coordinates, Fraction ones
+    or symbolic ones."""
+    if backend == "int":
+        return Point(1, 2), Point(3, 5), Point(5, 8)
+    if backend == "Fraction":
+        return (P(Fraction(1, 2), Fraction(1, 3)), P(Fraction(3, 2), Fraction(5, 6)),
+                P(Fraction(5, 2), Fraction(4, 3)))
+    a = RationalFunction.variable("a")
+    return Point(a, 2 * a), Point(a + 1, 2 * a + 1), Point(a + 3, 2 * a + 3)
+
+
+@pytest.mark.parametrize("backend", ["int", "Fraction", "symbolic"])
+def test_no_circle_through_three_points_is_classified_once(backend):
+    # circumcenter and circumcircle tell coincident from collinear points
+    # alike: two equal points, in any of the three positions (or all three
+    # equal), are CoincidentPoints; distinct collinear points CollinearPoints
+    p, q, r = _collinear_triple(backend)
+    cases = [((p, p, r), CoincidentPoints), ((p, q, q), CoincidentPoints),
+             ((p, q, p), CoincidentPoints), ((p, p, p), CoincidentPoints),
+             ((p, q, r), CollinearPoints)]
+    for fn in (circumcenter, circumcircle):
+        name = fn.__name__
+        for args, exc in cases:
+            message = (f"{name} needs three distinct points" if exc is CoincidentPoints
+                       else f"no {name} for collinear points")
+            with pytest.raises(exc) as raised:
+                fn(*args)
+            assert type(raised.value) is exc and str(raised.value) == message
 
 
 # -- the predicates and the remaining constructions ----------------------------

@@ -671,8 +671,8 @@ def test_evaluate_object_matches_numeric_construction():
 def test_evaluate_object_reports_a_vanishing_line_as_degenerate():
     # ABCD is cyclic at this draw (PA * PC = PB * PD = 2), so the four
     # circumcenters coincide: the Fraction build meets CoincidentPoints, Q's
-    # denominator vanishes, and so do both cleared (u, v) of line_MN and of
-    # the axis, which is the same degeneracy
+    # denominators vanish, and the u and v of line_MN and of the axis both
+    # vanish over nonzero denominators, which is the same degeneracy
     draw = dict(zip("abcdk", (2, 1, -1, -1, 1)))
     with pytest.raises(CoincidentPoints):
         build_thm1(GaugeConfig(*(F(value) for value in draw.values())))
@@ -747,13 +747,13 @@ def test_evaluate_object_matches_its_field_by_field_reference():
 
 
 def test_evaluate_object_reads_each_distinct_polynomial_once(monkeypatch):
-    # Q's x and y lie over one 234-term denominator: three distinct
+    # thm2's Q has x and y over one 102-term denominator: three distinct
     # polynomials, each read once, where a field-by-field read makes four
-    Q = build_thm1(GaugeConfig.symbolic())["Q"]
+    Q = build_thm2(GaugeConfig.symbolic())["Q"]
     x, y = Q.x, Q.y
-    assert x.den == y.den and len(x.den.terms) == 234
+    assert x.den == y.den and len(x.den.terms) == 102
     calls = _count_calls(monkeypatch, Polynomial, "evaluate")
-    assert evaluate_object(Q, ANCHOR.as_assignment()) == build_thm1(ANCHOR)["Q"]
+    assert evaluate_object(Q, ANCHOR.as_assignment()) == build_thm2(ANCHOR)["Q"]
     assert len(calls) == 3
 
 
@@ -1387,15 +1387,16 @@ def test_symbolic_lemma3_coaxial_decision_cost(monkeypatch):
 def test_symbolic_proof_costs(monkeypatch):
     """A deterministic cost pin of each symbolic proof, on a built closed-form
     table: term pairs counted as the benchmark's tracer counts them, and
-    RationalFunction constructions, at most 23,713 and 207 for thm1, 9,705
-    and 210 for thm2 (given thm1's report) and 35,167 and 274 for lemma3.
+    RationalFunction constructions, at most 15,697 and 195 for thm1, 7,690
+    and 179 for thm2 (given thm1's report) and 35,167 and 274 for lemma3.
     What holds them there: two-sided tests compare (`x == y`, not
     `not (x - y)`), an equality over one shared denominator compares the
     numerators alone, each construction has one formula for both backends
     (symbolic `circumcenter` takes the fused Cramer formula, symbolic
-    `line_through` w = x2*y1 - x1*y2), and a product with an int or
-    Fraction 0 builds its zero at once (the symbolic gauge holds A and C's
-    zero coordinates as Fraction(0)).  A product by 1 is still billed
+    `line_through` w = x2*y1 - x1*y2), a symbolic line is stored as its
+    fields with no rescaling, and a product with an int or Fraction 0
+    builds its zero at once (the symbolic gauge holds A and C's zero
+    coordinates as Fraction(0)).  A product by 1 is still billed
     here, as the tracer bills it, though it returns the other factor and
     forms no pair; that shortcut is pinned by
     `test_product_with_one_is_the_other_factor`, not by this test."""
@@ -1423,9 +1424,9 @@ def test_symbolic_proof_costs(monkeypatch):
         return report, counts["pairs"], counts["new"]
 
     thm1, pairs, new = measured(theorems.prove_thm1)
-    assert 0 < pairs <= 23_713 and 0 < new <= 207
+    assert 0 < pairs <= 15_697 and 0 < new <= 195
     _, pairs, new = measured(theorems.prove_thm2, thm1)
-    assert 0 < pairs <= 9_705 and 0 < new <= 210
+    assert 0 < pairs <= 7_690 and 0 < new <= 179
     _, pairs, new = measured(theorems.prove_lemma3)
     assert 0 < pairs <= 35_167 and 0 < new <= 274
 
@@ -1544,7 +1545,7 @@ def test_axis_matches_thm1_is_the_reference_proposition():
 # representation, or to the order of operations of a construction, moves
 # it; such a change updates it here on purpose.
 SYMBOLIC_OBJECTS_SHA256 = (
-    "cd2d6595a3fc95112fa8fb19870f7d57cf647815972927cd51de540fc8598c16")
+    "49d08df777e675afc333ba194000f5dd579357c17549f7a7539a9329b47bf7e1")
 # The same digest over the points A, B, C, D, P, Q, R, S of the symbolic
 # lemma2 configuration, in that order.
 LEMMA2_POINTS_SHA256 = (
@@ -1593,19 +1594,20 @@ def _terms(value):
 
 def test_symbolic_object_sizes():
     """A size pin of each symbolic build: numerator plus denominator terms
-    summed over every coordinate, at most 4,167 for thm1, 1,904 for thm2
-    and 447 for lemma3, with thm1's axis `v` at 426 terms and `Q.x` at 426
-    over 234.  Sizes drive the cost of every product a proof makes on the
-    built objects; one formula per construction keeps them there."""
-    ceilings = {build_thm1: 4_167, build_thm2: 1_904, build_lemma3: 447}
+    summed over every coordinate, at most 1,944 for thm1, 1,424 for thm2
+    and 447 for lemma3, with thm1's axis `v` at 72 over 9 terms and `Q.x`
+    at 270 over 162.  Sizes drive the cost of every product a proof makes
+    on the built objects; one formula per construction, and figures stored
+    as their fields with no rescaling, keep them there."""
+    ceilings = {build_thm1: 1_944, build_thm2: 1_424, build_lemma3: 447}
     built = {build: build(GaugeConfig.symbolic()) for build in ceilings}
     for build, ceiling in ceilings.items():
         total = sum(sum(_terms(value)) for obj in built[build].values()
                     for value in _coordinates(obj))
         assert 0 < total <= ceiling, (build.__name__, total)
     thm1 = built[build_thm1]
-    assert _terms(thm1["axis"].v) == (426, 1)
-    assert _terms(thm1["Q"].x) == (426, 234)
+    assert _terms(thm1["axis"].v) == (72, 9)
+    assert _terms(thm1["Q"].x) == (270, 162)
 
 
 # The closed-form checks, keyed in here independently of the proof plans.
