@@ -69,7 +69,7 @@ from .errors import (
     PointNotOnLine,
 )
 from .poly import _exact_point
-from .ratfun import RationalFunction
+from .ratfun import RationalFunction, products_equal
 from .scalar import _RATIONAL, field_div
 
 
@@ -238,10 +238,12 @@ def _rank_one(p0, p1, p2, q0, q1, q2) -> bool:
     these are the minors of columns (0, 1) and (0, 2).  For p0 = 0 those
     minors are -p1*q0 and -p2*q0, which vanish exactly when q0 does (p1
     or p2 is nonzero), and the minor of columns (1, 2) is tested as well.
+    Each minor is decided by `products_equal`, which on symbolic entries
+    cancels equal factors before it multiplies.
     """
     if p0:
-        return p0 * q1 == p1 * q0 and p0 * q2 == p2 * q0
-    return not q0 and p1 * q2 == p2 * q1
+        return products_equal(p0, q1, p1, q0) and products_equal(p0, q2, p2, q0)
+    return not q0 and products_equal(p1, q2, p2, q1)
 
 
 def _scaled(*values) -> tuple:

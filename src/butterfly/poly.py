@@ -102,15 +102,14 @@ def _exact_point(values: Mapping[str, Fraction]) -> tuple[Fraction, ...]:
                  for value in point)
 
 
-def common_monomial(first: Polynomial, *rest: Polynomial) -> Monomial:
-    """The largest monomial dividing every one of the polynomials.
+def common_monomial(first: Polynomial, second: Polynomial) -> Monomial:
+    """The largest monomial dividing both of two nonzero polynomials.
 
-    `first` must be nonzero; a zero polynomial in `rest` bounds nothing.
-    The exponents start at those of `first`'s last term, the lowest in
-    graded-lex order, which bound the minimum from above, and a constant
-    last term ends the search at once.  `first` and each further polynomial
-    are then scanned only in the variables whose exponent is still
-    positive, and each such scan stops as soon as it reaches 0.
+    A zero `first` raises ValueError.  The exponents start at those of
+    `first`'s last term, the lowest in graded-lex order, which bound the
+    minimum from above, and a constant last term ends the search at once.
+    Both polynomials are then scanned only in the variables whose exponent
+    is still positive, and each such scan stops as soon as it reaches 0.
     """
     if not first._terms:
         raise ValueError("common_monomial needs a nonzero first polynomial")
@@ -118,7 +117,7 @@ def common_monomial(first: Polynomial, *rest: Polynomial) -> Monomial:
     if not last:
         return (0,) * NVARS
     bounds = [last >> shift & _MASK for shift in _SHIFTS]
-    for poly in (first, *rest):
+    for poly in (first, second):
         for index, shift in enumerate(_SHIFTS):
             low = bounds[index]
             if not low:

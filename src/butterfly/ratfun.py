@@ -6,10 +6,14 @@ When the two denominators are structurally equal, equality compares the
 numerators: cross-multiplication with that common nonzero factor cancelled,
 exact since canonical polynomials are equal exactly when they are
 structurally equal.  A sum or difference of two such functions likewise
-adds or subtracts the numerators over the one denominator; any other sum
+adds or subtracts the numerators over the one denominator, and their
+quotient is the numerators' quotient; any other sum or quotient
 cross-multiplies.  A product with, or a quotient by, the int 1 is the
 function itself, and a product with an int or Fraction 0 is zero, built
 without lifting the 0 to a rational function first.
+`products_equal(a, b, c, d)` decides a*b == c*d for `geom`'s 2x2 minors
+without forming either product as a rational function: equal nonzero
+factors of the cross-multiplied sides cancel before anything is multiplied.
 A cheap normal form keeps expression growth in check without full reduction:
 
   * a zero numerator forces den = 1,
@@ -32,7 +36,9 @@ exactly when zero.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import mul
 from typing import Callable, Mapping
 
 from .errors import DenominatorVanishes, ZeroDenominator
@@ -156,6 +162,8 @@ class RationalFunction:
             return NotImplemented
         if not other.num:
             raise ZeroDenominator("division of rational functions by zero")
+        if self.den == other.den:
+            return RationalFunction(self.num, other.num)
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
@@ -219,3 +227,48 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self.render()})"
+
+
+_ONE = Polynomial.one()
+
+
+def _parts(value) -> tuple[Polynomial, Polynomial]:
+    """The numerator and denominator of a RationalFunction, int or Fraction."""
+    if type(value) is RationalFunction:
+        return value.num, value.den
+    return Polynomial.constant(value), _ONE
+
+
+def _product(factors: list[Polynomial]) -> Polynomial:
+    """The product of nonzero polynomials, smallest first, with no factor 1
+    multiplied in."""
+    factors = sorted([p for p in factors if p != _ONE], key=lambda p: len(p._terms))
+    return reduce(mul, factors) if factors else _ONE
+
+
+def products_equal(a, b, c, d) -> bool:
+    """Whether a*b == c*d, for ints, Fractions and RationalFunctions.
+
+    With no RationalFunction among them this is `a * b == c * d`.  Otherwise
+    it is the cross-multiplied equality num(a)·num(b)·den(c)·den(d) ==
+    num(c)·num(d)·den(a)·den(b), decided without a normal form: a side with
+    a zero numerator is zero, so that case is decided first; the other
+    factors are nonzero, so one structurally equal to a factor of the other
+    side cancels with it; what is left of each side is multiplied smallest
+    first and the two products are compared structurally.
+    """
+    rf = RationalFunction
+    if type(a) is not rf and type(b) is not rf and type(c) is not rf and type(d) is not rf:
+        # ints and Fractions: every minor of a rational figure comes here
+        return a * b == c * d
+    (na, da), (nb, db), (nc, dc), (nd, dd) = _parts(a), _parts(b), _parts(c), _parts(d)
+    left_zero, right_zero = not (na and nb), not (nc and nd)
+    if left_zero or right_zero:
+        return left_zero and right_zero
+    left, right = [na, nb, dc, dd], []
+    for factor in (nc, nd, da, db):
+        if factor in left:
+            left.remove(factor)
+        else:
+            right.append(factor)
+    return _product(left) == _product(right)

@@ -1,4 +1,5 @@
-"""Rational function field: cross-multiplied equality and the cheap normal form."""
+"""Rational function field: cross-multiplied equality, `products_equal` and
+the cheap normal form."""
 
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from butterfly import DenominatorVanishes, Polynomial, RationalFunction, ZeroDenominator
+from butterfly.ratfun import products_equal
 from tests.test_poly import (dict_content, dict_leading, dict_min_exponents,
                              dict_scale, dict_shift_down, read_terms)
 
@@ -297,7 +299,99 @@ def test_equality_with_rationals_in_both_orders(f, value):
     assert RationalFunction.constant(value) == value
 
 
-# -- the normal form ------------------------------------------------------------
+# -- quotients over a shared denominator ----------------------------------------
+
+
+def ref_div(f, g):
+    return RationalFunction(f.num * g.den, f.den * g.num)
+
+
+def _no_product(self, other):
+    raise AssertionError("a quotient over a shared denominator multiplied")
+
+
+@given(shared_denominator_pairs())
+def test_shared_denominator_quotient_multiplies_nothing(pair):
+    f, g = pair
+    assert f.den == g.den  # the shared-denominator branch is the one taken
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Polynomial, "__mul__", _no_product)
+        patch.setattr(Polynomial, "__rmul__", _no_product)
+        quotient = f / g
+    assert ref_rf_eq(quotient, ref_div(f, g))
+
+
+# -- products_equal ---------------------------------------------------------------
+
+
+def ref_products_equal(w, x, y, z):
+    return w * x == y * z
+
+
+zeros = st.sampled_from([0, Fraction(0), RationalFunction(0)])
+scalars = (small_ints | st.fractions(min_value=-20, max_value=20, max_denominator=9)
+           | ratfuns())
+
+
+@st.composite
+def product_quadruples(draw):
+    """(w, x, y, z) for w*x == y*z: ints, Fractions and rational functions,
+    unrelated, sharing factors across the sides (equal products, or one
+    factor in common), and with zero numerators on one side or on both."""
+    w, x = draw(scalars), draw(scalars)
+    kind = draw(st.sampled_from(["other", "swapped", "scaled", "one_shared",
+                                 "zero_left", "zero_right", "zero_both"]))
+    if kind == "other":
+        y, z = draw(scalars), draw(scalars)
+    elif kind == "swapped":
+        y, z = x, w
+    elif kind == "scaled":
+        t = draw(ratfuns())
+        assume(t)
+        y, z = w * t, x / t
+    elif kind == "one_shared":
+        y, z = w, draw(scalars)
+    elif kind == "zero_left":
+        w, y, z = draw(zeros), draw(scalars), draw(scalars)
+    elif kind == "zero_right":
+        y, z = draw(scalars), draw(zeros)
+    else:
+        w, y, z = draw(zeros), draw(zeros), draw(scalars)
+    if draw(st.booleans()):
+        w, x = x, w
+    return w, x, y, z
+
+
+@given(product_quadruples())
+@example((a / (c + 1), 0, Fraction(0), b / (c - 1)))
+@example((a / (c + 1), b, (a + 1) / (c - 1), b))
+def test_products_equal_matches_reference(quadruple):
+    """The examples: a zero factor on each side (both products zero, so
+    equal, though what is left after cancelling the zeros is not), and a
+    common factor b whose cancellation leaves unequal sides."""
+    w, x, y, z = quadruple
+    want = ref_products_equal(w, x, y, z)
+    assert products_equal(w, x, y, z) is want
+    assert products_equal(y, z, w, x) is want
+
+
+def test_products_equal_cancels_before_multiplying(monkeypatch):
+    """Equal factors cancel across the sides: f*g == g*f multiplies
+    nothing; with one factor changed, what is left is multiplied."""
+    f, g = (a + 1) / (c - 2), (b * k - 3) / (d + 1)
+    products = []
+    multiply = Polynomial.__mul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return multiply(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    monkeypatch.setattr(Polynomial, "__rmul__", counted)
+    assert products_equal(f, g, g, f)
+    assert products == []
+    assert not products_equal(f, g, g, f + 1)
+    assert products
 
 
 def ref_normal_form(num, den):

@@ -747,11 +747,11 @@ def test_evaluate_object_matches_its_field_by_field_reference():
 
 
 def test_evaluate_object_reads_each_distinct_polynomial_once(monkeypatch):
-    # thm2's Q has x and y over one 102-term denominator: three distinct
+    # thm2's Q has x and y over one 36-term denominator: three distinct
     # polynomials, each read once, where a field-by-field read makes four
     Q = build_thm2(GaugeConfig.symbolic())["Q"]
     x, y = Q.x, Q.y
-    assert x.den == y.den and len(x.den.terms) == 102
+    assert x.den == y.den and len(x.den.terms) == 36
     calls = _count_calls(monkeypatch, Polynomial, "evaluate")
     assert evaluate_object(Q, ANCHOR.as_assignment()) == build_thm2(ANCHOR)["Q"]
     assert len(calls) == 3
@@ -1362,13 +1362,27 @@ def test_symbolic_coaxial_verdict_does_not_depend_on_argument_order():
         assert are_coaxial(*(fails[i] for i in order)) is False, order
 
 
+def test_line_equality_with_w_zero_on_both_lines():
+    """thm1's axis and the closed-form axis both have w = 0, so one minor
+    is u1*w2 == w1*u2 with a zero factor on each side: both products are 0
+    and the lines are equal.  Cancelling the two zeros as a common factor
+    would leave u1 == u2 on the axis's unequal representatives."""
+    axis = build_thm1(GaugeConfig.symbolic())["axis"]
+    assert not axis.w and not closedforms.AXIS.w
+    assert axis.u != closedforms.AXIS.u
+    assert axis == closedforms.AXIS and closedforms.AXIS == axis
+    assert Line(axis.u, axis.v, 1) != closedforms.AXIS
+
+
 def test_symbolic_lemma3_coaxial_decision_cost(monkeypatch):
     """A deterministic cost pin: the pencil row's products, counted as the
     benchmark's tracer counts them (len(terms) x len(terms) per product).
     With the difference rows taken from the sparsest circle, circle_pmn
-    (f = 0), the decision makes 21,689 term pairs; taken from the first
-    circle, circle_ac, it would make 73,235.  (With minors tested as
-    `not (x - y)` rather than `x == y` these were 22,091 and 74,203.)"""
+    (f = 0), the decision makes 15,037 term pairs; taken from the first
+    circle, circle_ac, it would make 88,677.  The minors are decided by
+    `ratfun.products_equal`, which cancels equal factors across the two
+    sides before multiplying; with each side's product formed as a
+    rational function and then compared these were 21,689 and 73,215."""
     objs = build_lemma3(GaugeConfig.symbolic())
     pairs = [0]
     multiply = Polynomial.__mul__
@@ -1381,21 +1395,23 @@ def test_symbolic_lemma3_coaxial_decision_cost(monkeypatch):
     monkeypatch.setattr(Polynomial, "__mul__", counted)
     monkeypatch.setattr(Polynomial, "__rmul__", counted)
     assert are_coaxial(objs["circle_ac"], objs["circle_bd"], objs["circle_pmn"])
-    assert 0 < pairs[0] <= 30_000
+    assert 0 < pairs[0] <= 15_037
 
 
 def test_symbolic_proof_costs(monkeypatch):
     """A deterministic cost pin of each symbolic proof, on a built closed-form
     table: term pairs counted as the benchmark's tracer counts them, and
-    RationalFunction constructions, at most 15,697 and 195 for thm1, 7,690
-    and 179 for thm2 (given thm1's report) and 35,167 and 274 for lemma3.
+    RationalFunction constructions, at most 15,293 and 183 for thm1, 4,493
+    and 175 for thm2 (given thm1's report) and 28,399 and 270 for lemma3.
     What holds them there: two-sided tests compare (`x == y`, not
-    `not (x - y)`), an equality over one shared denominator compares the
-    numerators alone, each construction has one formula for both backends
-    (symbolic `circumcenter` takes the fused Cramer formula, symbolic
-    `line_through` w = x2*y1 - x1*y2), a symbolic line is stored as its
-    fields with no rescaling, and a product with an int or Fraction 0
-    builds its zero at once (the symbolic gauge holds A and C's zero
+    `not (x - y)`), an equality or a quotient over one shared denominator
+    takes the numerators alone, a line equality or a pencil test decides
+    each `a*b == c*d` with equal factors cancelled before multiplying
+    (`ratfun.products_equal`), each construction has one formula for both
+    backends (symbolic `circumcenter` takes the fused Cramer formula,
+    symbolic `line_through` w = x2*y1 - x1*y2), a symbolic line is stored
+    as its fields with no rescaling, and a product with an int or Fraction
+    0 builds its zero at once (the symbolic gauge holds A and C's zero
     coordinates as Fraction(0)).  A product by 1 is still billed
     here, as the tracer bills it, though it returns the other factor and
     forms no pair; that shortcut is pinned by
@@ -1424,11 +1440,11 @@ def test_symbolic_proof_costs(monkeypatch):
         return report, counts["pairs"], counts["new"]
 
     thm1, pairs, new = measured(theorems.prove_thm1)
-    assert 0 < pairs <= 15_697 and 0 < new <= 195
+    assert 0 < pairs <= 15_293 and 0 < new <= 183
     _, pairs, new = measured(theorems.prove_thm2, thm1)
-    assert 0 < pairs <= 7_690 and 0 < new <= 179
+    assert 0 < pairs <= 4_493 and 0 < new <= 175
     _, pairs, new = measured(theorems.prove_lemma3)
-    assert 0 < pairs <= 35_167 and 0 < new <= 274
+    assert 0 < pairs <= 28_399 and 0 < new <= 270
 
 
 def test_ratio_chain_reads_the_power_ratio_verdicts(monkeypatch):
@@ -1545,7 +1561,7 @@ def test_axis_matches_thm1_is_the_reference_proposition():
 # representation, or to the order of operations of a construction, moves
 # it; such a change updates it here on purpose.
 SYMBOLIC_OBJECTS_SHA256 = (
-    "49d08df777e675afc333ba194000f5dd579357c17549f7a7539a9329b47bf7e1")
+    "5279cc9c241d5988503baad8bf35917b6265b7b5e841bfc12d7bf9f5c3738fce")
 # The same digest over the points A, B, C, D, P, Q, R, S of the symbolic
 # lemma2 configuration, in that order.
 LEMMA2_POINTS_SHA256 = (
@@ -1594,12 +1610,15 @@ def _terms(value):
 
 def test_symbolic_object_sizes():
     """A size pin of each symbolic build: numerator plus denominator terms
-    summed over every coordinate, at most 1,944 for thm1, 1,424 for thm2
+    summed over every coordinate, at most 1,944 for thm1, 652 for thm2
     and 447 for lemma3, with thm1's axis `v` at 72 over 9 terms and `Q.x`
-    at 270 over 162.  Sizes drive the cost of every product a proof makes
-    on the built objects; one formula per construction, and figures stored
-    as their fields with no rescaling, keep them there."""
-    ceilings = {build_thm1: 1_944, build_thm2: 1_424, build_lemma3: 447}
+    at 270 over 162, and thm2's `Q.x` at 48 over 36.  Sizes drive the cost
+    of every product a proof makes on the built objects; one formula per
+    construction, figures stored as their fields with no rescaling, and a
+    quotient over one shared denominator taken as the numerators' quotient
+    (thm2's Q divides x and y by a z over their denominator) keep them
+    there."""
+    ceilings = {build_thm1: 1_944, build_thm2: 652, build_lemma3: 447}
     built = {build: build(GaugeConfig.symbolic()) for build in ceilings}
     for build, ceiling in ceilings.items():
         total = sum(sum(_terms(value)) for obj in built[build].values()
@@ -1608,6 +1627,7 @@ def test_symbolic_object_sizes():
     thm1 = built[build_thm1]
     assert _terms(thm1["axis"].v) == (72, 9)
     assert _terms(thm1["Q"].x) == (270, 162)
+    assert _terms(built[build_thm2]["Q"].x) == (48, 36)
 
 
 # The closed-form checks, keyed in here independently of the proof plans.
