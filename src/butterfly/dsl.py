@@ -40,9 +40,9 @@ products and one `geom.projective_point`; any other read builds the
 `Fraction` of its pair.
 
 Every run ends in a `VerificationReport`.  A numeric run, of a `verify`
-file or of a built-in result of `theorems`, is `_numeric_run`: seeded
-trials of a program on drawn int pairs (`run_trials`).  A symbolic
-report, of a file or of a proof plan of `theorems`, is `run_checks`.
+file or of a built-in result of `theorems`, is `_numeric_run`, the one
+seeded trial loop over drawn int pairs.  A symbolic report, of a file or
+of a proof plan of `theorems`, is `run_checks`.
 """
 
 from __future__ import annotations
@@ -884,50 +884,6 @@ class VerificationReport(_Record):
 SKIP_LIMIT = Fraction(1, 5)
 
 
-def run_trials(theorem: str, stream: str, sample: Callable, check: Callable,
-               trials: int, seed: int, bound: int) -> VerificationReport:
-    """Seeded trials of one claim, stopping at the first counterexample.
-
-    Trial i draws its configuration as `sample(rng, bound)` from
-    `derive_rng(seed, stream, i)`, so any single trial can be replayed.
-    `check(cfg)` returns None when the claim holds and otherwise the
-    counterexample's `(params, detail)`; a DegenerateConfig it raises
-    skips the trial.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    attempted = passed = skipped = 0
-    counterexample = None
-    start = time.perf_counter()
-    for trial in range(trials):
-        cfg = sample(derive_rng(seed, stream, trial), bound)
-        attempted += 1
-        try:
-            refuted = check(cfg)
-        except DegenerateConfig:
-            skipped += 1
-            continue
-        if refuted is None:
-            passed += 1
-        else:
-            counterexample = Counterexample(trial, *refuted)
-            break
-    elapsed = time.perf_counter() - start
-    failure = None
-    if counterexample is not None:
-        failure = f"counterexample at trial {counterexample.trial}"
-    elif Fraction(skipped, attempted) > SKIP_LIMIT:
-        failure = (f"skip rate {skipped}/{attempted} exceeds limit "
-                   f"{format_rational(SKIP_LIMIT)}")
-    return VerificationReport(theorem=theorem, mode="numeric",
-                              attempted=attempted, passed=passed, skipped=skipped,
-                              trials=trials, seed=seed, bound=bound,
-                              counterexample=counterexample, failure=failure,
-                              elapsed=elapsed)
-
-
 def run_checks(theorem: str, checks) -> VerificationReport:
     """Symbolic report from `(check id, verdict, failure name)` items, in order.
 
@@ -960,18 +916,48 @@ def _run_trial(program, env: dict) -> Assertion | None:
 def _numeric_run(label: str, stream: str, params: tuple[str, ...], draw: Callable,
                  trial: Callable, trials: int, seed: int,
                  bound: int) -> VerificationReport:
-    """Seeded trials on stream `stream`: `draw(rng, bound)` returns the int
-    pairs of `params`, in order, and `trial(pairs)` None or the first false
-    assertion, which refutes the run with the pairs as Fractions."""
+    """Seeded trials of one claim, stopping at the first counterexample.
 
-    def check(pairs):
-        failed = trial(pairs)
+    Trial i draws the int pairs of `params`, in order, as `draw(rng, bound)`
+    from `derive_rng(seed, stream, i)`, so any single trial can be replayed.
+    `trial(pairs)` returns None or the first false assertion, which refutes
+    the run with the pairs as Fractions; a DegenerateConfig it raises skips
+    the trial.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    attempted = passed = skipped = 0
+    counterexample = None
+    start = time.perf_counter()
+    for index in range(trials):
+        pairs = draw(derive_rng(seed, stream, index), bound)
+        attempted += 1
+        try:
+            failed = trial(pairs)
+        except DegenerateConfig:
+            skipped += 1
+            continue
         if failed is None:
-            return None
-        return (tuple(zip(params, (Fraction(*pair) for pair in pairs))),
+            passed += 1
+        else:
+            counterexample = Counterexample(
+                index, tuple(zip(params, (Fraction(*pair) for pair in pairs))),
                 f"assertion {_assertion_text(failed)} failed")
-
-    return run_trials(label, stream, draw, check, trials, seed, bound)
+            break
+    elapsed = time.perf_counter() - start
+    failure = None
+    if counterexample is not None:
+        failure = f"counterexample at trial {counterexample.trial}"
+    elif Fraction(skipped, attempted) > SKIP_LIMIT:
+        failure = (f"skip rate {skipped}/{attempted} exceeds limit "
+                   f"{format_rational(SKIP_LIMIT)}")
+    return VerificationReport(theorem=label, mode="numeric",
+                              attempted=attempted, passed=passed, skipped=skipped,
+                              trials=trials, seed=seed, bound=bound,
+                              counterexample=counterexample, failure=failure,
+                              elapsed=elapsed)
 
 
 def _evaluate_numeric(construction, seed, trials, bound, label):

@@ -28,11 +28,9 @@ tuple is all ints and a symbolic field never is one.
 `evaluate_object` decodes a symbolic tuple to the rational figure of its
 value at an exact assignment; only this module and `render` read `_h`.
 
-Every function has one body, and one formula, for both backends.  A
-construction or a predicate reads each input's `_h` (the scalar functions
-`power_of_point`, `cross_ratio` and `pencil_cross_ratio` read public
-fields) and builds its output with a trusted constructor, `_point`,
-`_line` or `_circle`.
+Every function has one body, and one formula, for both backends.  Each
+body reads its inputs' `_h`, and a construction builds its output with a
+trusted constructor, `_point`, `_line` or `_circle`.
 All-int entries are reduced with one gcd; any other entries are divided
 through by the last one and passed to the public constructor.  With every
 last entry 1 a body performs exactly the field operations of the affine
@@ -340,9 +338,9 @@ def evaluate_object(obj, assignment: Mapping[str, Fraction]):
     even where every field is a constant.
 
     Each structurally distinct polynomial among the fields' numerators and
-    denominators is read once, through `Polynomial.evaluate`: canonical
-    polynomials are equal exactly when their `(_den, _terms)` are, so the
-    fields of a point over one denominator share that denominator's value.
+    denominators is read once, through `Polynomial.evaluate`: a polynomial
+    hashes and compares by its canonical form, so the fields of a point
+    over one denominator share that denominator's value.
     Field by field, as `RationalFunction.evaluate` does, a denominator is
     tested for zero (DenominatorVanishes) before the numerator is read."""
     if not isinstance(obj, (Point, Line, Circle)):
@@ -354,10 +352,9 @@ def evaluate_object(obj, assignment: Mapping[str, Fraction]):
     values = {}
 
     def read(poly):
-        key = (poly._den, poly._terms)
-        value = values.get(key)
+        value = values.get(poly)
         if value is None:
-            value = values[key] = poly.evaluate(assignment)
+            value = values[poly] = poly.evaluate(assignment)
         return value
 
     # a symbolic figure's tuple is its fields (x, y; u, v, w; d, e, f), then 1
@@ -577,8 +574,12 @@ def circle_on_diameter(p: Point, q: Point) -> Circle:
 
 
 def power_of_point(p: Point, circle: Circle):
-    """Power of the point with respect to the circle, exact in the field."""
-    return (p.x * p.x + p.y * p.y + circle.d * p.x + circle.e * p.y + circle.f)
+    """Power of the point with respect to the circle, exact in the field:
+    `is_on_circle`'s sum over S*Z^2."""
+    x, y, z = p._h
+    d, e, f, s = circle._h
+    return (_exact(s * (x * x + y * y) + d * x * z + e * y * z + f * (z * z))
+            / (s * (z * z)))
 
 
 def is_on_circle(p: Point, circle: Circle) -> bool:
@@ -679,15 +680,11 @@ def are_coaxial(c1: Circle, c2: Circle, c3: Circle) -> bool:
 # -- cross ratios ----------------------------------------------------------------
 
 
-def _line_parameter(line: Line, p: Point):
-    # pick the coordinate that actually varies along the line
-    return p.x if line.v else p.y
-
-
 def cross_ratio(p1: Point, p2: Point, p3: Point, p4: Point):
     """Affine cross ratio (p1,p2; p3,p4) of four collinear points.
 
-    Computed on the x-coordinate, or on y for a vertical line.  Raises
+    Computed on the x-coordinate, or on y for a vertical line, as a ratio
+    of minors X_i*Z_j - X_j*Z_i, whose Z's cancel.  Raises
     NotCollinear when the points do not share a line, CoincidentPoints
     when no two of them are distinct, and DivisionByZero when the cross
     ratio degenerates to infinity.
@@ -706,8 +703,10 @@ def cross_ratio(p1: Point, p2: Point, p3: Point, p4: Point):
     for p in points:
         if not is_on_line(p, base):
             raise NotCollinear("cross ratio needs collinear points")
-    t1, t2, t3, t4 = (_line_parameter(base, p) for p in points)
-    return field_div((t1 - t3) * (t2 - t4), (t1 - t4) * (t2 - t3),
+    c = 0 if base._h[1] else 1  # the coordinate that varies along the line
+    (t1, z1), (t2, z2), (t3, z3), (t4, z4) = ((p._h[c], p._h[2]) for p in points)
+    return field_div(_exact((t1 * z3 - t3 * z1) * (t2 * z4 - t4 * z2)),
+                     (t1 * z4 - t4 * z1) * (t2 * z3 - t3 * z2),
                      "cross ratio is infinite")
 
 
@@ -716,13 +715,12 @@ def pencil_cross_ratio(vertex: Point, p1: Point, p2: Point, p3: Point, p4: Point
 
     Uses signed areas s(p, q) = (p - vertex) x (q - vertex); the value is
     s(1,3)*s(2,4) / (s(1,4)*s(2,3)).  Equals the affine cross ratio of the
-    four intersection points with any transversal line.
+    four intersection points with any transversal line.  `_det3` of p, q
+    and vertex is s(p, q) times their Z's, which cancel.
     """
-    def s(p, q):
-        return ((p.x - vertex.x) * (q.y - vertex.y)
-                - (p.y - vertex.y) * (q.x - vertex.x))
-
-    return field_div(s(p1, p3) * s(p2, p4), s(p1, p4) * s(p2, p3),
+    h1, h2, h3, h4, v = p1._h, p2._h, p3._h, p4._h, vertex._h
+    return field_div(_exact(_det3(h1, h3, v) * _det3(h2, h4, v)),
+                     _det3(h1, h4, v) * _det3(h2, h3, v),
                      "pencil cross ratio is infinite or undefined")
 
 

@@ -72,11 +72,6 @@ _UNIT_CIRCLE = Circle(0, 0, -1)
 # cost of a tuple, and equal to any tuple of the same values.
 
 
-def _field_params(cfg) -> tuple[tuple[str, object], ...]:
-    """A scalar configuration's parameters: its fields, in declared order."""
-    return tuple(zip(cfg._fields, cfg))
-
-
 class GaugeConfig(NamedTuple):
     """Quadrilateral in the diagonal gauge: P(0,0), A(a,0), B(b,kb), C(c,0), D(d,kd).
 
@@ -96,10 +91,8 @@ class GaugeConfig(NamedTuple):
     def symbolic(cls) -> "GaugeConfig":
         return cls(*RationalFunction.variables())
 
-    params = _field_params
-
     def as_assignment(self) -> dict[str, Fraction]:
-        return dict(self.params())
+        return dict(zip(self._fields, self))
 
 
 class CyclicConfig(NamedTuple):
@@ -109,8 +102,6 @@ class CyclicConfig(NamedTuple):
     t_b: object
     t_c: object
     t_d: object
-
-    params = _field_params
 
 
 class ChordButterflyConfig(NamedTuple):
@@ -126,8 +117,6 @@ class ChordButterflyConfig(NamedTuple):
     t_c: object
     t_e: object
 
-    params = _field_params
-
 
 class QuadConfig(NamedTuple):
     """Four free vertices A(ax, ay), B(bx, by), C(cx, cy), D(dx, dy) for the
@@ -141,8 +130,6 @@ class QuadConfig(NamedTuple):
     cy: object
     dx: object
     dy: object
-
-    params = _field_params
 
 
 # -- corpus programs (builders and numeric trials) ----------------------------
@@ -462,7 +449,6 @@ _SUITE: dict[str, tuple[Callable, Callable]] = {
 _PROVERS = {"thm1": prove_thm1, "thm2": prove_thm2, "lemma3": prove_lemma3}
 
 NUMERIC_ORDER = tuple(_SUITE)
-SYMBOLIC_ORDER = tuple(_PROVERS)
 
 
 def run_numeric(theorem: str, trials: int = 1000, seed: int = 0,

@@ -31,15 +31,14 @@ from butterfly.dsl import (
     Token,
     Unary,
     _SYMBOLS,
-    _assertion_text,
     _Emitter,
     _compile_program,
+    _numeric_run,
     _run_trial,
     _tokenize,
     eval_expr,
     evaluate_construction,
     parse,
-    run_trials,
     to_source,
 )
 from butterfly.scalar import derive_rng, field_div, sample_ratios, sample_rational
@@ -782,22 +781,21 @@ def test_eval_expr_rejects_non_expressions_like_reference():
 # literals over parameters with `projective_point`.  `ref_evaluate_numeric`
 # is the trial loop they replaced: every parameter drawn as a Fraction by
 # `sample_rational` and the program run by the tree-walking `ref_run_trial`.
+# The draw crosses into `_numeric_run` as the Fractions' int pairs and back.
 # Reports, skips and counterexamples must match byte for byte.
 
 def ref_evaluate_numeric(construction, seed, trials, bound, label):
     params = construction.params
 
-    def ref_sample(rng, bound):
-        return {name: sample_rational(rng, bound) for name in params}
+    def ref_draw(rng, bound):
+        return [sample_rational(rng, bound).as_integer_ratio() for _ in params]
 
-    def ref_check(env):
-        failed = ref_run_trial(construction, env)
-        if failed is None:
-            return None
-        return (tuple((name, env[name]) for name in params),
-                f"assertion {_assertion_text(failed)} failed")
+    def ref_trial(pairs):
+        return ref_run_trial(construction, {name: F(*pair)
+                                            for name, pair in zip(params, pairs)})
 
-    return run_trials(label, "trial", ref_sample, ref_check, trials, seed, bound)
+    return _numeric_run(label, "trial", params, ref_draw, ref_trial, trials,
+                        seed, bound)
 
 
 PAIR_PROGRAMS = {

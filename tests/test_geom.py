@@ -6,7 +6,7 @@ from itertools import permutations
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from butterfly import (
     Circle,
@@ -52,6 +52,7 @@ from butterfly import (
     projective_point,
     second_intersection,
 )
+from butterfly.scalar import field_div
 
 
 def P(x, y):
@@ -1018,13 +1019,63 @@ def _value_outcome(fn, *args):
     return ("value", value)
 
 
-@given(points, circles)
-def test_power_of_point_matches_reference(p, circle):
-    want = ("value", RationalFunction.constant(
-        p.x * p.x + p.y * p.y + circle.d * p.x + circle.e * p.y + circle.f))
-    assert _value_outcome(power_of_point, p, circle) == want
-    assert _value_outcome(power_of_point, lift(p, 0), circle) == want
-    assert _value_outcome(power_of_point, p, lift(circle, 2)) == want
+# `power_of_point`, `cross_ratio` and `pencil_cross_ratio` read the homogeneous
+# tuples: the power is `is_on_circle`'s sum over S*Z^2, and the cross ratios
+# are ratios of minors (X_i*Z_j - X_j*Z_i, or `_det3` of two points and the
+# vertex) whose Z's cancel.  The bodies below are the affine formulas they
+# replaced, on the public fields: values must agree, and a degenerate input
+# must raise the same error class with the same message.
+
+def ref_power_of_point(p, circle):
+    return (p.x * p.x + p.y * p.y + circle.d * p.x + circle.e * p.y + circle.f)
+
+
+def ref_cross_ratio(p1, p2, p3, p4):
+    points = (p1, p2, p3, p4)
+    base = None
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if points[i] != points[j]:
+                base = line_through(points[i], points[j])
+                break
+        if base is not None:
+            break
+    if base is None:
+        raise CoincidentPoints("cross ratio of four coincident points")
+    for p in points:
+        if not is_on_line(p, base):
+            raise NotCollinear("cross ratio needs collinear points")
+    # the coordinate that actually varies along the line
+    t1, t2, t3, t4 = (p.x if base.v else p.y for p in points)
+    return field_div((t1 - t3) * (t2 - t4), (t1 - t4) * (t2 - t3),
+                     "cross ratio is infinite")
+
+
+def ref_pencil_cross_ratio(vertex, p1, p2, p3, p4):
+    def s(p, q):
+        return ((p.x - vertex.x) * (q.y - vertex.y)
+                - (p.y - vertex.y) * (q.x - vertex.x))
+
+    return field_div(s(p1, p3) * s(p2, p4), s(p1, p4) * s(p2, p3),
+                     "pencil cross ratio is infinite or undefined")
+
+
+def _lifted_cases(args, data):
+    """`args`, then each argument in turn and then all of them with one drawn
+    field lifted to an equal RationalFunction."""
+    lifted = [lift(arg, data.draw(st.integers(0, len(_fields(arg)) - 2)))
+              for arg in args]
+    yield list(args)
+    for i in range(len(args)):
+        yield [*args[:i], lifted[i], *args[i + 1:]]
+    yield lifted
+
+
+@given(points, circles, st.data())
+def test_power_of_point_matches_reference(p, circle, data):
+    want = ("value", RationalFunction.constant(ref_power_of_point(p, circle)))
+    for case in _lifted_cases([p, circle], data):
+        assert _value_outcome(power_of_point, *case) == want
 
 
 @given(point_pairs(), st.lists(coords, min_size=4, max_size=4), points)
@@ -1045,6 +1096,59 @@ def test_cross_ratios_match_reference(pair, ts, vertex):
     assert _value_outcome(cross_ratio, *lifted) == _value_outcome(cross_ratio, *pts)
     assert _value_outcome(pencil_cross_ratio, vertex, *lifted) == \
         _value_outcome(pencil_cross_ratio, vertex, *pts)
+
+
+@st.composite
+def cross_ratio_quadruples(draw):
+    """Four points of one line (vertical and horizontal ones on purpose) at
+    parameters from a small set, so coincident points and infinite cross
+    ratios come up; or four equal points; or one point moved off the line."""
+    p, q = draw(point_pairs().filter(lambda pair: pair[0] != pair[1]))
+    kind = draw(st.sampled_from(("collinear",) * 3 + ("coincident", "off_line")))
+    if kind == "coincident":
+        return [Point(p.x, p.y) for _ in range(4)]
+    ts = draw(st.lists(st.sampled_from((0, 1, 2, -1, -3, Fraction(1, 2),
+                                        Fraction(2, 3))),
+                       min_size=4, max_size=4))
+    pts = [Point(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y)) for t in ts]
+    if kind == "off_line":
+        i = draw(st.integers(0, 3))
+        pts[i] = Point(pts[i].x - (q.y - p.y), pts[i].y + (q.x - p.x))
+    return pts
+
+
+@given(cross_ratio_quadruples(), points, st.data())
+def test_cross_ratio_bodies_match_their_affine_references(pts, vertex, data):
+    # a vertex on the pencil's points makes it undefined
+    vertex = data.draw(st.sampled_from((vertex, vertex, pts[0])))
+    for case in _lifted_cases([*pts, vertex], data):
+        *quad, v = case
+        assert (_value_outcome(cross_ratio, *quad)
+                == _value_outcome(ref_cross_ratio, *quad))
+        assert (_value_outcome(pencil_cross_ratio, v, *quad)
+                == _value_outcome(ref_pencil_cross_ratio, v, *quad))
+
+
+@settings(max_examples=30)
+@given(st.permutations(range(4)), st.sampled_from(range(4)))
+def test_scalar_bodies_match_their_references_on_symbolic_gauge_points(order, which):
+    a, b, c, d, k = RationalFunction.variables()
+    zero = a * 0
+    P0, A, B, C, D = (Point(zero, zero), Point(a, zero), Point(b, k * b),
+                      Point(c, zero), Point(d, k * d))
+    # four points of each diagonal, and a vertex off it
+    axis_x = (P0, A, C, midpoint(A, C))
+    axis_k = (P0, B, D, midpoint(B, D))
+    for line_points, vertex in ((axis_x, B), (axis_k, A)):
+        quad = [line_points[i] for i in order]
+        assert (_value_outcome(cross_ratio, *quad)
+                == _value_outcome(ref_cross_ratio, *quad))
+        assert (_value_outcome(pencil_cross_ratio, vertex, *quad)
+                == _value_outcome(ref_pencil_cross_ratio, vertex, *quad))
+    # with Z = S = 1 the power is the affine formula term for term
+    circle = circumcircle(A, B, C)
+    p = (P0, A, D, circumcenter(A, B, D))[which]
+    assert _exact(power_of_point(p, circle)) == _exact(ref_power_of_point(p, circle))
 
 
 def test_mixed_rational_and_symbolic_coordinates():

@@ -56,7 +56,6 @@ from butterfly.scalar import derive_rng, sample_rational
 from butterfly.theorems import (
     CLOSED_FORM_CHECK_IDS,
     NUMERIC_ORDER,
-    SYMBOLIC_ORDER,
     ChordButterflyConfig,
     CyclicConfig,
     GaugeConfig,
@@ -289,7 +288,7 @@ def ref_check_lemma2(o):
 
 
 def ref_build_thm0(cfg):
-    A, B, C, D = (on_unit_circle(t) for _, t in cfg.params())
+    A, B, C, D = (on_unit_circle(t) for t in cfg)
     P = intersect_lines(line_through(A, C), line_through(B, D))
     zero = cfg.t_a * 0
     O = Point(zero, zero)
@@ -301,7 +300,7 @@ def ref_build_thm0(cfg):
 
 
 def ref_build_chord(cfg):
-    A, B, C, E = (on_unit_circle(t) for _, t in cfg.params())
+    A, B, C, E = (on_unit_circle(t) for t in cfg)
     omega = circumcircle(A, B, C)
     M = midpoint(A, B)
     D = second_intersection(omega, line_through(C, M), C)
@@ -455,7 +454,8 @@ def test_run_numeric_refutes_each_perturbed_fixture(monkeypatch, tmp_path, stem)
     failed = parse(fixture.read_text()).assertions[-1]
     assert ce.detail == f"assertion {dsl._assertion_text(failed)} failed"
     pairs = theorems._SUITE[stem][0](derive_rng(3, stem, ce.trial), 20)
-    assert ce.params == config_of(stem, pairs).params()
+    cfg = config_of(stem, pairs)
+    assert ce.params == tuple(zip(cfg._fields, cfg))
 
 
 def test_kept_programs_call_the_implementations_installed_later(monkeypatch):
@@ -486,7 +486,7 @@ def test_rational_builds_make_the_fractions_of_the_geo_trial(monkeypatch):
         ast = theorems._construction(stem)[0]
         trials[stem] = (dsl._compile_program(ast, paired=True),
                         {name: value.as_integer_ratio()
-                         for name, value in cfg.params()})
+                         for name, value in zip(cfg._fields, cfg)})
     made = []
     monkeypatch.setattr(dsl, "Fraction", lambda *args: made.append(args) or F(*args))
 
@@ -597,13 +597,10 @@ def test_criterion_5_checkers_refute_nudged_objects(monkeypatch, checker,
 # -- config plumbing --------------------------------------------------------------
 
 def test_config_params_shapes():
-    assert ANCHOR.params() == (("a", F(2)), ("b", F(1)), ("c", F(-3)),
-                               ("d", F(-2)), ("k", F(1)))
-    assert ANCHOR.as_assignment() == {"a": F(2), "b": F(1), "c": F(-3),
-                                      "d": F(-2), "k": F(1)}
+    assert list(ANCHOR.as_assignment().items()) == [
+        ("a", F(2)), ("b", F(1)), ("c", F(-3)), ("d", F(-2)), ("k", F(1))]
     quad = sample_quad(derive_rng(0, "quad"), 5)
-    assert [name for name, _ in quad.params()] == [
-        "ax", "ay", "bx", "by", "cx", "cy", "dx", "dy"]
+    assert quad._fields == ("ax", "ay", "bx", "by", "cx", "cy", "dx", "dy")
 
 
 @pytest.mark.parametrize("cfg, names", [
@@ -616,9 +613,8 @@ def test_config_params_shapes():
      ("ax", "ay", "bx", "by", "cx", "cy", "dx", "dy")),
 ], ids=["gauge", "cyclic", "chord", "quad"])
 def test_scalar_config_params_are_its_fields(cfg, names):
-    assert tuple(name for name, _ in cfg.params()) == names
     assert names == type(cfg)._fields
-    assert all(value is getattr(cfg, name) for name, value in cfg.params())
+    assert all(value is getattr(cfg, name) for name, value in zip(names, cfg))
 
 
 # The concyclic quadrilateral with half-angle parameters 1/2, 3, -4, -1/6
@@ -795,7 +791,7 @@ def test_evaluate_object_of_rational_and_mixed_figures():
 def test_sample_gauge_invariants_and_determinism():
     for seed in range(40):
         cfg = sample_gauge(derive_rng(seed, "g"), 6)
-        assert all(v != 0 for _, v in cfg.params())
+        assert all(v != 0 for v in cfg)
         assert cfg.a != cfg.c and cfg.b != cfg.d
         assert cfg.a * cfg.c < 0 and cfg.b * cfg.d < 0
     assert sample_gauge(derive_rng(7, "g"), 6) == sample_gauge(derive_rng(7, "g"), 6)
@@ -804,7 +800,7 @@ def test_sample_gauge_invariants_and_determinism():
 def test_sample_cyclic_invariants():
     for seed in range(25):
         cfg = sample_cyclic(derive_rng(seed, "c"), 6)
-        ts = [v for _, v in cfg.params()]
+        ts = list(cfg)
         assert len(set(ts)) == 4
         assert all(abs(t) != 1 for t in ts)
         objs = build_thm0(cfg)  # diagonals guaranteed to meet
@@ -815,7 +811,7 @@ def test_sample_chord_keeps_free_chord_endpoints_split_by_ab():
     unit = Circle(F(0), F(0), F(-1))
     for seed in range(25):
         cfg = sample_chord(derive_rng(seed, "ch"), 6)
-        A, B, C, E = (on_unit_circle(t) for _, t in cfg.params())
+        A, B, C, E = (on_unit_circle(t) for t in cfg)
         ab = line_through(A, B)
         f = second_intersection(unit, line_through(E, midpoint(A, B)), E)
         side_c = ab.u * C.x + ab.v * C.y + ab.w
@@ -882,7 +878,7 @@ def test_sampler_matches_its_fraction_reference(sampler, ref, bound):
         assert cfg == ref(ref_rng, bound)
         # equal generator states: the sampler made the reference's draws
         assert rng.getstate() == ref_rng.getstate()
-        assert all(type(value) is Fraction for _, value in cfg.params())
+        assert all(type(value) is Fraction for value in cfg)
 
 
 def test_corners_match_the_reference_on_both_backends():
@@ -1074,7 +1070,7 @@ def test_record_contracts(cls, kwargs, ignored, changed):
     else:
         assert other != record and record != tuple(kwargs.values())
     if cls in (GaugeConfig, CyclicConfig, ChordButterflyConfig, QuadConfig):
-        assert record.params() == tuple(kwargs.items())
+        assert tuple(zip(record._fields, record)) == tuple(kwargs.items())
 
 
 # -- numeric runner -------------------------------------------------------------------
@@ -1103,7 +1099,8 @@ def test_run_numeric_argument_validation():
 
 # The numeric driver as it ran on configs of Fractions: each trial draws its
 # config with the Fraction reference sampler below and runs the corpus file on
-# it through `_run`, and a counterexample reports the config's parameters.
+# it through `_run`.  The config crosses into `dsl._numeric_run` as the int
+# pairs of its fields and back, so a counterexample reports its parameters.
 REF_SAMPLERS = {"butterfly_chord": ref_sample_chord, "thm0_cyclic": ref_sample_cyclic,
                 "thm1": ref_sample_gauge, "thm2": ref_sample_gauge,
                 "lemma1": ref_sample_quad, "lemma2": ref_sample_gauge,
@@ -1111,15 +1108,17 @@ REF_SAMPLERS = {"butterfly_chord": ref_sample_chord, "thm0_cyclic": ref_sample_c
 
 
 def ref_run_numeric(theorem, trials, seed, bound):
-    sample = REF_SAMPLERS[theorem]
+    sample, config = REF_SAMPLERS[theorem], CONFIGS[theorem]
 
-    def check(cfg):
-        failed = theorems._run(theorem, cfg, assertions="return")
-        if failed is None:
-            return None
-        return cfg.params(), f"assertion {dsl._assertion_text(failed)} failed"
+    def draw(rng, bound):
+        return [value.as_integer_ratio() for value in sample(rng, bound)]
 
-    return dsl.run_trials(theorem, theorem, sample, check, trials, seed, bound)
+    def trial(pairs):
+        cfg = config(*(F(*pair) for pair in pairs))
+        return theorems._run(theorem, cfg, assertions="return")
+
+    return dsl._numeric_run(theorem, theorem, config._fields, draw, trial,
+                            trials, seed, bound)
 
 
 @pytest.mark.parametrize("bound", (20, 2))
@@ -1232,7 +1231,7 @@ RUNS_ONE_SKIP_IN_FIVE = {
 }
 RUNS_REFUTED = {
     "run_numeric": (lambda: _synthetic_report(lambda pairs: SYNTHETIC_CLAIM, 50, 3),
-                    ANCHOR.params(),
+                    tuple(ANCHOR.as_assignment().items()),
                     "assertion midpoint((0, 0), (1, 0), (2, 0)) failed"),
     "geo": (lambda: _geo_report("param a;\n"
                                 "assert midpoint((0, 0), (a, 0), (1, 0));\n",
@@ -1311,7 +1310,7 @@ def _count_calls(monkeypatch, owner, name):
 def test_run_suite_builds_thm1_once(monkeypatch):
     calls = _count_calls(monkeypatch, theorems, "build_thm1")
     reports = run_suite(mode="symbolic")
-    assert [r.theorem for r in reports] == list(SYMBOLIC_ORDER)
+    assert [r.theorem for r in reports] == list(theorems._PROVERS)
     assert all(r.ok for r in reports)
     assert len(calls) == 1
 
@@ -1676,12 +1675,12 @@ def test_result_orders_are_the_registries():
     assert all((theorems._CORPUS / f"{stem}.geo").is_file() for stem in NUMERIC_ORDER)
     assert NUMERIC_ORDER == ("butterfly_chord", "thm0_cyclic", "thm1", "thm2",
                              "lemma1", "lemma2", "lemma3")
-    assert SYMBOLIC_ORDER == tuple(theorems._PROVERS) == ("thm1", "thm2", "lemma3")
+    assert tuple(theorems._PROVERS) == ("thm1", "thm2", "lemma3")
 
 
 def test_run_suite_ordering_and_modes():
     reports = run_suite(mode="both", trials=3, seed=1, bound=8)
-    assert [r.theorem for r in reports] == list(SYMBOLIC_ORDER) + list(NUMERIC_ORDER)
+    assert [r.theorem for r in reports] == [*theorems._PROVERS, *NUMERIC_ORDER]
     assert [r.mode for r in reports] == ["symbolic"] * 3 + ["numeric"] * 7
     assert all(r.ok for r in reports)
     numeric_only = run_suite(mode="numeric", trials=2, seed=1, bound=8)
